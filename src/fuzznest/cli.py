@@ -388,6 +388,16 @@ def cmd_backend(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -487,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--value", type=float, help="single value to roundtrip")
-    group.add_argument("--count", type=int, help="number of random trials")
+    group.add_argument(
+        "--count", type=_positive_int, help="number of random trials"
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--tol", type=float, default=1e-10, help="error tolerance (default 1e-10)"
@@ -504,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
         "2 = level composition law",
     )
     p.add_argument("id", type=int, choices=(1, 2))
-    p.add_argument("--trials", type=int, default=100, help="default 100")
+    p.add_argument(
+        "--trials", type=_positive_int, default=100, help="default 100"
+    )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--tol",

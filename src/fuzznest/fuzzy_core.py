@@ -89,10 +89,20 @@ class FuzzySet:
         DuplicateElementError when two expressions share one canonical
         form.
         """
+        return cls._from_canonical(
+            universe, ((normalize(expr), mu) for expr, mu in pairs)
+        )
+
+    @classmethod
+    def _from_canonical(
+        cls,
+        universe: AtomUniverse,
+        pairs: Iterable[tuple[SetExpr, float]],
+    ) -> "FuzzySet":
+        """build() for expressions that are canonical already."""
         seen: set[SetExpr] = set()
         out: list[tuple[SetExpr, float]] = []
-        for expr, mu in pairs:
-            e = normalize(expr)
+        for e, mu in pairs:
             mu = float(mu)
             if not (0.0 <= mu <= 1.0):
                 raise InvariantError(
@@ -153,23 +163,50 @@ def scalar_cardinality(fs: FuzzySet) -> float:
     return math.fsum(mu for _, mu in fs.elements)
 
 
-def _propagate(table: Mapping[SetExpr, float], y: SetExpr) -> float:
-    if isinstance(y, Empty):
-        return 1.0
-    stored = table.get(y)
-    if stored is not None:
-        return stored
-    if isinstance(y, Braced):
-        base = table.get(Braced(y.atom, 0))
-        if base is None:
-            raise MissingMembershipError(
-                f"atom {y.atom!r} has no base membership"
-            )
-        return _impl.level_value(base, y.level)
-    product = 1.0
-    for element in y.elements:
-        product *= 2.0 ** _propagate(table, element) - 1.0
-    return product
+def _lookup_table(base: FuzzySet) -> tuple[dict[SetExpr, float], bool]:
+    """The base's membership table, and whether it lists any set.
+
+    Hashing a set walks its whole subtree, so propagation looks sets up
+    only in a table that lists some.
+    """
+    table = base.membership_table()
+    return table, any(isinstance(e, SetOf) for e in table)
+
+
+def _propagate(
+    table: Mapping[SetExpr, float], sets_listed: bool, y: SetExpr
+) -> float:
+    """Membership of a canonical y under the rule order of the module
+    docstring, evaluated with an explicit stack (members left to right,
+    so errors and rounding match a recursive evaluation)."""
+    values: list[float] = []
+    todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
+    while todo:
+        x = todo.pop()
+        if type(x) is int:
+            product = 1.0
+            for value in values[len(values) - x:]:
+                product *= 2.0 ** value - 1.0
+            del values[len(values) - x:]
+            values.append(product)
+            continue
+        if isinstance(x, Empty):
+            values.append(1.0)
+            continue
+        stored = table.get(x) if sets_listed or not isinstance(x, SetOf) else None
+        if stored is not None:
+            values.append(stored)
+        elif isinstance(x, Braced):
+            base = table.get(Braced(x.atom, 0))
+            if base is None:
+                raise MissingMembershipError(
+                    f"atom {x.atom!r} has no base membership"
+                )
+            values.append(_impl.level_value(base, x.level))
+        else:
+            todo.append(len(x.elements))
+            todo.extend(reversed(x.elements))
+    return values[0]
 
 
 def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
@@ -181,7 +218,7 @@ def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     y = normalize(y)
     if not in_superstructure(y, base.universe):
         raise UniverseError(f"{print_expr(y)} uses atoms outside the universe")
-    return _propagate(base.membership_table(), y)
+    return _propagate(*_lookup_table(base), y)
 
 
 def construct_fuzzy_set(
@@ -192,7 +229,7 @@ def construct_fuzzy_set(
     Input order is preserved; expressions that normalize to the same
     canonical form raise DuplicateElementError.
     """
-    table = base.membership_table()
+    table, sets_listed = _lookup_table(base)
     seen: set[SetExpr] = set()
     out: list[tuple[SetExpr, float]] = []
     for expr in universe_exprs:
@@ -204,7 +241,7 @@ def construct_fuzzy_set(
             raise UniverseError(
                 f"{print_expr(e)} uses atoms outside the universe"
             )
-        out.append((e, _propagate(table, e)))
+        out.append((e, _propagate(table, sets_listed, e)))
     return FuzzySet(base.universe, tuple(out))
 
 
@@ -281,7 +318,7 @@ def verify_classical_degeneracy(
         for expr, mu in base.elements
         if isinstance(expr, Braced) and expr.level == 0 and mu == 0.0
     }
-    table = base.membership_table()
+    table, sets_listed = _lookup_table(base)
     worst = 0.0
     for probe in probe_exprs:
         e = normalize(probe)
@@ -289,7 +326,7 @@ def verify_classical_degeneracy(
             raise UniverseError(
                 f"{print_expr(e)} uses atoms outside the universe"
             )
-        value = _propagate(table, e)
+        value = _propagate(table, sets_listed, e)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
     return VerificationReport.check("classical degeneracy", worst, 0.0, 0.0)
@@ -330,9 +367,13 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
     for row in rows:
         if not isinstance(row, dict) or "expr" not in row or "mu" not in row:
             raise ParseError('each element needs "expr" and "mu"', 0)
-        if not isinstance(row["expr"], str) or not isinstance(
-            row["mu"], (int, float)
+        mu = row["mu"]
+        if (
+            not isinstance(row["expr"], str)
+            or not isinstance(mu, (int, float))
+            or isinstance(mu, bool)
         ):
             raise ParseError('"expr" must be text and "mu" a number', 0)
-        pairs.append((parse_expr(row["expr"]), float(row["mu"])))
-    return FuzzySet.build(AtomUniverse(tuple(atoms)), pairs)
+        pairs.append((parse_expr(row["expr"]), float(mu)))
+    # parse_expr returns canonical expressions: no second normalize pass
+    return FuzzySet._from_canonical(AtomUniverse(tuple(atoms)), pairs)

@@ -17,12 +17,16 @@ Canonical form rules:
   as normalize() input.
 
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
-equal sets compare equal with ``==``.
+equal sets compare equal with ``==``. Both canonicalize in one pass that
+carries each subtree's depth and printed form up to its parent, and
+like the printer they walk trees with explicit stacks, not recursion.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Union
 
 from .errors import InvariantError, LevelError, ParseError
@@ -102,26 +106,62 @@ def _is_identifier(name: str) -> bool:
     return all(c in _IDENT_CONT for c in name[1:])
 
 
+def _post_order(e: SetExpr) -> list:
+    """Every node of e, children before their parent, left before right.
+
+    Iterative, so nesting depth is bounded by memory, not by the
+    interpreter's recursion limit. Braced-over-subexpression nodes are
+    walked into; anything that is not a node is returned as a leaf.
+    """
+    # visiting children right to left and reversing the visit order
+    # gives left-to-right post-order
+    order = []
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        order.append(x)
+        if isinstance(x, SetOf):
+            todo.extend(x.elements)
+        elif isinstance(x, Braced) and not isinstance(x.atom, str):
+            todo.append(x.atom)
+    order.reverse()
+    return order
+
+
 def structural_depth(e: SetExpr) -> int:
     """Nesting depth used for canonical ordering.
 
     The depth of a level-annotated atom is its signed level, so formally
     unbraced atoms sort before bare atoms, which sort before braced ones.
     """
-    if isinstance(e, Empty):
-        return 0
-    if isinstance(e, Braced):
-        if isinstance(e.atom, str):
-            return e.level
-        return structural_depth(e.atom) + e.level
-    return 1 + max((structural_depth(x) for x in e.elements), default=0)
-
-
-def _sort_key(e: SetExpr) -> tuple[int, str]:
-    return (structural_depth(e), print_expr(e))
+    depths: list[int] = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            if isinstance(x.atom, str):
+                depths.append(x.level)
+            else:
+                depths[-1] += x.level
+        elif isinstance(x, Empty):
+            depths.append(0)
+        else:
+            n = len(x.elements)
+            deepest = 0
+            if n:
+                deepest = max(depths[-n:])
+                del depths[-n:]
+            depths.append(deepest + 1)
+    return depths[0]
 
 
 # ---------------------------------------------------------------- printing
+
+
+def _braced_text(atom: str, level: int) -> str:
+    if level == 0:
+        return atom
+    if level == 1:
+        return "{%s}" % atom
+    return "{%s}^(%d)" % (atom, level)
 
 
 def print_expr(e: SetExpr) -> str:
@@ -130,20 +170,86 @@ def print_expr(e: SetExpr) -> str:
     Levels 0 and 1 use the bare name and literal braces; every other
     level (including negatives) uses the ^(n) notation.
     """
-    if isinstance(e, Empty):
-        return "∅"
-    if isinstance(e, Braced):
-        if not isinstance(e.atom, str):
-            raise InvariantError("cannot print a non-canonical braced expression")
-        if e.level == 0:
-            return e.atom
-        if e.level == 1:
-            return "{%s}" % e.atom
-        return "{%s}^(%d)" % (e.atom, e.level)
-    return "{%s}" % ",".join(print_expr(x) for x in e.elements)
+    if isinstance(e, Braced) and isinstance(e.atom, str):
+        return _braced_text(e.atom, e.level)
+    parts: list[str] = []
+    frames = [iter((e,))]  # the root, then one iterator per open set
+    while frames:
+        for x in frames[-1]:
+            if isinstance(x, Braced):
+                if not isinstance(x.atom, str):
+                    raise InvariantError(
+                        "cannot print a non-canonical braced expression"
+                    )
+                parts.append(_braced_text(x.atom, x.level))
+            elif isinstance(x, Empty):
+                parts.append("∅")
+            else:
+                parts.append("{")
+                frames.append(iter(x.elements))
+                break
+            parts.append(",")
+        else:
+            frames.pop()
+            if frames:
+                # the closing brace takes the place of the last comma
+                if parts[-1] == ",":
+                    parts[-1] = "}"
+                else:
+                    parts.append("}")
+                parts.append(",")
+    parts.pop()
+    return "".join(parts)
 
 
 # ------------------------------------------------------------- normalizing
+
+# The canonicalizer carries each canonical subtree as an item
+# (node, structural depth, printed form), computed once from the items of
+# its children. Distinct canonical trees print differently, so a set
+# deduplicates its members by text and sorts them by (depth, text)
+# without walking, printing or comparing any subtree again.
+
+_Item = tuple[SetExpr, int, str]
+
+_EMPTY_ITEM: _Item = (EMPTY, 0, "∅")
+_depth_and_text = itemgetter(1, 2)
+
+
+def _braced_item(atom: str, level: int) -> _Item:
+    return (Braced(atom, level), level, _braced_text(atom, level))
+
+
+def _set_item(items: list[_Item]) -> _Item:
+    """The canonical set of canonical items: dedup, fold, sort."""
+    if len(items) > 1:
+        items = list({item[2]: item for item in items}.values())
+    if not items:
+        return _EMPTY_ITEM
+    if len(items) == 1:
+        node, depth, text = items[0]
+        if isinstance(node, Braced):
+            return _braced_item(node.atom, node.level + 1)
+        return (SetOf((node,)), depth + 1, "{%s}" % text)
+    items.sort(key=_depth_and_text)
+    return (
+        SetOf(tuple([item[0] for item in items])),
+        items[-1][1] + 1,
+        "{%s}" % ",".join([item[2] for item in items]),
+    )
+
+
+def _braced_over(inner: _Item, level: int) -> _Item:
+    """The canonical item of `level` braces around a canonical item."""
+    node, depth, text = inner
+    if isinstance(node, Braced):
+        return _braced_item(node.atom, node.level + level)
+    if level < 0:
+        kind = "the empty set" if isinstance(node, Empty) else "a set"
+        raise LevelError(f"negative level {level} applied to {kind}")
+    for _ in range(level):
+        node = SetOf((node,))
+    return (node, depth + level, "{" * level + text + "}" * level)
 
 
 def normalize(e: SetExpr) -> SetExpr:
@@ -152,159 +258,70 @@ def normalize(e: SetExpr) -> SetExpr:
     Collapses Braced-over-Braced by adding levels, folds a singleton set
     of a Braced node into the level, deduplicates and sorts set elements.
     Raises LevelError when a negative level is attached to a set or to
-    the empty set, since those cannot denote anything.
+    the empty set, since those cannot denote anything. One iterative
+    post-order pass builds each subtree's depth and printed form once,
+    from those of its members.
     """
-    if isinstance(e, Empty):
-        return EMPTY
-    if isinstance(e, Braced):
-        if isinstance(e.atom, str):
-            return e
-        inner = normalize(e.atom)
-        if isinstance(inner, Braced):
-            return Braced(inner.atom, inner.level + e.level)
-        if e.level < 0:
-            kind = "the empty set" if isinstance(inner, Empty) else "a set"
-            raise LevelError(f"negative level {e.level} applied to {kind}")
-        for _ in range(e.level):
-            inner = SetOf((inner,))
-        return inner
-    if isinstance(e, SetOf):
-        members: list[SetExpr] = []
-        for x in e.elements:
-            nx = normalize(x)
-            if nx not in members:
-                members.append(nx)
-        if not members:
-            return EMPTY
-        if len(members) == 1 and isinstance(members[0], Braced):
-            only = members[0]
-            return Braced(only.atom, only.level + 1)
-        members.sort(key=_sort_key)
-        return SetOf(tuple(members))
-    raise TypeError(f"not a set expression: {e!r}")
+    if isinstance(e, Braced) and isinstance(e.atom, str):
+        return e
+    items: list[_Item] = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            if isinstance(x.atom, str):
+                items.append((x, x.level, _braced_text(x.atom, x.level)))
+            else:
+                items[-1] = _braced_over(items[-1], x.level)
+        elif isinstance(x, SetOf):
+            n = len(x.elements)
+            members = items[len(items) - n:]
+            del items[len(items) - n:]
+            items.append(_set_item(members))
+        elif isinstance(x, Empty):
+            items.append(_EMPTY_ITEM)
+        else:
+            raise TypeError(f"not a set expression: {x!r}")
+    return items[0][0]
 
 
 # ----------------------------------------------------------------- parsing
 
+# One token per match: an identifier, a signed integer, or any other
+# single non-space character. Leading whitespace is skipped.
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[+-]?\d+|\S)")
+_INTEGER = re.compile(r"[+-]?\d+")
 
-class _Parser:
-    """Recursive descent over the expression grammar.
 
-    expr := "∅" | "empty" | ATOM | "{" ATOM "}" "^" "(" INT ")"
-          | "{" [expr ("," expr)*] "}"
-    """
+def _byte_offset(text: str, token: int, shift: int = 0) -> int:
+    """UTF-8 offset of a token (shifted by `shift` characters), or of the
+    end of the text for the end-of-input token."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    at = starts[token] + shift if token < len(starts) else len(text)
+    return len(text[:at].encode("utf-8"))
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def fail(self, message: str, pos: int | None = None) -> ParseError:
-        at = self.pos if pos is None else pos
-        return ParseError(message, len(self.text[:at].encode("utf-8")))
+def _fail(text: str, token: int, message: str, shift: int = 0) -> ParseError:
+    return ParseError(message, _byte_offset(text, token, shift))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+def _level_misuse(text: str, token: int) -> LevelError:
+    return LevelError(
+        "level annotation ^(n) is only valid on a braced atom "
+        f"(at byte offset {_byte_offset(text, token)})"
+    )
 
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.peek() != ch:
-            raise self.fail(f"expected {ch!r}")
-        self.pos += 1
 
-    def parse(self) -> SetExpr:
-        e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.fail("unexpected trailing input")
-        return normalize(e)
-
-    def expr(self) -> SetExpr:
-        self.skip_ws()
-        ch = self.peek()
-        if ch == "":
-            raise self.fail("unexpected end of input")
-        if ch == "∅":
-            self.pos += 1
-            self.check_no_level(EMPTY)
-            return EMPTY
-        if ch == "{":
-            return self.braces()
-        if ch in _IDENT_START:
-            name = self.ident()
-            node = EMPTY if name == "empty" else Braced(name, 0)
-            self.check_no_level(node)
-            return node
-        raise self.fail(f"unexpected character {ch!r}")
-
-    def ident(self) -> str:
-        start = self.pos
-        self.pos += 1
-        while self.peek() in _IDENT_CONT:
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def braces(self) -> SetExpr:
-        self.pos += 1  # consume '{'
-        self.skip_ws()
-        elements: list[SetExpr] = []
-        if self.peek() == "}":
-            self.pos += 1
-        else:
-            elements.append(self.expr())
-            self.skip_ws()
-            while self.peek() == ",":
-                self.pos += 1
-                elements.append(self.expr())
-                self.skip_ws()
-            self.expect("}")
-        self.skip_ws()
-        if self.peek() == "^":
-            caret = self.pos
-            self.pos += 1
-            # only {ATOM}^(INT) is meaningful
-            single_atom = (
-                len(elements) == 1
-                and isinstance(elements[0], Braced)
-                and elements[0].level == 0
-            )
-            if not single_atom:
-                raise LevelError(
-                    "level annotation ^(n) is only valid on a braced atom "
-                    f"(at byte offset {len(self.text[:caret].encode('utf-8'))})"
-                )
-            level = self.level_int()
-            assert isinstance(elements[0], Braced)
-            return Braced(elements[0].atom, level)
-        return SetOf(tuple(elements))
-
-    def level_int(self) -> int:
-        self.expect("(")
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        if not self.peek().isdigit():
-            raise self.fail("expected an integer level")
-        while self.peek().isdigit():
-            self.pos += 1
-        value = int(self.text[start:self.pos])
-        self.expect(")")
-        return value
-
-    def check_no_level(self, node: SetExpr) -> None:
-        # '^' after a complete non-braced expression is a level misuse
-        save = self.pos
-        self.skip_ws()
-        if self.peek() == "^":
-            raise LevelError(
-                "level annotation ^(n) is only valid on a braced atom "
-                f"(at byte offset {len(self.text[:self.pos].encode('utf-8'))})"
-            )
-        self.pos = save
+def _level(text: str, tokens: list[str], i: int) -> tuple[int, int]:
+    """Read "(" INT ")" from token i on; return the level and the next token."""
+    if tokens[i] != "(":
+        raise _fail(text, i, "expected '('")
+    tok = tokens[i + 1]
+    if not _INTEGER.fullmatch(tok):
+        # a lone sign is consumed before the digits are missed
+        shift = 1 if tok in ("+", "-") else 0
+        raise _fail(text, i + 1, "expected an integer level", shift)
+    if tokens[i + 2] != ")":
+        raise _fail(text, i + 2, "expected ')'")
+    return int(tok), i + 3
 
 
 def parse_expr(text: str) -> SetExpr:
@@ -313,8 +330,66 @@ def parse_expr(text: str) -> SetExpr:
     Accepts "∅" and "empty" for the empty set. Raises ParseError with a
     byte offset on malformed input, LevelError when ^(n) is attached to
     anything but a braced atom.
+
+    Grammar:  expr := "∅" | "empty" | ATOM | "{" ATOM "}" "^" "(" INT ")"
+                    | "{" [expr ("," expr)*] "}"
+
+    An iterative loop over the tokens with an explicit stack of open
+    braces; each closing brace canonicalizes its set from the items of
+    its members, so the result needs no further normalize pass.
     """
-    return _Parser(text).parse()
+    tokens = _TOKEN.findall(text)
+    tokens.append("")  # end of input
+    frames: list[list[_Item]] = []  # the items read so far, per open brace
+    # per open brace: its last item was a bare atom or {a}^(0), the only
+    # single member a level annotation may follow
+    atom_last: list[bool] = []
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok == "{":
+            frames.append([])
+            atom_last.append(False)
+            if tokens[i] != "}":
+                continue
+            item = None
+        elif tok == "∅" or tok == "empty":
+            if tokens[i] == "^":
+                raise _level_misuse(text, i)
+            item, atom = _EMPTY_ITEM, False
+        elif tok and tok[0] in _IDENT_START:
+            if tokens[i] == "^":
+                raise _level_misuse(text, i)
+            item, atom = (Braced(tok, 0), 0, tok), True
+        elif tok:
+            raise _fail(text, i - 1, f"unexpected character {tok[0]!r}")
+        else:
+            raise _fail(text, i - 1, "unexpected end of input")
+        while frames:
+            items = frames[-1]
+            if item is not None:
+                items.append(item)
+                atom_last[-1] = atom
+                if tokens[i] == ",":
+                    i += 1
+                    break
+                if tokens[i] != "}":
+                    raise _fail(text, i, "expected '}'")
+            i += 1
+            frames.pop()
+            single_atom = atom_last.pop() and len(items) == 1
+            if tokens[i] == "^":
+                if not single_atom:
+                    raise _level_misuse(text, i)
+                level, i = _level(text, tokens, i + 1)
+                item, atom = _braced_item(items[0][0].atom, level), level == 0
+            else:
+                item, atom = _set_item(items), False
+        else:
+            if tokens[i]:
+                raise _fail(text, i, "unexpected trailing input")
+            return item[0]
 
 
 # --------------------------------------------------------------- universe
@@ -322,14 +397,16 @@ def parse_expr(text: str) -> SetExpr:
 
 def atoms_of(e: SetExpr) -> Iterator[str]:
     """Yield every atom name occurring in the expression (with repeats)."""
-    if isinstance(e, Braced):
-        if isinstance(e.atom, str):
-            yield e.atom
-        else:
-            yield from atoms_of(e.atom)
-    elif isinstance(e, SetOf):
-        for x in e.elements:
-            yield from atoms_of(x)
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Braced):
+            if isinstance(x.atom, str):
+                yield x.atom
+            else:
+                todo.append(x.atom)
+        elif isinstance(x, SetOf):
+            todo.extend(reversed(x.elements))
 
 
 def in_superstructure(e: SetExpr, universe: AtomUniverse) -> bool:

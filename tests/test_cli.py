@@ -248,6 +248,26 @@ def test_usage_errors(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["roundtrip", "--count", "-5"],
+        ["roundtrip", "--count", "0"],
+        ["verify-theorem", "1", "--trials", "0"],
+        ["verify-theorem", "2", "--trials", "-1"],
+        ["verify-theorem", "1", "--trials", "many"],
+    ],
+)
+def test_count_arguments_must_be_positive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "Traceback" not in captured.err
+    assert ("--count" if "--count" in argv else "--trials") in captured.err
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "fuzznest", "backend"],

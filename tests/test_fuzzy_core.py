@@ -439,6 +439,16 @@ def test_fuzzyset_json_rejects_malformed(text):
         fuzzyset_from_json(text)
 
 
+@pytest.mark.parametrize("flag", ["true", "false"])
+def test_fuzzyset_json_rejects_boolean_membership(flag):
+    text = '{"atoms":["x1"],"elements":[{"expr":"x1","mu":%s}]}' % flag
+    with pytest.raises(ParseError, match='"mu" a number'):
+        fuzzyset_from_json(text)
+    # integer memberships stay numbers
+    fs = fuzzyset_from_json(text.replace(flag, "1"))
+    assert fs.elements == ((Braced("x1", 0), 1.0),)
+
+
 def test_fuzzyset_json_error_offset():
     with pytest.raises(ParseError) as exc:
         fuzzyset_from_json('{"atoms": }')

@@ -1,0 +1,165 @@
+"""The one-pass canonicalizer and the token-loop parser against the
+recursive algorithms they replaced (frozen in legacy_set_expr.py).
+
+Seeded random raw trees and texts, small enough for the recursive
+reference: results must be equal with ``==`` and print identically, and
+failures must raise the same exception class with the same message (and,
+for ParseError, the same byte offset).
+"""
+
+import random
+
+import pytest
+
+from fuzznest import (
+    EMPTY,
+    Braced,
+    LevelError,
+    ParseError,
+    SetOf,
+    normalize,
+    parse_expr,
+    print_expr,
+)
+
+import legacy_set_expr as legacy
+
+ATOMS = ("x1", "x2", "y", "z0")
+
+
+def _raw_tree(rng: random.Random, depth: int):
+    """A raw (not canonical) tree: duplicates, Braced over subexpressions,
+    singleton sets, negative levels on sets and ∅, shuffled members and,
+    rarely, a value that is not a node at all."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        leaf = rng.random()
+        if leaf < 0.2:
+            return EMPTY
+        if leaf < 0.97:
+            return Braced(rng.choice(ATOMS), rng.randint(-3, 3))
+        return rng.choice((7, "x1", None))
+    if roll < 0.45:
+        # Braced over a subexpression; negative levels on sets and ∅ fail
+        return Braced(_raw_tree(rng, depth - 1), rng.randint(-3, 3))
+    n = rng.choice((0, 1, 1, 2, 3, 4, 5))
+    members = [_raw_tree(rng, depth - 1) for _ in range(n)]
+    if members and rng.random() < 0.4:
+        # a duplicate: the same object or a structurally equal copy
+        twin = rng.choice(members)
+        members.append(twin if rng.random() < 0.5 else _copy(twin))
+    rng.shuffle(members)
+    return SetOf(tuple(members))
+
+
+def _copy(e):
+    if isinstance(e, SetOf):
+        return SetOf(tuple(_copy(x) for x in e.elements))
+    if isinstance(e, Braced) and not isinstance(e.atom, str):
+        return Braced(_copy(e.atom), e.level)
+    if isinstance(e, Braced):
+        return Braced(e.atom, e.level)
+    return e
+
+
+def _outcome(fn, arg):
+    try:
+        return "ok", fn(arg)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+
+
+def test_normalize_matches_recursive_reference():
+    rng = random.Random(20260301)
+    kinds = {"ok": 0, LevelError: 0, TypeError: 0}
+    for _ in range(1000):
+        tree = _raw_tree(rng, rng.randint(1, 5))
+        want = _outcome(legacy.normalize, tree)
+        got = _outcome(normalize, tree)
+        assert got[0] == want[0], tree
+        kinds[want[0]] += 1
+        if want[0] == "ok":
+            assert got[1] == want[1], tree
+            assert print_expr(got[1]) == legacy.print_expr(want[1]), tree
+        else:
+            assert got[1:] == want[1:], tree
+    # the generator reaches every outcome often enough to mean something
+    assert kinds["ok"] >= 500 and kinds[LevelError] >= 50 and kinds[TypeError] >= 20
+
+
+def test_normalize_keeps_the_reference_element_order():
+    # (structural depth, printed form) is the order _sort_key gave
+    rng = random.Random(11)
+    for _ in range(300):
+        tree = _raw_tree(rng, 4)
+        try:
+            e = normalize(tree)
+        except (LevelError, TypeError):
+            continue
+        if isinstance(e, SetOf):
+            keys = [legacy._sort_key(x) for x in e.elements]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+_FRAGMENTS = ("{", "{", "}", "}", ",", ",", "^", "(", ")", "∅", "é", " ", "\t", "\u00a0",
+              "x1", "y", "2", "-", "+", "0", "empty", "^(2)", "^(-1)", "^(0)")
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.random()
+        at = rng.randint(0, len(chars))
+        if op < 0.4:
+            chars.insert(at, rng.choice(_FRAGMENTS))
+        elif op < 0.7 and chars:
+            del chars[min(at, len(chars) - 1)]
+        elif chars:
+            chars[min(at, len(chars) - 1)] = rng.choice(_FRAGMENTS)
+    return "".join(chars)
+
+
+def _texts(rng: random.Random):
+    """Printed canonical trees, levels written every way the grammar
+    allows, and mutations of both."""
+    for _ in range(1500):
+        try:
+            text = legacy.print_expr(legacy.normalize(_raw_tree(rng, 4)))
+        except (LevelError, TypeError):
+            continue
+        yield text
+        yield text.replace(",", " , ").replace("{", "{ ")
+        yield _mutate(rng, text)
+        yield _mutate(rng, text)
+    for level in ("3", "+2", "-1", "0", " -4 ", "0007"):
+        for around in ("{x}^(%s)", "{ x }^ (%s)", "{{x}^(%s)}", "{{x}^(%s)}^(2)",
+                       "{x,{y}^(%s)}", "{{x}^(%s),{x}^(%s)}^(1)"):
+            yield around.replace("%s", level)
+
+
+def test_parse_matches_recursive_reference():
+    rng = random.Random(4242)
+    outcomes = {"ok": 0, ParseError: 0, LevelError: 0}
+    for text in _texts(rng):
+        want = _outcome(legacy.parse_expr, text)
+        got = _outcome(parse_expr, text)
+        assert got[0] == want[0], text
+        outcomes[want[0]] += 1
+        if want[0] == "ok":
+            assert got[1] == want[1], text
+            assert print_expr(got[1]) == legacy.print_expr(want[1]), text
+        else:
+            # message and byte offset byte-identical
+            assert got[1:] == want[1:], text
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "   ", "{", "{x1,", "{x1 x2}", "x y", "{x}^", "{x}^(", "{x}^(-",
+     "{x}^(- 2)", "{x}^(2", "{x}^(2]", "é", "{∅,é}", "∅ ^(2)", "{x}^(1)^(2)",
+     "{{x}^(1)}^(2)", "{{x}^(0)}^(3)", "{{{x}^(-1)}}^(2)", "{x,x}^(2)",
+     "{}^(1)", "{empty}^(1)", "{x^(2)}", "{x}^(٣)", "{x }\t^ ( +5 )"],
+)
+def test_parse_edge_cases_match_reference(text):
+    assert _outcome(parse_expr, text) == _outcome(legacy.parse_expr, text)
