@@ -140,11 +140,7 @@ def cmd_powerset(args) -> int:
     power = fuzzy_power_set(base, cap=args.cap)
     report = None
     if args.verify:
-        computed = scalar_cardinality(power)
-        expected = 2.0 ** scalar_cardinality(base)
-        report = VerificationReport.check(
-            "power-set cardinality law", computed, expected, args.tol
-        )
+        report = verify_power_cardinality(base, args.tol, cap=args.cap)
     if args.json:
         out = {
             "elements": [

@@ -13,7 +13,8 @@ elements by three rules applied in order:
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
 cardinality exactly 2^(scalar cardinality of the base), which
-verify_power_cardinality checks numerically.
+verify_power_cardinality checks numerically from the 2^n subset
+products, without building the listing of 2^n expressions.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
 
 from ._backend import impl as _impl
@@ -257,13 +257,11 @@ def _require_flat(base: FuzzySet) -> dict[str, float]:
     return {expr.atom: mu for expr, mu in base.elements}  # type: ignore[union-attr]
 
 
-def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
-    """Fuzzy set over all 2^n subsets of a flat base's universe.
+def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
+    """Atom names in sorted order and their factors 2^mu - 1.
 
-    Each subset's membership is the product of (2^mu - 1) over its
-    atoms; the empty subset gets 1. Elements are ordered by subset size,
-    then lexicographically by atom names. CapExceededError guards the
-    exponential blowup for n > cap.
+    Raises DomainError for a base that is not flat, then
+    CapExceededError for more than cap atoms.
     """
     mu_by_name = _require_flat(base)
     n = len(base.universe.atoms)
@@ -272,26 +270,56 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
             f"{n} atoms would enumerate 2^{n} subsets (cap is {cap})"
         )
     names = sorted(base.universe.atoms)
-    factor = {name: 2.0 ** mu_by_name[name] - 1.0 for name in names}
-    level0 = {name: Braced(name, 0) for name in names}
+    return names, [2.0 ** mu_by_name[name] - 1.0 for name in names]
+
+
+def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
+    """Fuzzy set over all 2^n subsets of a flat base's universe.
+
+    Each subset's membership is the product of (2^mu - 1) over its
+    atoms, taken left to right in name order; the empty subset gets 1.
+    Elements are ordered by subset size, then lexicographically by atom
+    names. CapExceededError guards the exponential blowup for n > cap.
+
+    Each subset of size s + 1 extends one of size s by a later atom, so
+    it costs one multiply and one tuple concatenation.
+    """
+    names, factors = _power_factors(base, cap)
+    n = len(names)
+    level0 = [(Braced(name, 0),) for name in names]
 
     elements: list[tuple[SetExpr, float]] = [(EMPTY, 1.0)]
-    for size in range(1, n + 1):
-        for combo in combinations(names, size):
-            mu = math.prod(factor[name] for name in combo)
-            if size == 1:
-                expr: SetExpr = Braced(combo[0], 1)
-            else:
-                expr = SetOf(tuple(level0[name] for name in combo))
-            elements.append((expr, mu))
+    # the subsets of the current size: (index of last atom, atoms, product)
+    layer = [(i, level0[i], factors[i]) for i in range(n)]
+    elements += [(Braced(name, 1), f) for name, f in zip(names, factors)]
+    while layer:
+        longer = [
+            (j, atoms + level0[j], product * factors[j])
+            for last, atoms, product in layer
+            for j in range(last + 1, n)
+        ]
+        elements += [(SetOf(atoms), product) for _, atoms, product in longer]
+        layer = longer
     return FuzzySet(base.universe, tuple(elements))
 
 
 def verify_power_cardinality(
     base: FuzzySet, tol: float = 1e-9, cap: int = POWER_SET_CAP
 ) -> VerificationReport:
-    """Check card(power set) against 2^card(base)."""
-    computed = scalar_cardinality(fuzzy_power_set(base, cap=cap))
+    """Check card(power set) against 2^card(base).
+
+    The power set's cardinality is the correctly rounded sum of the 2^n
+    subset products, formed by doubling a list of products once per
+    factor; the listing itself is never built. Each product is the
+    left-to-right product fuzzy_power_set gives its subset, and fsum
+    does not depend on the order of its terms, so the result equals the
+    sum over the listing bit for bit.
+    """
+    _, factors = _power_factors(base, cap)
+    products = [1.0]
+    for f in factors:
+        products += [p * f for p in products]
+    computed = math.fsum(products)
     expected = 2.0 ** scalar_cardinality(base)
     return VerificationReport.check(
         "power-set cardinality law", computed, expected, tol
@@ -374,6 +402,13 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
             or isinstance(mu, bool)
         ):
             raise ParseError('"expr" must be text and "mu" a number', 0)
-        pairs.append((parse_expr(row["expr"]), float(mu)))
+        expr = parse_expr(row["expr"])
+        try:
+            mu = float(mu)
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError(
+                '"mu" is outside [0,1] and the float range', 0
+            ) from None
+        pairs.append((expr, mu))
     # parse_expr returns canonical expressions: no second normalize pass
     return FuzzySet._from_canonical(AtomUniverse(tuple(atoms)), pairs)

@@ -172,6 +172,17 @@ def print_expr(e: SetExpr) -> str:
     """
     if isinstance(e, Braced) and isinstance(e.atom, str):
         return _braced_text(e.atom, e.level)
+    if isinstance(e, SetOf):
+        # a set of braced atoms, such as every power-set subset, prints
+        # in one join; a bare atom (level 0) needs no call
+        texts = []
+        for x in e.elements:
+            if not (isinstance(x, Braced) and isinstance(x.atom, str)):
+                break
+            level = x.level
+            texts.append(x.atom if level == 0 else _braced_text(x.atom, level))
+        else:
+            return "{" + ",".join(texts) + "}"
     parts: list[str] = []
     frames = [iter((e,))]  # the root, then one iterator per open set
     while frames:

@@ -1,13 +1,24 @@
 """Command-line behavior: exit codes, output streams, JSON, golden files."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fuzznest import FuzzySet, fuzzyset_to_json, sequence_to_json, parse_sequence
+from fuzznest import (
+    FuzzySet,
+    fuzzyset_from_json,
+    fuzzyset_to_json,
+    parse_sequence,
+    sequence_to_json,
+    verify_power_cardinality,
+)
 from fuzznest.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,6 +139,76 @@ def test_powerset_rejects_non_flat(capsys, tmp_path, base4_path):
     )
     code, _, err = run(capsys, "powerset", str(deep))
     assert code == 2 and "flat" in err
+
+
+_NAMES = ("x1", "x2", "x10", "y", "z0")
+_WRONG = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.lists(st.lists(st.integers(0, 1), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(("mu", "expr")), st.integers(0, 1), max_size=2),
+)
+_MU = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(10**400), 10**400),
+    # in range, out of range, and out of the range of a float
+    st.sampled_from((0, 1, 2, -1, 10**400, -(10**400))),
+    _WRONG,
+)
+_EXPR = st.one_of(
+    st.sampled_from(_NAMES),
+    st.sampled_from(("{x1}", "{x1,x2}", "∅", "{y}^(-2)", "{x1", "zz")),
+    _WRONG,
+)
+
+
+@st.composite
+def _base_docs(draw):
+    """Base fuzzy-set JSON: mostly flat and well typed, else off in one
+    or more ways (wrong types, extra or missing rows, duplicates)."""
+    atoms = draw(st.lists(st.sampled_from(_NAMES), max_size=8))
+    rows = [{"expr": a, "mu": draw(st.floats(0.0, 1.0))} for a in atoms]
+    for _ in range(draw(st.integers(0, 2))):
+        row = {"expr": draw(_EXPR), "mu": draw(_MU)}
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    if rows and draw(st.booleans()):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    doc = {"atoms": atoms, "elements": rows}
+    if draw(st.integers(0, 9)) == 0:
+        doc[draw(st.sampled_from(("atoms", "elements")))] = draw(_WRONG)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_base_docs(), cap=st.integers(0, 8))
+def test_powerset_and_card_exit_cleanly_on_any_base(tmp_path_factory, doc, cap):
+    path = tmp_path_factory.mktemp("base") / "base.json"
+    text = json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
+    for argv in (
+        ["powerset", str(path), "--verify", "--json", "--cap", str(cap)],
+        ["card", str(path)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+        if argv[0] == "powerset" and code != 2:
+            report = verify_power_cardinality(fuzzyset_from_json(text), 1e-9, cap=cap)
+            assert json.loads(out.getvalue())["report"] == {
+                "label": report.label,
+                "computed": report.computed,
+                "expected": report.expected,
+                "abs_diff": report.abs_diff,
+                "tolerance": report.tolerance,
+                "pass": report.passed,
+            }
+            assert code == (0 if report.passed else 1)
 
 
 # ---------------------------------------------------------- encode/decode

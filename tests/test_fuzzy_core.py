@@ -34,7 +34,9 @@ from fuzznest import (
     verify_classical_degeneracy,
     verify_power_cardinality,
 )
+from fuzznest import fuzzy_core
 from helpers import ATOM_POOL, random_expr, random_flat_set
+import oracle_mp
 from oracle_mp import CONSTRUCTION_VALUES, POWERSET_VALUES
 
 TOL = 1e-14  # frozen-literal comparisons: a few ulps of slack
@@ -163,6 +165,20 @@ def test_propagate_normalizes_input():
     )
 
 
+def test_propagate_duplicate_members_count_once():
+    # {x5,x5} is the set {x5}, which folds to the braced atom {x5}; the
+    # product rule runs over the deduplicated members only
+    e = parse_expr("{{x7}^(-3),{x5,x5}}")
+    assert print_expr(e) == "{{x7}^(-3),{x5}}"
+    base = FuzzySet.flat([("x5", 0.3), ("x7", 0.6)])
+    got = propagate_membership(base, e)
+    assert got == 0.12976898762793104
+    want = oracle_mp.up(oracle_mp.level(0.6, -3)) * oracle_mp.up(
+        oracle_mp.level(0.3, 1)
+    )
+    assert abs(got - float(want)) <= TOL
+
+
 # --------------------------------------------------------- construct sets
 
 
@@ -239,6 +255,9 @@ def test_power_set_cap():
     with pytest.raises(CapExceededError):
         fuzzy_power_set(base, cap=4)
     fuzzy_power_set(base, cap=5)
+    with pytest.raises(CapExceededError, match=r"5 atoms .* \(cap is 4\)"):
+        verify_power_cardinality(base, cap=4)
+    assert verify_power_cardinality(base, cap=5).passed
 
 
 def test_power_set_requires_flat_base():
@@ -249,6 +268,10 @@ def test_power_set_requires_flat_base():
     partial = FuzzySet.build(AtomUniverse(("x1", "x2")), [(Braced("x1", 0), 0.5)])
     with pytest.raises(DomainError):
         fuzzy_power_set(partial)
+    for base in (deep, partial):
+        # the flat check comes first, whatever the cap
+        with pytest.raises(DomainError):
+            verify_power_cardinality(base, cap=0)
 
 
 def test_power_set_matches_bitmask_enumeration():
@@ -284,6 +307,18 @@ def test_verify_power_cardinality_all_zero():
     assert report.computed == 1.0
     assert report.expected == 1.0
     assert report.passed
+
+
+def test_verify_power_cardinality_builds_no_listing(monkeypatch):
+    base = random_flat_set(random.Random(8), 9)
+    want = verify_power_cardinality(base)
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("the check must not build the power set")
+
+    monkeypatch.setattr(fuzzy_core, "fuzzy_power_set", no_listing)
+    assert verify_power_cardinality(base) == want
+    assert abs(want.computed - want.expected) <= 1e-9
 
 
 def test_verification_report_invariants():
@@ -436,6 +471,12 @@ def test_fuzzyset_json_shape():
 )
 def test_fuzzyset_json_rejects_malformed(text):
     with pytest.raises(ParseError):
+        fuzzyset_from_json(text)
+
+
+def test_fuzzyset_json_rejects_integer_beyond_float_range():
+    text = '{"atoms":["x1"],"elements":[{"expr":"x1","mu":1%s}]}' % ("0" * 400)
+    with pytest.raises(ParseError, match="float range"):
         fuzzyset_from_json(text)
 
 

@@ -1,0 +1,142 @@
+"""Prefix-extension listing and the subset-product check against the
+combinations-based algorithms they replaced (frozen in
+legacy_power_set.py).
+
+Seeded random flat bases with memberships 0, 1, about 1e-12 and random
+values, over atom names that do not sort like their indices (x1, x10,
+x2) and are listed in shuffled order. Elements, memberships and report
+fields must be equal with ``==`` and bit for bit, failures must raise the
+same exception class with the same message, and ``fuzznest powerset``
+must write byte-identical output.
+"""
+
+import random
+
+import pytest
+
+from fuzznest import (
+    AtomUniverse,
+    Braced,
+    CapExceededError,
+    DomainError,
+    FuzzySet,
+    SetOf,
+    fuzzy_power_set,
+    fuzzyset_to_json,
+    verify_power_cardinality,
+)
+from fuzznest.cli import main
+
+import legacy_power_set as legacy
+
+REPORT_FIELDS = ("label", "computed", "expected", "abs_diff", "tolerance", "passed")
+
+
+def _membership(rng: random.Random) -> float:
+    roll = rng.random()
+    if roll < 0.15:
+        return 0.0
+    if roll < 0.3:
+        return 1.0
+    if roll < 0.45:
+        return rng.uniform(0.5e-12, 2e-12)
+    return rng.random()
+
+
+def _flat_base(rng: random.Random, n: int) -> FuzzySet:
+    names = [f"x{i}" for i in range(1, n + 1)]
+    rng.shuffle(names)
+    return FuzzySet.flat([(name, _membership(rng)) for name in names])
+
+
+def _not_flat(rng: random.Random, n: int) -> FuzzySet:
+    """A base over n >= 1 atoms that is not flat in one of three ways."""
+    flat = _flat_base(rng, n)
+    pairs = list(flat.elements)
+    kind = rng.randrange(3)
+    if kind == 0:  # an atom is missing
+        del pairs[rng.randrange(n)]
+    elif kind == 1:  # an atom also appears braced
+        pairs.append((Braced(rng.choice(flat.universe.atoms), 1), rng.random()))
+    else:  # a set is listed
+        atoms = flat.universe.atoms
+        pairs.append((SetOf(tuple(Braced(a, 0) for a in sorted(atoms)[:2])), 0.5))
+    return FuzzySet.build(flat.universe, pairs)
+
+
+def _bases(seed: int, count: int):
+    """(base, cap, tol): flat bases within the cap, over it, and not flat."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        roll = rng.random()
+        if n and roll < 0.1:
+            base, cap = _not_flat(rng, n), rng.randint(0, 12)
+        elif n and roll < 0.2:
+            base, cap = _flat_base(rng, n), rng.randint(0, n - 1)
+        else:
+            base, cap = _flat_base(rng, n), rng.choice((n, 12, 20))
+        yield base, cap, rng.choice((1e-9, 1e-15, 0.0))
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DomainError, CapExceededError) as exc:
+        return type(exc), str(exc)
+
+
+def test_listing_and_check_match_reference_bit_for_bit():
+    outcomes = {"ok": 0, DomainError: 0, CapExceededError: 0}
+    for base, cap, tol in _bases(20261018, 300):
+        want = _outcome(legacy.fuzzy_power_set, base, cap)
+        got = _outcome(fuzzy_power_set, base, cap)
+        assert got[0] == want[0]
+        outcomes[want[0]] += 1
+        if want[0] != "ok":
+            assert got == want
+            assert _outcome(verify_power_cardinality, base, tol, cap) == want
+            continue
+        assert got[1].universe == want[1].universe
+        assert [e for e, _ in got[1].elements] == [e for e, _ in want[1].elements]
+        # float ==, and the same bits (no -0.0 for 0.0)
+        assert [mu.hex() for _, mu in got[1].elements] == [
+            mu.hex() for _, mu in want[1].elements
+        ]
+        assert got[1].elements == want[1].elements
+        assert fuzzyset_to_json(got[1]) == fuzzyset_to_json(want[1])
+
+        new = verify_power_cardinality(base, tol, cap)
+        old = legacy.verify_power_cardinality(base, tol, cap)
+        for field in REPORT_FIELDS:
+            assert getattr(new, field) == getattr(old, field), field
+        assert new.computed.hex() == old.computed.hex()
+    assert outcomes["ok"] >= 200
+    assert outcomes[DomainError] >= 10 and outcomes[CapExceededError] >= 10
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_powerset_cli_output_is_byte_identical(as_json, tmp_path, capsys):
+    checked = 0
+    for i, (base, cap, tol) in enumerate(_bases(4711, 60)):
+        if len(base.universe) > 10:
+            continue
+        path = tmp_path / f"base{i}.json"
+        path.write_text(fuzzyset_to_json(base), encoding="utf-8")
+        argv = ["powerset", str(path), "--verify", "--cap", str(cap)]
+        argv += ["--tol", repr(tol)] + (["--json"] if as_json else [])
+        code = main(argv)
+        out, err = capsys.readouterr()
+        want = _outcome(legacy.powerset_output, base, tol, cap, as_json)
+        if want[0] == "ok":
+            assert (out, code, err) == (want[1][0], want[1][1], "")
+        else:
+            assert (out, code, err) == ("", 2, f"error: {want[1]}\n")
+        checked += 1
+    assert checked >= 30
+
+
+def test_empty_universe_matches_reference():
+    base = FuzzySet(AtomUniverse(()), ())
+    assert fuzzy_power_set(base) == legacy.fuzzy_power_set(base)
+    assert verify_power_cardinality(base) == legacy.verify_power_cardinality(base)

@@ -14,6 +14,7 @@ import pytest
 from fuzznest import (
     EMPTY,
     Braced,
+    InvariantError,
     LevelError,
     ParseError,
     SetOf,
@@ -163,3 +164,49 @@ def test_parse_matches_recursive_reference():
 )
 def test_parse_edge_cases_match_reference(text):
     assert _outcome(parse_expr, text) == _outcome(legacy.parse_expr, text)
+
+
+# --------------------------------------------------------------- printing
+
+_LEVELS = (0, 1, 2, -1, -3, 5)
+
+
+def _printed(printer, e):
+    try:
+        return "ok", printer(e)
+    except InvariantError as exc:
+        return InvariantError, str(exc)
+
+
+def _printer_cases(rng: random.Random):
+    """Sets of braced atoms (any mix of levels, ∅ among them or not),
+    such sets with one nested member first, in the middle or last, and
+    the same with a member no printer accepts (a braced subexpression).
+    Built as raw nodes, so the printer sees them exactly as given."""
+    for _ in range(400):
+        members = [
+            Braced(rng.choice(ATOMS), rng.choice(_LEVELS))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if rng.random() < 0.3:
+            members.insert(rng.randint(0, len(members)), EMPTY)
+        yield SetOf(tuple(members))
+        for odd in (
+            SetOf((Braced("y", 2), SetOf((Braced("x1", -1), EMPTY)))),
+            SetOf(()),
+            Braced(SetOf((Braced("x1", 0),)), 1),
+            Braced(Braced("x2", 1), -2),
+        ):
+            for at in (0, len(members) // 2, len(members)):
+                yield SetOf(tuple(members[:at]) + (odd,) + tuple(members[at:]))
+
+
+def test_print_matches_recursive_reference():
+    rng = random.Random(5150)
+    outcomes = {"ok": 0, InvariantError: 0}
+    for e in _printer_cases(rng):
+        want = _printed(legacy.print_expr, e)
+        assert _printed(print_expr, e) == want, e
+        outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 500, outcomes
+
