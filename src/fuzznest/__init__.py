@@ -8,14 +8,10 @@ Three layers:
   fuzzy power sets, and the card(P(A)) = 2^card(A) check.
 * seq_codec: binary sequences with the index-0 bar marker, the level
   maps u_k, and encoding/decoding between sequences and membership
-  values.
-
-The numeric kernels run compiled when the extension built; set
-FUZZNEST_PURE_PYTHON=1 to force the pure fallback. backend_name() tells
-which one is active.
+  values: decode solves G(t) = 1 by safeguarded Newton, encode picks
+  bits greedily.
 """
 
-from ._backend import BACKEND as _BACKEND
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -76,14 +72,8 @@ from .set_expr import (
 __version__ = "0.1.0"
 
 
-def backend_name() -> str:
-    """Name of the active numeric backend: "compiled" or "pure-python"."""
-    return _BACKEND
-
-
 __all__ = [
     "__version__",
-    "backend_name",
     # errors
     "FuzznestError",
     "ParseError",

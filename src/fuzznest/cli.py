@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from ._backend import BACKEND
 from .errors import FuzznestError
 from .fuzzy_core import (
     FuzzySet,
@@ -29,6 +28,7 @@ from .fuzzy_core import (
     verify_power_cardinality,
 )
 from .seq_codec import (
+    DEFAULT_CONFIG,
     BinarySequence,
     SolverConfig,
     decode,
@@ -40,7 +40,7 @@ from .seq_codec import (
     sequence_from_json,
     series_cardinality,
 )
-from .set_expr import parse_expr, print_expr, structural_depth
+from .set_expr import Braced, parse_expr, print_expr, structural_depth
 
 # ------------------------------------------------------------ formatting
 
@@ -90,6 +90,17 @@ def _read_sequence(text: str) -> BinarySequence:
     if text.lstrip().startswith("{"):
         return sequence_from_json(text)
     return parse_sequence(text)
+
+
+def _decode_with_expansion(
+    seq: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG
+) -> tuple[float, FuzzySet]:
+    """decode(seq, cfg) and expand_to_fuzzy(seq, "x", cfg), solving once.
+
+    The expansion's element at level 0 is u_0(w) = w itself.
+    """
+    expansion = expand_to_fuzzy(seq, "x", cfg)
+    return expansion.membership_table()[Braced("x", 0)], expansion
 
 
 # -------------------------------------------------------------- commands
@@ -195,9 +206,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     seq = _read_sequence(args.sequence)
-    cfg = SolverConfig(tol_root=args.tol)
-    value = decode(seq, cfg)
-    expansion = expand_to_fuzzy(seq, "x", cfg)
+    value, expansion = _decode_with_expansion(seq, SolverConfig(tol_root=args.tol))
     card = scalar_cardinality(expansion)
     if args.json:
         return _emit_json(
@@ -332,8 +341,7 @@ def _example_decoding(precision: int) -> tuple[str, bool]:
     blocks = []
     for text in ("10|01", "|01001"):
         seq = parse_sequence(text)
-        value = decode(seq)
-        expansion = expand_to_fuzzy(seq)
+        value, expansion = _decode_with_expansion(seq)
         rows = [("sequence", print_sequence(seq)), ("value", _fmt(value, precision))]
         rows += [
             (print_expr(e), _fmt(mu, precision)) for e, mu in expansion.elements
@@ -372,13 +380,6 @@ def cmd_examples(args) -> int:
     text, passed = _EXAMPLES[args.id](args.precision)
     print(text)
     return 0 if passed else 1
-
-
-def cmd_backend(args) -> int:
-    if args.json:
-        return _emit_json({"backend": BACKEND})
-    print(BACKEND)
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -532,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("id", type=int, choices=(1, 2, 3, 4))
     p.set_defaults(func=cmd_examples)
-
-    p = sub.add_parser(
-        "backend", parents=[common], help="print the active numeric backend"
-    )
-    p.set_defaults(func=cmd_backend)
 
     return parser
 

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from ._backend import impl as _impl
+from ._kernels import level_value
 from .errors import (
     CapExceededError,
     DomainError,
@@ -202,7 +202,7 @@ def _propagate(
                 raise MissingMembershipError(
                     f"atom {x.atom!r} has no base membership"
                 )
-            values.append(_impl.level_value(base, x.level))
+            values.append(level_value(base, x.level))
         else:
             todo.append(len(x.elements))
             todo.extend(reversed(x.elements))

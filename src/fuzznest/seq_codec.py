@@ -7,7 +7,8 @@ indices -2, 0, 2. A sequence selects the universe {x}^(k) for its 1-bits,
 and its cardinality series G(t) = sum of u_k(t) over 1-bits is strictly
 increasing with G(0) = 0, so G(t) = 1 has exactly one root in (0, 1].
 
-decode finds that root by bisection; encode inverts it greedily, picking
+decode finds that root by safeguarded Newton (Newton steps kept inside
+a shrinking bisection bracket); encode inverts it greedily, picking
 ever-higher levels whose contribution keeps the partial series at w
 below 1, until the residual drops under tol_residual or max_terms bits
 are spent (the truncated flag records which).
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ._backend import impl as _impl
+from ._kernels import greedy_encode, level_value, series_root, series_value
 from .errors import ConfigError, InvariantError, ParseError, RangeError
 from .fuzzy_core import FuzzySet
 from .set_expr import AtomUniverse, Braced, SetExpr
@@ -117,12 +118,12 @@ def iterate_level(t: float, k: int) -> float:
     """u_k(t): k-fold 2^v - 1 for k > 0, |k|-fold log2(v + 1) for k < 0.
 
     The two maps are mutual inverses on [0,1] with fixed points 0 and 1.
-    Callers keep |k| within SolverConfig.max_index; t outside [0,1]
-    raises RangeError.
+    The iteration stops once it reaches a fixed point, so any integer k
+    costs bounded work; t outside [0,1] raises RangeError.
     """
     if not (0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
-    return _impl.level_value(float(t), int(k))
+    return level_value(float(t), int(k))
 
 
 def sequence_to_universe(a: BinarySequence, atom: str = "x") -> list[SetExpr]:
@@ -135,7 +136,7 @@ def series_cardinality(a: BinarySequence, t: float) -> float:
     """G(t): the sum of u_k(t) over the stored 1-bits."""
     if not (0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
-    return _impl.series_value(a.m_star, a.bits, float(t))
+    return series_value(a.m_star, a.bits, float(t))
 
 
 def decode(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
@@ -148,9 +149,9 @@ def decode(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     ones = sum(a.bits)
     if ones == 1:
         return 1.0
-    if _impl.series_value(a.m_star, a.bits, 1.0) < 1.0:
+    if ones == 0:  # G(1) counts the 1-bits
         raise ConfigError("series cannot reach 1; corrupted sequence")
-    return _impl.series_root(a.m_star, a.bits, cfg.tol_root)
+    return series_root(a.m_star, a.bits, cfg.tol_root)
 
 
 def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
@@ -163,7 +164,7 @@ def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
     """
     if not (0.0 < w <= 1.0):
         raise RangeError(f"w must be in (0,1], got {w!r}")
-    m_star, bits, truncated, _ = _impl.greedy_encode(
+    m_star, bits, truncated, _ = greedy_encode(
         float(w), cfg.tol_residual, cfg.max_terms, cfg.max_index
     )
     return BinarySequence(m_star, tuple(bits), truncated)
@@ -180,7 +181,7 @@ def expand_to_fuzzy(
     w = decode(a, cfg)
     universe = AtomUniverse((atom,))
     pairs = tuple(
-        (Braced(atom, k), _impl.level_value(w, k)) for k in a.nonzero_indices
+        (Braced(atom, k), level_value(w, k)) for k in a.nonzero_indices
     )
     return FuzzySet(universe, pairs)
 

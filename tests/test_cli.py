@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -13,12 +14,16 @@ from hypothesis import strategies as st
 
 from fuzznest import (
     FuzzySet,
+    SolverConfig,
+    decode,
     fuzzyset_from_json,
     fuzzyset_to_json,
     parse_sequence,
+    sequence_from_json,
     sequence_to_json,
     verify_power_cardinality,
 )
+from fuzznest import seq_codec
 from fuzznest.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -258,6 +263,197 @@ def test_decode_malformed_exit_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def _count_root_calls(monkeypatch):
+    calls = []
+    solve = seq_codec.series_root
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(seq_codec, "series_root", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decode", "10|01"],
+        ["decode", "10|01", "--json"],
+        ["decode", "(1,0|1,0,1,1)", "--tol", "1e-300"],
+        ["decode", '{"m_star":0,"bits":[1,0,1,0,0,1]}', "--json"],
+    ],
+)
+def test_decode_solves_once(argv, capsys, monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+
+
+def test_decoding_example_solves_once_per_sequence(capsys, monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    code, _, _ = run(capsys, "examples", "3")
+    assert code == 0 and len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["10|01", "|01001", "10|1011", "1|", "|1", "(1,0|1,0,1,1)", "|0100…"]
+)
+@pytest.mark.parametrize("tol", [None, "1e-4", "5e-324"])
+def test_decode_value_is_the_library_value(text, tol, capsys):
+    argv = ["decode", text, "--json"] + (["--tol", tol] if tol else [])
+    code, out, _ = run(capsys, *argv)
+    cfg = SolverConfig(tol_root=float(tol)) if tol else SolverConfig()
+    want = decode(parse_sequence(text), cfg)
+    assert code == 0
+    assert float.hex(json.loads(out)["value"]) == float.hex(want)
+
+
+_BITS = st.lists(st.integers(0, 1), max_size=100)
+_TOL = st.one_of(
+    st.sampled_from(("1e-12", "1e-4", "1e-300", "5e-324", "0", "-1e-9")),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "tiny", "")),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def _sequence_texts(draw):
+    """Sequence text, mostly well formed: "1" + left bits + "|" + right
+    bits (at most 200 bits), sometimes with separators, parentheses, an
+    ellipsis or a stray character, sometimes with a leading or trailing
+    zero that breaks an invariant."""
+    left = draw(_BITS)
+    right = draw(_BITS)
+    text = "".join(map(str, left)) + "|" + "".join(map(str, right))
+    if left and draw(st.booleans()):
+        text = "1" + text[1:]
+    if right and draw(st.booleans()):
+        text = text[:-1] + "1"
+    if draw(st.integers(0, 4)) == 0:
+        text += draw(st.sampled_from(("…", "...", ")", " ", ",0", "|")))
+    if draw(st.integers(0, 4)) == 0:
+        text = "(" + ",".join(text) + ")"
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("x.|(2 ")) + text[at:]
+    return text
+
+
+_JSON_WRONG = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.booleans(), st.floats(0, 1), st.none()), max_size=3),
+)
+
+
+@st.composite
+def _sequence_jsons(draw):
+    """The JSON form of a sequence of at most 200 bits, sometimes with a
+    field of the wrong type or an inconsistent value, or one missing."""
+    left = draw(_BITS)
+    right = draw(_BITS)
+    if right and draw(st.booleans()):
+        right[-1] = 1
+    doc = {"m_star": -len(left), "bits": [1] + left[1:] + [1] + right}
+    if draw(st.booleans()):
+        doc["truncated"] = draw(st.booleans())
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        doc[draw(st.sampled_from(("m_star", "bits", "truncated")))] = draw(_JSON_WRONG)
+    elif roll == 1:
+        doc["m_star"] = draw(st.integers(-201, 1))
+    elif roll == 2 and doc["bits"]:
+        at = draw(st.integers(0, len(doc["bits"]) - 1))
+        doc["bits"][at] = draw(st.integers(-1, 2))
+    elif roll == 3:
+        del doc[draw(st.sampled_from(("m_star", "bits")))]
+    return json.dumps(doc)
+
+
+_VALUE = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(1e-12, 1.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.0, -0.0, 1.0, 1e-300, 5e-324, 1e-12, 1.0 - 1e-16, -1e-300)),
+    st.floats(1e-310, 1e-290),
+).map(repr)
+_SMALL = st.integers(-1, 8).map(str)
+
+
+def _slope_bound(seq, a: float, b: float) -> float:
+    """An upper bound on G' over [a, b]. Below index 0 every level is
+    concave in t, so its slope is largest at a; above index 0 every level
+    is convex, so its slope is largest at b; u_0(t) = t has slope 1."""
+    bound = 1.0
+    v, d = a, 1.0
+    for k in range(-1, seq.m_star - 1, -1):
+        d /= math.log(2.0) * (v + 1.0)
+        v = math.log2(v + 1.0)
+        bound += d * seq.bit(k)
+    v, d = b, 1.0
+    for k in range(1, seq.last_index + 1):
+        d *= math.log(2.0) * 2.0**v
+        v = 2.0**v - 1.0
+        bound += d * seq.bit(k)
+    return bound
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    command=st.one_of(
+        st.tuples(st.just("decode"), st.one_of(_sequence_texts(), _sequence_jsons())),
+        st.tuples(st.just("encode"), _VALUE),
+        st.tuples(st.just("roundtrip"), _VALUE),
+    ),
+    tol=st.one_of(st.none(), _TOL),
+    max_terms=st.one_of(st.none(), _SMALL),
+    max_index=st.one_of(st.none(), _SMALL),
+    as_json=st.booleans(),
+)
+def test_codec_commands_exit_cleanly(command, tol, max_terms, max_index, as_json):
+    name, arg = command
+    argv = [name, arg] if name != "roundtrip" else [name, "--value", arg]
+    if tol is not None:
+        argv += ["--tol", tol]
+    if max_terms is not None and name != "decode":
+        argv += ["--max-terms", max_terms]
+    if max_index is not None and name == "encode":
+        argv += ["--max-index", max_index]
+    if as_json or name == "decode":
+        argv.append("--json")
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error: " in err and err.startswith(("error: ", "usage: ")), err
+        return
+    assert err == ""
+    if name == "decode":
+        assert code == 0
+        doc = json.loads(out)
+        value = doc["value"]
+        assert 0.0 < value <= 1.0
+        # decode promises the root to within tol_root, so G(value) may
+        # miss 1 by up to tol_root times the slope of G next to value
+        seq = sequence_from_json(arg) if arg.startswith("{") else parse_sequence(arg)
+        tol_root = float(tol) if tol is not None else SolverConfig().tol_root
+        slope = _slope_bound(seq, max(0.0, value - tol_root), min(1.0, value + tol_root))
+        assert abs(doc["cardinality"] - 1.0) <= 1e-9 + tol_root * slope, argv
+
+
 # ------------------------------------------------------------ roundtrip
 
 
@@ -307,11 +503,6 @@ def test_verify_theorem_failure_exit_1(capsys):
 # ---------------------------------------------------------------- others
 
 
-def test_backend_command(capsys):
-    code, out, _ = run(capsys, "backend")
-    assert code == 0 and out.strip() in ("compiled", "pure-python")
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -351,12 +542,13 @@ def test_count_arguments_must_be_positive(argv, capsys):
 
 def test_module_entry_point():
     out = subprocess.run(
-        [sys.executable, "-m", "fuzznest", "backend"],
+        [sys.executable, "-m", "fuzznest", "examples", "3"],
         capture_output=True,
         text=True,
+        encoding="utf-8",
     )
-    assert out.returncode == 0
-    assert out.stdout.strip() in ("compiled", "pure-python")
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout == (GOLDEN_DIR / "example3.txt").read_text(encoding="utf-8")
 
 
 # ------------------------------------------------------------ golden files
