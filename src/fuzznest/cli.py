@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from .errors import FuzznestError
 from .fuzzy_core import (
     FuzzySet,
     VerificationReport,
+    _power_columns,
     construct_fuzzy_set,
     fuzzy_power_set,
     fuzzyset_from_json,
@@ -50,8 +52,14 @@ def _fmt(value: float, precision: int) -> str:
 
 
 def _table(rows: list[tuple[str, str]]) -> str:
-    width = max(len(label) for label, _ in rows) + 2
-    return "\n".join(f"{label:<{width}}{value}" for label, value in rows)
+    return _column_table(*zip(*rows))
+
+
+def _column_table(labels: Sequence[str], values: Sequence[str]) -> str:
+    width = max(map(len, labels)) + 2
+    return "\n".join(
+        [label.ljust(width) + value for label, value in zip(labels, values)]
+    )
 
 
 def _emit_json(obj) -> int:
@@ -147,23 +155,26 @@ def cmd_card(args) -> int:
 
 
 def cmd_powerset(args) -> int:
+    """Lists the power set from the enumeration's columns of texts and
+    products, building no node and no per-row dict. The JSON is what
+    json.dumps writes for {"elements": [{"expr": ..., "mu": ...}, ...]}:
+    the products are finite floats, which json prints with
+    float.__repr__."""
     base = _read_fuzzyset(args.fuzzyset)
-    power = fuzzy_power_set(base, cap=args.cap)
+    _, texts, products = _power_columns(base, args.cap, with_members=False)
     report = None
     if args.verify:
         report = verify_power_cardinality(base, args.tol, cap=args.cap)
     if args.json:
-        out = {
-            "elements": [
-                {"expr": print_expr(e), "mu": mu} for e, mu in power.elements
-            ]
-        }
+        exprs = map(encode_basestring_ascii, texts)
+        rows = map('{"expr": %s, "mu": %r}'.__mod__, zip(exprs, products))
+        out = '{"elements": [' + ", ".join(rows) + "]"
         if report is not None:
-            out["report"] = _report_json(report)
-        _emit_json(out)
+            out += ', "report": ' + json.dumps(_report_json(report))
+        print(out + "}")
     else:
-        rows = [(print_expr(e), _fmt(mu, args.precision)) for e, mu in power.elements]
-        print(_table(rows))
+        spec = f".{args.precision}f"
+        print(_column_table(texts, [format(mu, spec) for mu in products]))
         if report is not None:
             print(_table(_report_rows(report, args.precision)))
             print(_verdict(report.passed, report.tolerance))
@@ -385,14 +396,22 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, least: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--precision",
-        type=int,
+        type=_non_negative_int,
         default=6,
         metavar="N",
         help="decimal places in text output (default 6)",

@@ -15,6 +15,12 @@ valid membership. The power set of a flat fuzzy set then has scalar
 cardinality exactly 2^(scalar cardinality of the base), which
 verify_power_cardinality checks numerically from the 2^n subset
 products, without building the listing of 2^n expressions.
+
+The listing itself is enumerated once, as columns of member tuples,
+printed texts and products, each subset extending a shorter one.
+fuzzy_power_set builds its elements from those columns, its sets
+carrying their texts, and ``fuzznest powerset`` prints the texts and
+products without building any node.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Mapping
 
 from ._kernels import level_value
@@ -99,7 +106,11 @@ class FuzzySet:
         universe: AtomUniverse,
         pairs: Iterable[tuple[SetExpr, float]],
     ) -> "FuzzySet":
-        """build() for expressions that are canonical already."""
+        """build() for expressions that are canonical already.
+
+        Each element is hashed once: it is added to the set of those
+        seen, and a set that does not grow means a duplicate.
+        """
         seen: set[SetExpr] = set()
         out: list[tuple[SetExpr, float]] = []
         for e, mu in pairs:
@@ -114,11 +125,12 @@ class FuzzySet:
                 raise UniverseError(
                     f"{print_expr(e)} uses atoms outside the universe"
                 )
-            if e in seen:
+            size = len(seen)
+            seen.add(e)
+            if len(seen) == size:
                 raise DuplicateElementError(
                     f"duplicate element {print_expr(e)}"
                 )
-            seen.add(e)
             out.append((e, mu))
         return cls(universe, tuple(out))
 
@@ -273,6 +285,61 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     return names, [2.0 ** mu_by_name[name] - 1.0 for name in names]
 
 
+def _power_columns(
+    base: FuzzySet, cap: int, with_members: bool = True
+) -> tuple[list[tuple[Braced, ...]] | None, list[str], list[float]]:
+    """The power set of a flat base as three columns in listing order:
+    each subset's level-0 atoms (None unless with_members), its printed
+    text and its product of (2^mu - 1) over its atoms.
+
+    The order is by subset size, then lexicographic by atom names. Each
+    subset of size s + 1 extends one of size s by a later atom: one
+    tuple concatenation, one multiply, and one string concatenation for
+    its prefix text plus one to close it. The texts are those print_expr
+    gives the listed elements: "∅", "{a}" and "{a,b,...}". Raises as
+    _power_factors does.
+    """
+    names, factors = _power_factors(base, cap)
+    n = len(names)
+    level0 = [(Braced(name, 0),) for name in names]
+    # a subset whose last atom is names[i - 1] extends by the atoms from
+    # names[i] on; its prefix text lacks the closing brace
+    seps_from = [["," + name for name in names[i:]] for i in range(n + 1)]
+    factors_from = [factors[i:] for i in range(n + 1)]
+    members_from = [level0[i:] for i in range(n + 1)]
+    starts_from = [range(i + 1, n + 1) for i in range(n + 1)]
+
+    starts = list(range(1, n + 1))
+    prefixes = ["{" + name for name in names]
+    products = factors
+    members = level0 if with_members else None
+    all_members = [()] + level0 if with_members else None
+    all_texts = ["∅"] + [prefix + "}" for prefix in prefixes]
+    all_products = [1.0] + factors
+    while starts:
+        prefixes = [
+            prefix + sep
+            for prefix, i in zip(prefixes, starts)
+            for sep in seps_from[i]
+        ]
+        products = [
+            product * f
+            for product, i in zip(products, starts)
+            for f in factors_from[i]
+        ]
+        if with_members:
+            members = [
+                atoms + atom
+                for atoms, i in zip(members, starts)
+                for atom in members_from[i]
+            ]
+            all_members += members
+        starts = [j for i in starts for j in starts_from[i]]
+        all_texts += [prefix + "}" for prefix in prefixes]
+        all_products += products
+    return all_members, all_texts, all_products
+
+
 def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     """Fuzzy set over all 2^n subsets of a flat base's universe.
 
@@ -281,26 +348,16 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     Elements are ordered by subset size, then lexicographically by atom
     names. CapExceededError guards the exponential blowup for n > cap.
 
-    Each subset of size s + 1 extends one of size s by a later atom, so
-    it costs one multiply and one tuple concatenation.
+    The elements come from one enumeration (_power_columns), and every
+    set of two or more atoms carries the text it was built with, so
+    printing the listing walks no set again.
     """
-    names, factors = _power_factors(base, cap)
-    n = len(names)
-    level0 = [(Braced(name, 0),) for name in names]
-
-    elements: list[tuple[SetExpr, float]] = [(EMPTY, 1.0)]
-    # the subsets of the current size: (index of last atom, atoms, product)
-    layer = [(i, level0[i], factors[i]) for i in range(n)]
-    elements += [(Braced(name, 1), f) for name, f in zip(names, factors)]
-    while layer:
-        longer = [
-            (j, atoms + level0[j], product * factors[j])
-            for last, atoms, product in layer
-            for j in range(last + 1, n)
-        ]
-        elements += [(SetOf(atoms), product) for _, atoms, product in longer]
-        layer = longer
-    return FuzzySet(base.universe, tuple(elements))
+    members, texts, products = _power_columns(base, cap)
+    n = len(base.universe)
+    elements: list[SetExpr] = [EMPTY]
+    elements += [Braced(atoms[0].atom, 1) for atoms in members[1 : n + 1]]
+    elements += map(SetOf, members[n + 1 :], texts[n + 1 :])
+    return FuzzySet(base.universe, tuple(zip(elements, products)))
 
 
 def verify_power_cardinality(
@@ -363,17 +420,18 @@ def verify_classical_degeneracy(
 # ------------------------------------------------------------------- JSON
 
 
-def _num17(x: float) -> str:
-    return format(x, ".17g")
-
-
 def fuzzyset_to_json(fs: FuzzySet) -> str:
-    """Serialize with 17 significant digits so values survive round trips."""
-    atoms = ",".join(json.dumps(name) for name in fs.universe.atoms)
-    rows = ",".join(
-        '{"expr":%s,"mu":%s}' % (json.dumps(print_expr(expr)), _num17(mu))
+    """Serialize with 17 significant digits so values survive round trips.
+
+    Each text is escaped as json.dumps escapes a str with its default
+    arguments (encode_basestring_ascii), once per row.
+    """
+    atoms = ",".join(map(encode_basestring_ascii, fs.universe.atoms))
+    rows = ",".join([
+        '{"expr":%s,"mu":%s}'
+        % (encode_basestring_ascii(print_expr(expr)), format(mu, ".17g"))
         for expr, mu in fs.elements
-    )
+    ])
     return '{"atoms":[%s],"elements":[%s]}' % (atoms, rows)
 
 

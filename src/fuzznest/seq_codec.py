@@ -17,6 +17,7 @@ are spent (the truncated flag records which).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from ._kernels import greedy_encode, level_value, series_root, series_value
@@ -105,8 +106,9 @@ class SolverConfig:
     max_index: int = 256
 
     def __post_init__(self):
-        if not (self.tol_root > 0.0) or not (self.tol_residual > 0.0):
-            raise ConfigError("tolerances must be positive")
+        for tol in (self.tol_root, self.tol_residual):
+            if not (0.0 < tol < math.inf):
+                raise ConfigError("tolerances must be finite and positive")
         if self.max_terms < 1 or self.max_index < 1:
             raise ConfigError("caps must be at least 1")
 

@@ -20,12 +20,20 @@ Canonical form rules:
 equal sets compare equal with ``==``. Both canonicalize in one pass that
 carries each subtree's depth and printed form up to its parent, and
 like the printer they walk trees with explicit stacks, not recursion.
+
+A SetOf may carry its printed form in ``text``, which ``print_expr``
+then returns without walking the set. Only a producer that has the text
+at hand anyway fills it: the power-set listing of ``fuzzy_core`` builds
+each subset's text from its prefix's. ``parse_expr`` and ``normalize``
+leave it empty. Kept on every node of a chain of depth d, the texts
+would hold O(d^2) characters, while the canonicalizer holds each text
+only until the parent's is formed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Union
 
@@ -64,7 +72,14 @@ class Braced:
 
 @dataclass(frozen=True, slots=True)
 class SetOf:
+    """A finite set of expressions.
+
+    ``text``, if given, must be what print_expr prints for this set; it
+    is a cache and takes no part in ==, hash or repr.
+    """
+
     elements: tuple["SetExpr", ...]
+    text: str | None = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:
         return print_expr(self)
@@ -83,6 +98,8 @@ class AtomUniverse:
     """Ordered finite collection of distinct atom names."""
 
     atoms: tuple[str, ...]
+    # the names as a set, built once by __post_init__
+    _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -92,9 +109,10 @@ class AtomUniverse:
             if name in seen:
                 raise InvariantError(f"duplicate atom name {name!r}")
             seen.add(name)
+        object.__setattr__(self, "_names", frozenset(seen))
 
     def __contains__(self, name: str) -> bool:
-        return name in self.atoms
+        return name in self._names
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -168,11 +186,14 @@ def print_expr(e: SetExpr) -> str:
     """Render a canonical expression.
 
     Levels 0 and 1 use the bare name and literal braces; every other
-    level (including negatives) uses the ^(n) notation.
+    level (including negatives) uses the ^(n) notation. A set that
+    carries its text returns it without being walked.
     """
     if isinstance(e, Braced) and isinstance(e.atom, str):
         return _braced_text(e.atom, e.level)
     if isinstance(e, SetOf):
+        if e.text is not None:
+            return e.text
         # a set of braced atoms, such as every power-set subset, prints
         # in one join; a bare atom (level 0) needs no call
         texts = []
@@ -426,5 +447,5 @@ def in_superstructure(e: SetExpr, universe: AtomUniverse) -> bool:
     Braced nodes with any integer level count as members as long as
     their atom does.
     """
-    names = set(universe.atoms)
+    names = universe._names
     return all(a in names for a in atoms_of(e))

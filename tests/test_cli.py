@@ -23,7 +23,7 @@ from fuzznest import (
     sequence_to_json,
     verify_power_cardinality,
 )
-from fuzznest import seq_codec
+from fuzznest import cli, fuzzy_core, seq_codec
 from fuzznest.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,6 +128,26 @@ def test_powerset_json_report(capsys, base3_path):
     assert code == 0 and doc["report"]["pass"] is True
     assert len(doc["elements"]) == 8
     assert doc["elements"][0] == {"expr": "∅", "mu": 1.0}
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_powerset_enumerates_once(as_json, capsys, monkeypatch, base3_path):
+    calls = []
+    enumerate_columns = fuzzy_core._power_columns
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_columns(*args, **kwargs)
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("fuzzy_power_set was called")
+
+    for module in (cli, fuzzy_core):
+        monkeypatch.setattr(module, "_power_columns", counted)
+        monkeypatch.setattr(module, "fuzzy_power_set", not_called)
+    argv = ["powerset", base3_path, "--verify"] + (["--json"] if as_json else [])
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and len(calls) == 1
 
 
 def test_powerset_cap_error(capsys, base3_path):
@@ -261,6 +281,21 @@ def test_decode_json_sequence_input(capsys):
 def test_decode_malformed_exit_2(capsys):
     code, _, err = run(capsys, "decode", "1|0|1")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "0.3", "--tol", "inf"],
+        ["encode", "0.3", "--tol", "nan"],
+        ["decode", "10|01", "--tol", "1e400"],
+        ["decode", "10|01", "--tol", "nan"],
+    ],
+)
+def test_non_finite_tolerance_exit_2(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: tolerances must be finite and positive\n"
 
 
 def _count_root_calls(monkeypatch):
@@ -452,6 +487,108 @@ def test_codec_commands_exit_cleanly(command, tol, max_terms, max_index, as_json
         tol_root = float(tol) if tol is not None else SolverConfig().tol_root
         slope = _slope_bound(seq, max(0.0, value - tol_root), min(1.0, value + tol_root))
         assert abs(doc["cardinality"] - 1.0) <= 1e-9 + tol_root * slope, argv
+
+
+# ------------------------------------- parse, propagate, theorems, examples
+
+_LEVEL = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from((-(10**30), -300, 300, 10**8, 10**30)),
+).map(str)
+_ATOM_TEXTS = _NAMES + ("∅", "empty", "zz", "x1_", "_")
+
+
+def _expr_texts(atoms=_ATOM_TEXTS):
+    """Expression text from the grammar over the given atom texts (a
+    level on "∅" or "empty" is a level error), else broken: a missing or
+    extra brace or comma, a level out of place, a stray character, or
+    any text."""
+    atom = st.sampled_from(atoms)
+    braced = st.tuples(atom, _LEVEL).map(lambda t: "{%s}^(%s)" % t)
+    tree = st.recursive(
+        atom | braced,
+        lambda inner: st.lists(inner, max_size=4).map(
+            lambda xs: "{" + ",".join(xs) + "}"
+        ),
+        max_leaves=12,
+    )
+    broken = st.tuples(
+        tree,
+        st.integers(0, 100),
+        st.sampled_from(("{", "}", ",", "^", "^(", "^(1)", "(", "-", "é", " ", "")),
+    ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :])
+    return st.one_of(tree, tree, broken, st.text(max_size=8))
+
+
+def _mostly(draw, good, bad):
+    """A draw from good, or one time in five from bad."""
+    return draw(bad) if draw(st.integers(0, 4)) == 0 else draw(good)
+
+
+@st.composite
+def _other_commands(draw):
+    """argv for parse, propagate, verify-theorem or examples, mostly
+    valid; a propagate base is returned as a JSON document to be written
+    out."""
+    name = draw(st.sampled_from(("parse", "propagate", "verify-theorem", "examples")))
+    doc = None
+    if name == "parse":
+        argv = [name, draw(_expr_texts())]
+    elif name == "propagate":
+        flat = st.lists(st.sampled_from(_NAMES), min_size=1, unique=True).map(
+            lambda names: {
+                "atoms": names,
+                "elements": [{"expr": a, "mu": 0.5} for a in names],
+            }
+        )
+        doc = _mostly(draw, flat, _base_docs())
+        atoms = doc["atoms"] if isinstance(doc["atoms"], list) else []
+        names = tuple(a for a in atoms if isinstance(a, str))
+        texts = _expr_texts(names + ("∅",))
+        count = draw(st.integers(1, 3))
+        exprs = [_mostly(draw, texts, _expr_texts()) for _ in range(count)]
+        argv = [name, None] + exprs
+    elif name == "verify-theorem":
+        ids = st.sampled_from(("0", "3", "one"))
+        argv = [name, _mostly(draw, st.sampled_from("12"), ids)]
+        if draw(st.booleans()):
+            trials = st.integers(1, 20).map(str)
+            bad = st.sampled_from(("0", "-1", "x"))
+            argv += ["--trials", _mostly(draw, trials, bad)]
+        if draw(st.booleans()):
+            argv += ["--seed", _mostly(draw, st.integers().map(str), st.just("1.5"))]
+        if draw(st.booleans()):
+            argv += ["--tol", draw(_TOL)]
+    else:
+        ids = st.sampled_from(("0", "5", "x"))
+        argv = [name, _mostly(draw, st.sampled_from("1234"), ids)]
+    if draw(st.booleans()):
+        precision = st.integers(0, 20).map(str)
+        bad = st.sampled_from(("-1", "x", "1.5"))
+        argv += ["--precision", _mostly(draw, precision, bad)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=_other_commands())
+def test_other_commands_exit_cleanly(tmp_path_factory, command):
+    argv, doc = command
+    if doc is not None:
+        path = tmp_path_factory.mktemp("base") / "base.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv[1] = str(path)
+    code, out, err = _run_quietly(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error: " in err and err.startswith(("error: ", "usage: ")), err
+        return
+    assert err == ""
+    if argv[0] == "parse" and "--json" not in argv:
+        # the canonical text is a fixed point of parse
+        assert _run_quietly(["parse", out[:-1]]) == (0, out, "")
 
 
 # ------------------------------------------------------------ roundtrip

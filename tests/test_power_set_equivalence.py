@@ -7,7 +7,9 @@ values, over atom names that do not sort like their indices (x1, x10,
 x2) and are listed in shuffled order. Elements, memberships and report
 fields must be equal with ``==`` and bit for bit, failures must raise the
 same exception class with the same message, and ``fuzznest powerset``
-must write byte-identical output.
+must write byte-identical output. Listed sets carry the text the
+printer gives them, and the JSON writer is byte-identical to the one
+that called json.dumps once per row (frozen in legacy_fuzzy_json.py).
 """
 
 import random
@@ -19,15 +21,20 @@ from fuzznest import (
     Braced,
     CapExceededError,
     DomainError,
+    Empty,
     FuzzySet,
     SetOf,
     fuzzy_power_set,
     fuzzyset_to_json,
+    print_expr,
     verify_power_cardinality,
 )
 from fuzznest.cli import main
+from helpers import ATOM_POOL, random_expr
 
+import legacy_fuzzy_json
 import legacy_power_set as legacy
+import legacy_set_expr
 
 REPORT_FIELDS = ("label", "computed", "expected", "abs_diff", "tolerance", "passed")
 
@@ -115,12 +122,20 @@ def test_listing_and_check_match_reference_bit_for_bit():
     assert outcomes[DomainError] >= 10 and outcomes[CapExceededError] >= 10
 
 
+def _cli_cases():
+    """The seeded bases of up to 10 atoms, then flat bases of 12 and 14."""
+    for base, cap, tol in _bases(4711, 60):
+        if len(base.universe) <= 10:
+            yield base, cap, tol
+    rng = random.Random(4712)
+    for n in (12, 14):
+        yield _flat_base(rng, n), 20, 1e-9
+
+
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
 def test_powerset_cli_output_is_byte_identical(as_json, tmp_path, capsys):
     checked = 0
-    for i, (base, cap, tol) in enumerate(_bases(4711, 60)):
-        if len(base.universe) > 10:
-            continue
+    for i, (base, cap, tol) in enumerate(_cli_cases()):
         path = tmp_path / f"base{i}.json"
         path.write_text(fuzzyset_to_json(base), encoding="utf-8")
         argv = ["powerset", str(path), "--verify", "--cap", str(cap)]
@@ -140,3 +155,60 @@ def test_empty_universe_matches_reference():
     base = FuzzySet(AtomUniverse(()), ())
     assert fuzzy_power_set(base) == legacy.fuzzy_power_set(base)
     assert verify_power_cardinality(base) == legacy.verify_power_cardinality(base)
+
+
+def test_listed_sets_carry_their_printed_text():
+    checked = 0
+    for base, cap, _ in _bases(20261019, 120):
+        try:
+            power = fuzzy_power_set(base, cap)
+        except (DomainError, CapExceededError):
+            continue
+        for e, _ in power.elements:
+            if not isinstance(e, SetOf):
+                continue
+            fresh = SetOf(e.elements)
+            assert fresh.text is None
+            assert e.text == print_expr(fresh) == legacy_set_expr.print_expr(fresh)
+            assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+            checked += 1
+    assert checked >= 10_000
+
+
+def _mixed_sets(seed: int, count: int):
+    """Fuzzy sets of random canonical expressions: the empty set, levels
+    from -8 to 8, nested sets."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        exprs = {}
+        for _ in range(rng.randint(0, 12)):
+            e = random_expr(rng)
+            exprs[print_expr(e)] = e
+        mus = (0.0, 1.0, 5e-324, rng.random())
+        pairs = [
+            (e, 1.0 if isinstance(e, Empty) else rng.choice(mus))
+            for e in exprs.values()
+        ]
+        yield FuzzySet.build(AtomUniverse(ATOM_POOL), pairs)
+
+
+def test_json_writer_matches_reference():
+    powers = 0
+    for base, cap, _ in _bases(20261020, 120):
+        assert fuzzyset_to_json(base) == legacy_fuzzy_json.fuzzyset_to_json(base)
+        try:
+            power = fuzzy_power_set(base, cap)
+        except (DomainError, CapExceededError):
+            continue
+        assert fuzzyset_to_json(power) == legacy_fuzzy_json.fuzzyset_to_json(power)
+        powers += 1
+    assert powers >= 80
+    seen = {"∅": 0, "^(-": 0, "{{": 0}
+    for fs in _mixed_sets(20261021, 300):
+        text = fuzzyset_to_json(fs)
+        assert text == legacy_fuzzy_json.fuzzyset_to_json(fs)
+        for e, _ in fs.elements:
+            printed = print_expr(e)
+            for key in seen:
+                seen[key] += key in printed
+    assert min(seen.values()) >= 50, seen

@@ -454,6 +454,11 @@ def test_solver_config_validation():
         SolverConfig(tol_root=0.0)
     with pytest.raises(ConfigError):
         SolverConfig(tol_residual=-1e-9)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            SolverConfig(tol_root=bad)
+        with pytest.raises(ConfigError):
+            SolverConfig(tol_residual=bad)
     with pytest.raises(ConfigError):
         SolverConfig(max_terms=0)
     with pytest.raises(ConfigError):
