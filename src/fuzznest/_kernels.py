@@ -83,14 +83,22 @@ def series_root(m_star: int, bits: Sequence[int], tol_root: float) -> float:
     Each evaluation narrows a bracket: t becomes lo where G(t) < 1, else
     hi. The next point is the Newton step when it lands strictly inside
     the bracket and is at most half the step before last (rtsafe,
-    Numerical Recipes 9.4), else the midpoint. A Newton step shorter
+    Numerical Recipes 9.4), else a bisection point. While the bracket
+    spans more than a factor of 2 (hi > 2 lo) that point is its
+    geometric mean, which halves the exponent rather than the value:
+    from [0, 0.5] about ten such steps reach a factor of 2 of any root,
+    where plain halving takes one step per binade down to the root.
+    The mean is sqrt(lo) * sqrt(hi), so lo * hi cannot underflow, with
+    the least positive double 5e-324 standing in for lo = 0 (whose mean
+    with hi would be 0, an end). Within a factor of 2 the bisection
+    point is the arithmetic midpoint. A Newton step shorter
     than tol_root / 2 is lengthened to tol_root / 2 (Brent), so that it
     crosses the root and closes the bracket. Every evaluated point
     becomes an end of the bracket, so none is evaluated twice.
 
     Stops when the bracket is no wider than tol_root, returning the
     last Newton point if it lies inside, else the midpoint; or when the
-    midpoint equals an end of the bracket. Also stops at t with
+    bisection point equals an end of the bracket. Also stops at t with
     4 |G(t) - 1| <= tol_root: the bit at index 0, which every sequence
     holds, adds u_0(t) = t to G, so G' >= 1 and the root lies within
     |G(t) - 1| of t. That bound is used only while the computed slope
@@ -119,7 +127,10 @@ def series_root(m_star: int, bits: Sequence[int], tol_root: float) -> float:
             if abs(nxt - t) < 0.5 * tol_root:
                 nxt = t + math.copysign(0.5 * tol_root, nxt - t)
         else:
-            nxt = 0.5 * (lo + hi)
+            if hi > 2.0 * lo:
+                nxt = math.sqrt(max(lo, 5e-324)) * math.sqrt(hi)
+            else:
+                nxt = 0.5 * (lo + hi)
             if nxt <= lo or nxt >= hi:
                 return nxt
         before, step = step, abs(nxt - t)

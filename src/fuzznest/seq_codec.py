@@ -7,8 +7,11 @@ indices -2, 0, 2. A sequence selects the universe {x}^(k) for its 1-bits,
 and its cardinality series G(t) = sum of u_k(t) over 1-bits is strictly
 increasing with G(0) = 0, so G(t) = 1 has exactly one root in (0, 1].
 
-decode finds that root by safeguarded Newton (Newton steps kept inside
-a shrinking bisection bracket); encode inverts it greedily, picking
+decode finds that root by safeguarded Newton: Newton steps kept inside
+a shrinking bracket, which otherwise bisects, in exponent while it spans
+more than a factor of 2 and arithmetically after that, so a root far
+below 0.5 costs a few more series evaluations than one near it rather
+than one more per binade. encode inverts it greedily, picking
 ever-higher levels whose contribution keeps the partial series at w
 below 1, until the residual drops under tol_residual or max_terms bits
 are spent (the truncated flag records which).
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from ._kernels import greedy_encode, level_value, series_root, series_value
@@ -59,14 +63,18 @@ class BinarySequence:
     truncated: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        try:
+            bits = tuple(map(operator.index, self.bits))
+        except TypeError:
+            raise InvariantError("bits must be 0 or 1") from None
+        object.__setattr__(self, "bits", bits)
         if not isinstance(self.m_star, int):
             raise InvariantError("m_star must be an integer")
         if self.m_star > 0:
             raise InvariantError("m_star must be <= 0")
-        if not self.bits:
+        if not bits:
             raise InvariantError("bits must be non-empty")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise InvariantError("bits must be 0 or 1")
         if self.last_index < 0:
             raise InvariantError("bits must cover index 0")
@@ -121,11 +129,18 @@ def iterate_level(t: float, k: int) -> float:
 
     The two maps are mutual inverses on [0,1] with fixed points 0 and 1.
     The iteration stops once it reaches a fixed point, so any integer k
-    costs bounded work; t outside [0,1] raises RangeError.
+    costs bounded work; t outside [0,1] or a k that is not an integer
+    (2.5, inf, nan) raises RangeError.
     """
     if not (0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
-    return level_value(float(t), int(k))
+    try:
+        level = int(k)
+    except (TypeError, ValueError, OverflowError):
+        level = None
+    if level is None or level != k:
+        raise RangeError(f"k must be an integer, got {k!r}")
+    return level_value(float(t), level)
 
 
 def sequence_to_universe(a: BinarySequence, atom: str = "x") -> list[SetExpr]:
@@ -180,11 +195,18 @@ def expand_to_fuzzy(
     Its scalar cardinality is 1 up to the solver tolerances (exactly the
     defining property of the decoded membership value).
     """
+    universe = AtomUniverse((atom,))  # validates the name before solving
     w = decode(a, cfg)
-    universe = AtomUniverse((atom,))
-    pairs = tuple(
-        (Braced(atom, k), level_value(w, k)) for k in a.nonzero_indices
-    )
+    indices = a.nonzero_indices
+    zero = indices.index(0)
+    levels = [w] * len(indices)
+    # each level steps from its neighbour nearer index 0, not from w; the
+    # maps are deterministic, so the values are those of level_value(w, k)
+    for i in range(zero + 1, len(indices)):
+        levels[i] = level_value(levels[i - 1], indices[i] - indices[i - 1])
+    for i in range(zero - 1, -1, -1):
+        levels[i] = level_value(levels[i + 1], indices[i] - indices[i + 1])
+    pairs = tuple((Braced(atom, k), u) for k, u in zip(indices, levels))
     return FuzzySet(universe, pairs)
 
 

@@ -4,13 +4,18 @@ legacy_kernels.py).
 ``level_value`` and ``series_value`` keep their arithmetic, so they must
 agree bit for bit. ``series_root`` changed from bisection to safeguarded
 Newton, so its root must lie within ``tol_root`` of the bisection root
-and solve the series. Inputs are seeded: a grid of (t, k), random
-(t, k), sequences from ``encode`` over values down to 1e-9, and random
-sequences of up to 366 bits; m_star reaches below -100 and the right
-parts run past level 250.
+and solve the series. Its fallback then learned to halve wide brackets
+in exponent, so its root must also lie within ``tol_root`` of the
+frozen Newton solver's, in fewer series evaluations for small roots and
+no more for the others. Inputs are seeded: a grid of (t, k), random
+(t, k), sequences from ``encode`` over values down to 1e-9 and, for
+small roots, log-spread down to 1e-19, sequences with one deep bit, and
+random sequences of up to 366 bits; m_star reaches below -100 and the
+right parts run past level 250.
 """
 
 import json
+import math
 import random
 
 import pytest
@@ -18,6 +23,7 @@ import pytest
 from fuzznest import (
     BinarySequence,
     FuzzySet,
+    IndexCapExceededError,
     SolverConfig,
     decode,
     encode,
@@ -62,8 +68,29 @@ def _random_sequences(count: int, seed: int) -> list[BinarySequence]:
     return out
 
 
+def _small_root_sequences(count: int, seed: int) -> list[BinarySequence]:
+    # encoder outputs for w log-spread over [1e-19, 0.05], as in the codec
+    # benchmark's small quarter; below about 4e-16 encode passes its index
+    # cap, and those values are skipped
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        try:
+            out.append(encode(10.0 ** rng.uniform(-19, math.log10(0.05))))
+        except IndexCapExceededError:
+            pass
+    return out
+
+
+def _deep_bit(n: int) -> BinarySequence:
+    """One bit at -n plus the bit at 0."""
+    return BinarySequence(-n, (1,) + (0,) * (n - 1) + (1,))
+
+
 ENCODED = _encoded_sequences(500, seed=20240501)
 SEQUENCES = ENCODED + _random_sequences(100, seed=5)
+DEEP = [_deep_bit(n) for n in (30, 60, 100, 150)]
+SMALL_ROOTS = _small_root_sequences(300, seed=20240601) + DEEP
 
 
 def test_sequences_cover_deep_and_long_cases():
@@ -138,12 +165,60 @@ def test_series_slope_matches_difference_quotient():
 # ------------------------------------------------------------------- root
 
 
+def test_small_root_sequences_have_small_roots():
+    roots = [decode(seq) for seq in SMALL_ROOTS]
+    assert max(roots) < 0.06 and min(roots) < 1e-13
+
+
 @pytest.mark.parametrize("tol_root", [1e-4, 1e-8, 1e-12])
 def test_series_root_within_tolerance_of_bisection(tol_root):
-    for seq in SEQUENCES:
+    for seq in SEQUENCES + SMALL_ROOTS:
         got = _kernels.series_root(seq.m_star, seq.bits, tol_root)
         want = legacy.series_root(seq.m_star, seq.bits, tol_root)
         assert abs(got - want) <= tol_root, (str(seq), got, want)
+
+
+@pytest.mark.parametrize("tol_root", [1e-4, 1e-8, 1e-12])
+def test_series_root_within_tolerance_of_frozen_newton(tol_root):
+    for seq in SEQUENCES + SMALL_ROOTS:
+        got = _kernels.series_root(seq.m_star, seq.bits, tol_root)
+        want = legacy.newton_series_root(seq.m_star, seq.bits, tol_root)
+        assert abs(got - want) <= tol_root, (str(seq), got, want)
+
+
+def _counted_series(monkeypatch, module) -> list:
+    calls = []
+    series = module._series
+
+    def counted(*args):
+        calls.append(args)
+        return series(*args)
+
+    monkeypatch.setattr(module, "_series", counted)
+    return calls
+
+
+def test_small_roots_take_few_series_evaluations(monkeypatch):
+    new_calls = _counted_series(monkeypatch, _kernels)
+    frozen_calls = _counted_series(monkeypatch, legacy)
+
+    def evaluations(solve, calls, seq):
+        calls.clear()
+        solve(seq.m_star, seq.bits, 1e-12)
+        return len(calls)
+
+    def new(seq):
+        return evaluations(_kernels.series_root, new_calls, seq)
+
+    deep = [new(seq) for seq in DEEP]
+    assert max(deep) <= 16, deep
+    small = [new(seq) for seq in SMALL_ROOTS[: -len(DEEP)]]
+    assert sum(small) / len(small) <= 10.0, sum(small) / len(small)
+    rng = random.Random(20240602)
+    for _ in range(300):
+        seq = encode(0.05 + 0.95 * rng.random())
+        frozen = evaluations(legacy.newton_series_root, frozen_calls, seq)
+        assert new(seq) <= frozen, str(seq)
 
 
 def test_decode_solves_the_series():

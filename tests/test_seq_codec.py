@@ -30,6 +30,8 @@ from fuzznest import (
     sequence_to_universe,
     series_cardinality,
 )
+from fuzznest import seq_codec
+from fuzznest._kernels import level_value
 from oracle_mp import (
     EXPANSION_A,
     EXPANSION_B,
@@ -75,6 +77,11 @@ def test_sequence_accessors():
         (-1, (0, 1)),  # bit at m_star is 0
         (0, (1, 1, 0)),  # trailing zero while not truncated
         (0, (1, 2)),  # non-binary digit
+        (0, (1.5,)),  # not an integer, even though int() gives 1
+        (-1, (1.9, 1)),
+        (0, ("1",)),  # text digits are not bits
+        (0, ("x",)),
+        (0, (None,)),
     ],
 )
 def test_sequence_invariants(m_star, bits):
@@ -219,6 +226,11 @@ def test_iterate_level_range_error():
     for t in (-0.1, 1.1, 2.0, -1e-9):
         with pytest.raises(RangeError):
             iterate_level(t, 1)
+    for k in (2.5, -0.5, math.inf, -math.inf, math.nan):
+        with pytest.raises(RangeError):
+            iterate_level(0.3, k)
+    for k in (-7, 0, 2, 10**6):
+        assert float.hex(iterate_level(0.3, k)) == float.hex(level_value(0.3, k))
 
 
 def test_level_monotone_decreasing_in_k():
@@ -422,6 +434,37 @@ def test_expand_bar_is_classical_singleton():
 def test_expand_custom_atom():
     fs = expand_to_fuzzy(parse_sequence("10|01"), atom="y")
     assert [print_expr(e) for e, _ in fs.elements] == ["{y}^(-2)", "y", "{y}^(2)"]
+
+
+def _expansion_inputs() -> list[BinarySequence]:
+    rng = random.Random(404)
+    seqs = [random_sequence(rng) for _ in range(100)]
+    for _ in range(200):
+        w = rng.random() if rng.random() < 0.6 else 10.0 ** rng.uniform(-15, -1)
+        seqs.append(encode(w, SolverConfig(max_terms=rng.randint(2, 64))))
+    seqs.append(BinarySequence(-150, (1,) + (0,) * 149 + (1,)))
+    seqs.append(BinarySequence(-3, (1, 1, 1, 1) + (0,) * 300 + (1,)))
+    return seqs
+
+
+def test_expand_matches_per_bit_levels():
+    # the levels are chained from one 1-bit to the next, once down and
+    # once up from w; each must be bit-identical to u_k(w) from w itself
+    for a in _expansion_inputs():
+        w = decode(a)
+        fs = expand_to_fuzzy(a)
+        assert len(fs.elements) == len(a.nonzero_indices)
+        for (e, mu), k in zip(fs.elements, a.nonzero_indices):
+            assert e == Braced("x", k)
+            assert float.hex(mu) == float.hex(level_value(w, k)), (str(a), k)
+
+
+def test_expand_checks_the_atom_before_solving(monkeypatch):
+    calls = []
+    monkeypatch.setattr(seq_codec, "series_root", lambda *args: calls.append(args))
+    with pytest.raises(InvariantError):
+        expand_to_fuzzy(parse_sequence("10|01"), "1bad")
+    assert calls == []
 
 
 def test_cardinality_conservation_random():
