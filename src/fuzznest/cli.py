@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from json.encoder import encode_basestring_ascii
@@ -414,6 +415,19 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+def _tolerance(text: str) -> float:
+    """A verification tolerance: a finite number, at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least 0, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -469,7 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="check card(P(A)) = 2^card(A); exit 1 on failure",
     )
-    p.add_argument("--tol", type=float, default=1e-9, help="tolerance (default 1e-9)")
+    p.add_argument(
+        "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
+    )
     p.add_argument(
         "--cap", type=int, default=20, help="max atom count (default 20)"
     )
@@ -518,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
-        "--tol", type=float, default=1e-10, help="error tolerance (default 1e-10)"
+        "--tol", type=_tolerance, default=1e-10, help="error tolerance (default 1e-10)"
     )
     p.add_argument(
         "--max-terms", type=int, default=64, help="encoder bit budget (default 64)"
@@ -538,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=None,
         help="tolerance (default 1e-9 for 1, 1e-12 for 2)",
     )

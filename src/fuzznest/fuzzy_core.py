@@ -10,6 +10,12 @@ elements by three rules applied in order:
    atom's membership, and a set gets the product of (2^mu - 1) over its
    members' propagated memberships.
 
+Each call of construct_fuzzy_set, propagate_membership or
+verify_classical_degeneracy reads an atom's levels from ladders of its
+base membership that grow as far as the call's highest level asks and
+end where level_value stops, so every level of an atom is computed once
+per call, with the bits level_value gives.
+
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
 cardinality exactly 2^(scalar cardinality of the base), which
@@ -29,9 +35,9 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from ._kernels import level_value
+from ._kernels import ladder_value
 from .errors import (
     CapExceededError,
     DomainError,
@@ -175,50 +181,81 @@ def scalar_cardinality(fs: FuzzySet) -> float:
     return math.fsum(mu for _, mu in fs.elements)
 
 
-def _lookup_table(base: FuzzySet) -> tuple[dict[SetExpr, float], bool]:
-    """The base's membership table, and whether it lists any set.
+class _Propagation:
+    """Membership propagation from one base for the span of one call.
 
-    Hashing a set walks its whole subtree, so propagation looks sets up
-    only in a table that lists some.
+    Rule 2 needs a table lookup only for a kind of element the base
+    lists beyond its level-0 atoms: hashing a set walks its whole
+    subtree, and a level-0 atom's stored value is its base membership,
+    which rule 3 gives too. Rule 3 reads each atom's levels from two
+    ladders of its base membership t, one for the levels above 0 and one
+    for those below (see ladder_value). They start at t, grow only as
+    far as a level asks and end where level_value's loop stops, so each
+    level of an atom is computed once per call, bit for bit as
+    level_value(t, k) computes it.
     """
-    table = base.membership_table()
-    return table, any(isinstance(e, SetOf) for e in table)
 
+    __slots__ = ("table", "sets_listed", "levels_listed", "mu", "up", "down")
 
-def _propagate(
-    table: Mapping[SetExpr, float], sets_listed: bool, y: SetExpr
-) -> float:
-    """Membership of a canonical y under the rule order of the module
-    docstring, evaluated with an explicit stack (members left to right,
-    so errors and rounding match a recursive evaluation)."""
-    values: list[float] = []
-    todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
-    while todo:
-        x = todo.pop()
-        if type(x) is int:
-            product = 1.0
-            for value in values[len(values) - x:]:
-                product *= 2.0 ** value - 1.0
-            del values[len(values) - x:]
-            values.append(product)
-            continue
-        if isinstance(x, Empty):
-            values.append(1.0)
-            continue
-        stored = table.get(x) if sets_listed or not isinstance(x, SetOf) else None
-        if stored is not None:
-            values.append(stored)
-        elif isinstance(x, Braced):
-            base = table.get(Braced(x.atom, 0))
-            if base is None:
+    def __init__(self, base: FuzzySet):
+        self.table = base.membership_table()
+        self.sets_listed = any(isinstance(e, SetOf) for e in self.table)
+        self.levels_listed = any(
+            isinstance(e, Braced) and e.level != 0 for e in self.table
+        )
+        self.mu = {
+            e.atom: mu
+            for e, mu in base.elements
+            if isinstance(e, Braced) and e.level == 0
+        }
+        self.up: dict[str, list[float]] = {}
+        self.down: dict[str, list[float]] = {}
+
+    def level(self, atom: str, k: int) -> float:
+        """level_value(t, k) for the atom's base membership t."""
+        ladders = self.up if k >= 0 else self.down
+        rungs = ladders.get(atom)
+        if rungs is None:
+            t = self.mu.get(atom)
+            if t is None:
                 raise MissingMembershipError(
-                    f"atom {x.atom!r} has no base membership"
+                    f"atom {atom!r} has no base membership"
                 )
-            values.append(level_value(base, x.level))
-        else:
-            todo.append(len(x.elements))
-            todo.extend(reversed(x.elements))
-    return values[0]
+            rungs = ladders[atom] = [t]
+        return ladder_value(rungs, k)
+
+    def membership(self, y: SetExpr) -> float:
+        """Membership of a canonical y under the rule order of the
+        module docstring, evaluated with an explicit stack (members left
+        to right, so errors and rounding match a recursive evaluation)."""
+        table, levels_listed, sets_listed = (
+            self.table, self.levels_listed, self.sets_listed
+        )
+        values: list[float] = []
+        todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
+        while todo:
+            x = todo.pop()
+            if type(x) is int:
+                product = 1.0
+                for value in values[len(values) - x:]:
+                    product *= 2.0 ** value - 1.0
+                del values[len(values) - x:]
+                values.append(product)
+            elif isinstance(x, Empty):
+                values.append(1.0)
+            elif isinstance(x, Braced):
+                stored = table.get(x) if levels_listed else None
+                if stored is None:
+                    stored = self.level(x.atom, x.level)
+                values.append(stored)
+            else:
+                stored = table.get(x) if sets_listed else None
+                if stored is not None:
+                    values.append(stored)
+                else:
+                    todo.append(len(x.elements))
+                    todo.extend(reversed(x.elements))
+        return values[0]
 
 
 def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
@@ -230,7 +267,7 @@ def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     y = normalize(y)
     if not in_superstructure(y, base.universe):
         raise UniverseError(f"{print_expr(y)} uses atoms outside the universe")
-    return _propagate(*_lookup_table(base), y)
+    return _Propagation(base).membership(y)
 
 
 def construct_fuzzy_set(
@@ -241,7 +278,7 @@ def construct_fuzzy_set(
     Input order is preserved; expressions that normalize to the same
     canonical form raise DuplicateElementError.
     """
-    table, sets_listed = _lookup_table(base)
+    memberships = _Propagation(base)
     seen: set[SetExpr] = set()
     out: list[tuple[SetExpr, float]] = []
     for expr in universe_exprs:
@@ -253,7 +290,7 @@ def construct_fuzzy_set(
             raise UniverseError(
                 f"{print_expr(e)} uses atoms outside the universe"
             )
-        out.append((e, _propagate(table, sets_listed, e)))
+        out.append((e, memberships.membership(e)))
     return FuzzySet(base.universe, tuple(out))
 
 
@@ -398,12 +435,8 @@ def verify_classical_degeneracy(
             raise DomainError(
                 f"base is not classical: mu({print_expr(expr)}) = {mu!r}"
             )
-    zero_atoms = {
-        expr.atom
-        for expr, mu in base.elements
-        if isinstance(expr, Braced) and expr.level == 0 and mu == 0.0
-    }
-    table, sets_listed = _lookup_table(base)
+    memberships = _Propagation(base)
+    zero_atoms = {atom for atom, mu in memberships.mu.items() if mu == 0.0}
     worst = 0.0
     for probe in probe_exprs:
         e = normalize(probe)
@@ -411,7 +444,7 @@ def verify_classical_degeneracy(
             raise UniverseError(
                 f"{print_expr(e)} uses atoms outside the universe"
             )
-        value = _propagate(table, sets_listed, e)
+        value = memberships.membership(e)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
     return VerificationReport.check("classical degeneracy", worst, 0.0, 0.0)

@@ -317,15 +317,23 @@ def normalize(e: SetExpr) -> SetExpr:
 
 # ----------------------------------------------------------------- parsing
 
-# One token per match: an identifier, a signed integer, or any other
-# single non-space character. Leading whitespace is skipped.
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|[+-]?\d+|\S)")
+# One token per match, leading whitespace skipped: a braced atom, else an
+# identifier, a signed integer, or any other single non-space character.
+# A braced atom token is what would otherwise be the tokens "{" ATOM "}"
+# and, if present, "^" "(" INT ")": its atom is not "empty", and no
+# further "^" follows it. Every other input, malformed ones included, is
+# read token by token, so each error keeps its message and offset.
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(
+    r"\s*(\{\s*(?!empty\s*\})%s\s*\}(?:\s*\^\s*\(\s*[+-]?\d+\s*\))?(?!\s*\^)"
+    r"|%s|[+-]?\d+|\S)" % (_IDENT, _IDENT)
+)
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
 def _byte_offset(text: str, token: int, shift: int = 0) -> int:
-    """UTF-8 offset of a token (shifted by `shift` characters), or of the
-    end of the text for the end-of-input token."""
+    """UTF-8 offset of a token's start (shifted by `shift` characters),
+    or of the end of the text for the end-of-input token."""
     starts = [m.start(1) for m in _TOKEN.finditer(text)]
     at = starts[token] + shift if token < len(starts) else len(text)
     return len(text[:at].encode("utf-8"))
@@ -368,7 +376,10 @@ def parse_expr(text: str) -> SetExpr:
 
     An iterative loop over the tokens with an explicit stack of open
     braces; each closing brace canonicalizes its set from the items of
-    its members, so the result needs no further normalize pass.
+    its members, so the result needs no further normalize pass. A braced
+    atom, "{a}" or "{a}^(n)" with any whitespace the grammar allows, is
+    a single token and becomes its item in one step; a unit at level 0
+    is read as the bare atom it denotes, so "{{a}^(0)}^(3)" is "{a}^(3)".
     """
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
@@ -394,6 +405,16 @@ def parse_expr(text: str) -> SetExpr:
             if tokens[i] == "^":
                 raise _level_misuse(text, i)
             item, atom = (Braced(tok, 0), 0, tok), True
+        elif tok[:1] == "{":
+            # a braced atom: "{" NAME "}", then "^(" INT ")" or nothing
+            name, _, level = tok[1:].partition("}")
+            name = name.strip()
+            if level:
+                # int() skips the whitespace around the integer
+                level = int(level.partition("(")[2][:-1])
+                item, atom = _braced_item(name, level), level == 0
+            else:
+                item, atom = _braced_item(name, 1), False
         elif tok:
             raise _fail(text, i - 1, f"unexpected character {tok[0]!r}")
         else:

@@ -677,6 +677,47 @@ def test_count_arguments_must_be_positive(argv, capsys):
     assert ("--count" if "--count" in argv else "--trials") in captured.err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e400", "-1", "-1e-9", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powerset", None, "--verify"],
+        ["roundtrip", "--value", "0.3"],
+        ["roundtrip", "--count", "3"],
+        ["verify-theorem", "1", "--trials", "3"],
+        ["verify-theorem", "2", "--trials", "3"],
+    ],
+)
+def test_verification_tolerance_must_be_finite_and_non_negative(
+    argv, tol, base3_path, capsys
+):
+    # exit 1 means only that a verification failed, so a tolerance that
+    # is not a finite number >= 0 is a usage error
+    argv = [base3_path if a is None else a for a in argv] + ["--tol", tol]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "--tol" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["powerset", None, "--verify"],
+        ["roundtrip", "--value", "0.25"],
+        ["verify-theorem", "2", "--trials", "3"],
+    ],
+)
+def test_verification_tolerance_zero_is_accepted(argv, base3_path, capsys):
+    argv = [base3_path if a is None else a for a in argv] + ["--tol", "0", "--json"]
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    doc = json.loads(out)
+    assert doc.get("report", doc)["tolerance"] == 0.0
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "fuzznest", "examples", "3"],

@@ -8,6 +8,7 @@ for ParseError, the same byte offset).
 """
 
 import random
+import re
 
 import pytest
 
@@ -120,9 +121,27 @@ def _mutate(rng: random.Random, text: str) -> str:
     return "".join(chars)
 
 
+_BRACED_ATOM = re.compile(r"\{(\w+)\}(?:\^\((-?\d+)\))?")
+_SPACES = ("", "", " ", "\t", "\u00a0", "  ")
+
+
+def _spaced(rng: random.Random, text: str) -> str:
+    """The text with whitespace, some of it non-ASCII, at random places
+    inside and around its braced atoms, where the grammar allows it."""
+
+    def respace(m: re.Match) -> str:
+        gaps = [rng.choice(_SPACES) for _ in range(6)]
+        out = "{%s%s%s}" % (gaps[0], m[1], gaps[1])
+        if m[2] is not None:
+            out += "%s^%s(%s%s%s)" % (gaps[2], gaps[3], gaps[4], m[2], gaps[5])
+        return out
+
+    return _BRACED_ATOM.sub(respace, text)
+
+
 def _texts(rng: random.Random):
-    """Printed canonical trees, levels written every way the grammar
-    allows, and mutations of both."""
+    """Printed canonical trees, the same with spaced-out braced atoms,
+    levels written every way the grammar allows, and mutations of them."""
     for _ in range(1500):
         try:
             text = legacy.print_expr(legacy.normalize(_raw_tree(rng, 4)))
@@ -130,8 +149,11 @@ def _texts(rng: random.Random):
             continue
         yield text
         yield text.replace(",", " , ").replace("{", "{ ")
+        spaced = _spaced(rng, text)
+        yield spaced
         yield _mutate(rng, text)
         yield _mutate(rng, text)
+        yield _mutate(rng, spaced)
     for level in ("3", "+2", "-1", "0", " -4 ", "0007"):
         for around in ("{x}^(%s)", "{ x }^ (%s)", "{{x}^(%s)}", "{{x}^(%s)}^(2)",
                        "{x,{y}^(%s)}", "{{x}^(%s),{x}^(%s)}^(1)"):
@@ -155,12 +177,27 @@ def test_parse_matches_recursive_reference():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+_EDGE_CASES = [
+    "", "   ", "{", "{x1,", "{x1 x2}", "x y", "{x}^", "{x}^(", "{x}^(-",
+    "{x}^(- 2)", "{x}^(2", "{x}^(2]", "é", "{∅,é}", "∅ ^(2)", "{x}^(1)^(2)",
+    "{{x}^(1)}^(2)", "{{x}^(0)}^(3)", "{{{x}^(-1)}}^(2)", "{x,x}^(2)",
+    "{}^(1)", "{empty}^(1)", "{x^(2)}", "{x}^(٣)", "{x }\t^ ( +5 )",
+    # braced atoms, which the tokenizer reads whole, and near misses
+    "{∅}^(2)", "{{a}^(0)}^(3)", "{a}^(2)^(3)", "{ a } ^ ( -2 )", "{a}^(+2)",
+    "{a}^(+ 2)", "{a}^()", "{a}^(2", "{a}^", "{a}{b}", "{a}}", "{a}^(0)",
+    "{ empty }", "{emptyx}^(2)", "{a}^(2) ^", "{{a}^(2),{a}^(-1)}", "{a}^(0)^(1)",
+]
+
+
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", "{", "{x1,", "{x1 x2}", "x y", "{x}^", "{x}^(", "{x}^(-",
-     "{x}^(- 2)", "{x}^(2", "{x}^(2]", "é", "{∅,é}", "∅ ^(2)", "{x}^(1)^(2)",
-     "{{x}^(1)}^(2)", "{{x}^(0)}^(3)", "{{{x}^(-1)}}^(2)", "{x,x}^(2)",
-     "{}^(1)", "{empty}^(1)", "{x^(2)}", "{x}^(٣)", "{x }\t^ ( +5 )"],
+    dict.fromkeys(
+        _EDGE_CASES
+        # the same behind a multi-byte character: offsets count bytes
+        + ["\u00a0" + text for text in _EDGE_CASES]
+        + ["{∅," + text + "}" for text in _EDGE_CASES]
+        + ["é" + text for text in _EDGE_CASES]
+    ),
 )
 def test_parse_edge_cases_match_reference(text):
     assert _outcome(parse_expr, text) == _outcome(legacy.parse_expr, text)
