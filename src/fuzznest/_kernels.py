@@ -47,42 +47,6 @@ def level_value(t: float, k: int) -> float:
     return v
 
 
-def ladder_value(rungs: list[float], k: int) -> float:
-    """u_k(t) read from a ladder of the iterates of the map level k needs.
-
-    rungs[j] is the j-th iterate from rungs[0] = t: of v -> 2^v - 1 in a
-    ladder for levels k >= 0, of v -> log2(v + 1) in one for levels
-    k <= 0, so rungs[|k|] = u_k(t). The ladder is extended in place only
-    as far as |k| asks, so a caller that keeps it computes each iterate
-    once. A ladder that reaches a fixed point of its map ends there with
-    its last value repeated, and that value stands for every higher |k|:
-    the same steps and the same value as level_value.
-    """
-    n = abs(k)
-    if n < len(rungs):
-        return rungs[n]
-    v = rungs[-1]
-    if len(rungs) > 1 and rungs[-2] == v:
-        return v
-    if k > 0:
-        for _ in range(n + 1 - len(rungs)):
-            nxt = 2.0 ** v - 1.0
-            if nxt == v:
-                rungs.append(v)
-                break
-            rungs.append(nxt)
-            v = nxt
-    else:
-        for _ in range(n + 1 - len(rungs)):
-            nxt = math.log2(v + 1.0)
-            if nxt == v:
-                rungs.append(v)
-                break
-            rungs.append(nxt)
-            v = nxt
-    return v
-
-
 def _series(m_star: int, bits: Sequence[int], t: float) -> tuple[float, float]:
     """(G(t), G'(t)) in one walk over the bits; bits[i] is at m_star + i."""
     v = t

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from ._kernels import ladder_value
+from ._kernels import level_value
 from .errors import (
     CapExceededError,
     DomainError,
@@ -189,13 +189,15 @@ class _Propagation:
     subtree, and a level-0 atom's stored value is its base membership,
     which rule 3 gives too. Rule 3 reads each atom's levels from two
     ladders of its base membership t, one for the levels above 0 and one
-    for those below (see ladder_value). They start at t, grow only as
-    far as a level asks and end where level_value's loop stops, so each
-    level of an atom is computed once per call, bit for bit as
-    level_value(t, k) computes it.
+    for those below: rungs[j] is level_value(t, +-j), each rung one
+    level_value step from the one before. A ladder grows only as far as
+    a level asks, and once a step returns its input (a fixed point of
+    the map) it ends with that value repeated, which stands for every
+    higher level, as in level_value. So each level of an atom is
+    computed once per call, bit for bit as level_value(t, k) computes it.
     """
 
-    __slots__ = ("table", "sets_listed", "levels_listed", "mu", "up", "down")
+    __slots__ = ("table", "sets_listed", "levels_listed", "up", "down")
 
     def __init__(self, base: FuzzySet):
         self.table = base.membership_table()
@@ -203,11 +205,6 @@ class _Propagation:
         self.levels_listed = any(
             isinstance(e, Braced) and e.level != 0 for e in self.table
         )
-        self.mu = {
-            e.atom: mu
-            for e, mu in base.elements
-            if isinstance(e, Braced) and e.level == 0
-        }
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
 
@@ -216,13 +213,26 @@ class _Propagation:
         ladders = self.up if k >= 0 else self.down
         rungs = ladders.get(atom)
         if rungs is None:
-            t = self.mu.get(atom)
+            t = self.table.get(Braced(atom, 0))
             if t is None:
                 raise MissingMembershipError(
                     f"atom {atom!r} has no base membership"
                 )
             rungs = ladders[atom] = [t]
-        return ladder_value(rungs, k)
+        n = abs(k)
+        if n < len(rungs):
+            return rungs[n]
+        v = rungs[-1]
+        if len(rungs) > 1 and rungs[-2] == v:
+            return v  # the ladder ended on a fixed point
+        step = 1 if k > 0 else -1
+        for _ in range(n + 1 - len(rungs)):
+            nxt = level_value(v, step)
+            rungs.append(nxt)
+            if nxt == v:
+                break
+            v = nxt
+        return v
 
     def membership(self, y: SetExpr) -> float:
         """Membership of a canonical y under the rule order of the
@@ -435,8 +445,12 @@ def verify_classical_degeneracy(
             raise DomainError(
                 f"base is not classical: mu({print_expr(expr)}) = {mu!r}"
             )
+    zero_atoms = {
+        expr.atom
+        for expr, mu in base.elements
+        if isinstance(expr, Braced) and expr.level == 0 and mu == 0.0
+    }
     memberships = _Propagation(base)
-    zero_atoms = {atom for atom, mu in memberships.mu.items() if mu == 0.0}
     worst = 0.0
     for probe in probe_exprs:
         e = normalize(probe)

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzznest import (
@@ -21,7 +21,6 @@ from fuzznest import (
     parse_sequence,
     sequence_from_json,
     sequence_to_json,
-    series_cardinality,
     verify_power_cardinality,
 )
 from fuzznest import cli, fuzzy_core, seq_codec
@@ -447,17 +446,7 @@ def _run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-_DEEP_BITS = (
-    "(1,0,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
-    "0,0,0,0,0,0,0,0,0,1,1,|)",
-    "(1,0,0,0,0,1,1,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
-    "0,0,0,0,0,0,0,0,0,1,1,1,|)",
-)
-
-
 @settings(max_examples=400, deadline=None)
-@example(("decode", _DEEP_BITS[0]), "1e-300", None, None, False)
-@example(("decode", _DEEP_BITS[1]), "1e-300", None, None, False)
 @given(
     command=st.one_of(
         st.tuples(st.just("decode"), st.one_of(_sequence_texts(), _sequence_jsons())),
@@ -493,19 +482,37 @@ def test_codec_commands_exit_cleanly(command, tol, max_terms, max_index, as_json
         value = doc["value"]
         assert 0.0 < value <= 1.0
         # decode promises the root to within tol_root, so G(value) may
-        # miss 1 by up to tol_root times the slope of G next to value.
-        # Below index 0 the level walk rounds t + 1, so the computed G
-        # moves in steps of about G' * 2^-52 and may miss 1 by as much as
-        # it moves over value +- 2^-52, whatever tol_root asks. For the
-        # second _DEEP_BITS example no binary64 value gets within 1e-9.
+        # miss 1 by up to tol_root times the slope of G next to value
         seq = sequence_from_json(arg) if arg.startswith("{") else parse_sequence(arg)
         tol_root = float(tol) if tol is not None else SolverConfig().tol_root
         slope = _slope_bound(seq, max(0.0, value - tol_root), min(1.0, value + tol_root))
-        eps = sys.float_info.epsilon
-        steps = series_cardinality(seq, min(1.0, value + eps)) - series_cardinality(
-            seq, max(0.0, value - eps)
-        )
-        assert abs(doc["cardinality"] - 1.0) <= 1e-9 + tol_root * slope + steps, argv
+        assert abs(doc["cardinality"] - 1.0) <= 1e-9 + tol_root * slope, argv
+
+
+# Known codec defect: below index 0 the level walk computes log2(v + 1),
+# which cancels for small v, so decode's root is off and the cardinality
+# printed for it misses 1 by about 1e-9 (bits at -45, -40, -38, -28, -2,
+# -1, 0; and at -46, -41, -40, -35, -3, -2, -1, 0). A log1p/expm1 level
+# step should mend it; strict, so the mark has to go when it does.
+@pytest.mark.xfail(strict=True, reason="log2(v + 1) cancels below index 0")
+@pytest.mark.parametrize(
+    "bits",
+    [
+        "(1,0,0,0,0,1,0,1,0,0,0,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,1,1,|)",
+        "(1,0,0,0,0,1,1,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,"
+        "0,0,0,0,0,0,0,0,0,1,1,1,|)",
+    ],
+    ids=["m45", "m46"],
+)
+def test_decode_deep_bits_meets_tol(bits):
+    code, out, err = _run_quietly(["decode", bits, "--tol", "1e-300", "--json"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    value = doc["value"]
+    # the bound of test_codec_commands_exit_cleanly at tol_root = 1e-300
+    slope = _slope_bound(parse_sequence(bits), value - 1e-300, value + 1e-300)
+    assert abs(doc["cardinality"] - 1.0) <= 1e-9 + 1e-300 * slope
 
 
 # ------------------------------------- parse, propagate, theorems, examples
