@@ -29,8 +29,6 @@ def level_value(t: float, k: int) -> float:
     such a fixed point within about two hundred steps, so even a huge
     |k| costs bounded work.
     """
-    if t == 0.0 or t == 1.0:
-        return t
     v = t
     if k > 0:
         for _ in range(k):
@@ -68,10 +66,6 @@ def _series(m_star: int, bits: Sequence[int], t: float) -> tuple[float, float]:
 
 def series_value(m_star: int, bits: Sequence[int], t: float) -> float:
     """Sum of u_k(t) over the 1-bits; bits[i] is the bit at m_star + i."""
-    if t == 0.0:
-        return 0.0
-    if t == 1.0:
-        return float(sum(bits))
     return _series(m_star, bits, t)[0]
 
 
@@ -138,31 +132,21 @@ def series_root(m_star: int, bits: Sequence[int], tol_root: float) -> float:
 
 
 def _initial_index(w: float, max_index: int) -> tuple[int, float]:
-    # least k != 0 with u_k(w) + w - 1 <= 0; the left side decreases in k
+    """(k, u_k(w)) for the least k < 0 with u_k(w) + w - 1 <= 0, a side that
+    decreases in k, else (0, w). The walk down raises on passing -max_index,
+    or at a fixed point of the map, where its test can no longer change."""
     s0 = w - 1.0
-    v = math.log2(w + 1.0)
-    if v + s0 <= 0.0:
-        k = -1
-        while True:
-            nxt = math.log2(v + 1.0)
-            if nxt + s0 > 0.0:
-                return k, v
-            k -= 1
-            v = nxt
-            if -k > max_index:
-                raise IndexCapExceededError(
-                    f"initial index search passed -{max_index}"
-                )
-    k = 1
-    v = 2.0 ** w - 1.0
-    while v + s0 > 0.0:
-        k += 1
-        v = 2.0 ** v - 1.0
-        if k > max_index:
+    k, v = 0, w
+    while True:
+        nxt = math.log2(v + 1.0)
+        if nxt + s0 > 0.0:
+            return k, v
+        if nxt == v or k == -max_index:
             raise IndexCapExceededError(
-                f"initial index search passed {max_index}"
+                f"initial index search passed -{max_index}"
             )
-    return k, v
+        k -= 1
+        v = nxt
 
 
 def greedy_encode(
@@ -176,37 +160,31 @@ def greedy_encode(
     that keeps s <= 0. Stops when |s| <= tol_residual, or flags
     truncation at max_terms bits.
 
+    A first index below 0 comes from _initial_index's walk down, which
+    raises IndexCapExceededError at a fixed point; every other index from
+    one upward search from the previous index (or 0), up to max_index.
+
     Returns (m_star, bits, truncated, residual).
     """
     s = w - 1.0
-    terms = 1
     chosen: list[int] = []
-    truncated = False
-    k = 0
-    v = 0.0
-    while abs(s) > tol_residual:
-        if terms >= max_terms:
-            truncated = True
-            break
+    while abs(s) > tol_residual and len(chosen) + 1 < max_terms:
         if not chosen:
             k, v = _initial_index(w, max_index)
-        else:
+        if chosen or k == 0:
             while True:
                 k += 1
                 if k > max_index:
-                    raise IndexCapExceededError(
-                        f"index search passed {max_index}"
-                    )
+                    search = "index" if chosen else "initial index"
+                    raise IndexCapExceededError(f"{search} search passed {max_index}")
                 v = 2.0 ** v - 1.0
                 if k != 0 and s + v <= 0.0:
                     break
         chosen.append(k)
         s += v
-        terms += 1
-    m_star = min(chosen[0], 0) if chosen else 0
-    last = max(chosen[-1], 0) if chosen else 0
-    bits = [0] * (last - m_star + 1)
-    bits[-m_star] = 1
-    for c in chosen:
+    indices = [0, *chosen]  # chosen ascends and never holds 0
+    m_star = min(indices)
+    bits = [0] * (max(indices) - m_star + 1)
+    for c in indices:
         bits[c - m_star] = 1
-    return m_star, bits, truncated, s
+    return m_star, bits, abs(s) > tol_residual, s

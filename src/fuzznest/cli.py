@@ -18,8 +18,9 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
-from .errors import FuzznestError
+from .errors import FuzznestError, ParseError
 from .fuzzy_core import (
+    POWER_SET_CAP,
     FuzzySet,
     VerificationReport,
     _power_columns,
@@ -92,7 +93,11 @@ def _verdict(passed: bool, tolerance: float) -> str:
 
 
 def _read_fuzzyset(path: str) -> FuzzySet:
-    return fuzzyset_from_json(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = str(Path(path).read_bytes(), "utf-8")
+    except UnicodeDecodeError as ex:
+        raise ParseError(f"invalid UTF-8: {ex.reason}", ex.start) from None
+    return fuzzyset_from_json(text)
 
 
 def _read_sequence(text: str) -> BinarySequence:
@@ -110,6 +115,43 @@ def _decode_with_expansion(
     """
     expansion = expand_to_fuzzy(seq, "x", cfg)
     return expansion.membership_table()[Braced("x", 0)], expansion
+
+
+def _element_rows(fs: FuzzySet, precision: int) -> list[tuple[str, str]]:
+    return [(print_expr(e), _fmt(mu, precision)) for e, mu in fs.elements]
+
+
+def _element_json(fs: FuzzySet) -> list[dict]:
+    return [{"expr": print_expr(e), "mu": mu} for e, mu in fs.elements]
+
+
+def _base_row(base: FuzzySet, precision: int) -> tuple[str, str]:
+    pairs = [f"{print_expr(e)}={_fmt(mu, precision)}" for e, mu in base.elements]
+    return ("base", " ".join(pairs))
+
+
+def _decode_rows(
+    value: float, expansion: FuzzySet, precision: int
+) -> list[tuple[str, str]]:
+    rows = [("value", _fmt(value, precision))] + _element_rows(expansion, precision)
+    return rows + [("cardinality", _fmt(scalar_cardinality(expansion), precision))]
+
+
+def _encode_fields(seq: BinarySequence, w: float) -> tuple[list[int], float]:
+    indices = list(seq.nonzero_indices)
+    residual = series_cardinality(seq, w) - 1.0
+    return indices, residual
+
+
+def _encode_rows(seq: BinarySequence, w: float) -> list[tuple[str, str]]:
+    indices, residual = _encode_fields(seq, w)
+    return [
+        ("sequence", print_sequence(seq)),
+        ("m_star", str(seq.m_star)),
+        ("indices", " ".join(str(k) for k in indices)),
+        ("truncated", "yes" if seq.truncated else "no"),
+        ("residual", f"{residual:.3e}"),
+    ]
 
 
 # -------------------------------------------------------------- commands
@@ -134,15 +176,8 @@ def cmd_propagate(args) -> int:
     exprs = [parse_expr(text) for text in args.expr]
     result = construct_fuzzy_set(base, exprs)
     if args.json:
-        return _emit_json(
-            {
-                "elements": [
-                    {"expr": print_expr(e), "mu": mu} for e, mu in result.elements
-                ]
-            }
-        )
-    rows = [(print_expr(e), _fmt(mu, args.precision)) for e, mu in result.elements]
-    print(_table(rows))
+        return _emit_json({"elements": _element_json(result)})
+    print(_table(_element_rows(result, args.precision)))
     return 0
 
 
@@ -182,19 +217,13 @@ def cmd_powerset(args) -> int:
     return 0 if report is None or report.passed else 1
 
 
-def _encode_fields(seq: BinarySequence, w: float) -> tuple[list[int], float]:
-    indices = list(seq.nonzero_indices)
-    residual = series_cardinality(seq, w) - 1.0
-    return indices, residual
-
-
 def cmd_encode(args) -> int:
     cfg = SolverConfig(
         tol_residual=args.tol, max_terms=args.max_terms, max_index=args.max_index
     )
     seq = encode(args.value, cfg)
-    indices, residual = _encode_fields(seq, args.value)
     if args.json:
+        indices, residual = _encode_fields(seq, args.value)
         return _emit_json(
             {
                 "m_star": seq.m_star,
@@ -205,39 +234,24 @@ def cmd_encode(args) -> int:
                 "residual": residual,
             }
         )
-    rows = [
-        ("sequence", print_sequence(seq)),
-        ("m_star", str(seq.m_star)),
-        ("indices", " ".join(str(k) for k in indices)),
-        ("truncated", "yes" if seq.truncated else "no"),
-        ("residual", f"{residual:.3e}"),
-    ]
-    print(_table(rows))
+    print(_table(_encode_rows(seq, args.value)))
     return 0
 
 
 def cmd_decode(args) -> int:
     seq = _read_sequence(args.sequence)
     value, expansion = _decode_with_expansion(seq, SolverConfig(tol_root=args.tol))
-    card = scalar_cardinality(expansion)
     if args.json:
         return _emit_json(
             {
                 "value": value,
                 "m_star": seq.m_star,
                 "truncated": seq.truncated,
-                "expansion": [
-                    {"expr": print_expr(e), "mu": mu} for e, mu in expansion.elements
-                ],
-                "cardinality": card,
+                "expansion": _element_json(expansion),
+                "cardinality": scalar_cardinality(expansion),
             }
         )
-    rows = [("value", _fmt(value, args.precision))]
-    rows += [
-        (print_expr(e), _fmt(mu, args.precision)) for e, mu in expansion.elements
-    ]
-    rows.append(("cardinality", _fmt(card, args.precision)))
-    print(_table(rows))
+    print(_table(_decode_rows(value, expansion, args.precision)))
     return 0
 
 
@@ -327,11 +341,7 @@ def _example_membership_construction(precision: int) -> tuple[str, bool]:
     base = FuzzySet.flat([("x1", 0.2), ("x2", 0.3), ("x3", 0.5), ("x4", 1.0)])
     texts = ["{∅,x1}", "{{x2},{x3}}", "{x1,{x2,{x3,{x4}}}}"]
     result = construct_fuzzy_set(base, [parse_expr(t) for t in texts])
-    rows = [
-        ("base", " ".join(f"{n}={_fmt(mu, precision)}" for n, mu in
-                          (("x1", 0.2), ("x2", 0.3), ("x3", 0.5), ("x4", 1.0))))
-    ]
-    rows += [(print_expr(e), _fmt(mu, precision)) for e, mu in result.elements]
+    rows = [_base_row(base, precision)] + _element_rows(result, precision)
     return _table(rows), True
 
 
@@ -339,11 +349,7 @@ def _example_power_cardinality(precision: int) -> tuple[str, bool]:
     base = FuzzySet.flat([("x1", 0.2), ("x2", 0.3), ("x3", 0.5)])
     power = fuzzy_power_set(base)
     report = verify_power_cardinality(base, tol=1e-12)
-    rows = [
-        ("base", " ".join(f"{n}={_fmt(mu, precision)}" for n, mu in
-                          (("x1", 0.2), ("x2", 0.3), ("x3", 0.5))))
-    ]
-    rows += [(print_expr(e), _fmt(mu, precision)) for e, mu in power.elements]
+    rows = [_base_row(base, precision)] + _element_rows(power, precision)
     rows += _report_rows(report, precision)
     text = _table(rows) + "\n" + _verdict(report.passed, report.tolerance)
     return text, report.passed
@@ -354,11 +360,8 @@ def _example_decoding(precision: int) -> tuple[str, bool]:
     for text in ("10|01", "|01001"):
         seq = parse_sequence(text)
         value, expansion = _decode_with_expansion(seq)
-        rows = [("sequence", print_sequence(seq)), ("value", _fmt(value, precision))]
-        rows += [
-            (print_expr(e), _fmt(mu, precision)) for e, mu in expansion.elements
-        ]
-        rows.append(("cardinality", _fmt(scalar_cardinality(expansion), precision)))
+        rows = [("sequence", print_sequence(seq))]
+        rows += _decode_rows(value, expansion, precision)
         blocks.append(_table(rows))
     return "\n\n".join(blocks), True
 
@@ -366,16 +369,7 @@ def _example_decoding(precision: int) -> tuple[str, bool]:
 def _example_encoding(precision: int) -> tuple[str, bool]:
     blocks = []
     for w in (0.3, 0.8):
-        seq = encode(w)
-        indices, residual = _encode_fields(seq, w)
-        rows = [
-            ("value", _fmt(w, precision)),
-            ("sequence", print_sequence(seq)),
-            ("m_star", str(seq.m_star)),
-            ("indices", " ".join(str(k) for k in indices)),
-            ("truncated", "yes" if seq.truncated else "no"),
-            ("residual", f"{residual:.3e}"),
-        ]
+        rows = [("value", _fmt(w, precision))] + _encode_rows(encode(w), w)
         blocks.append(_table(rows))
     return "\n\n".join(blocks), True
 
@@ -397,22 +391,25 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _int_at_least(text: str, least: int) -> int:
+def _int_between(text: str, least: int, most: float = math.inf) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    if value > most:
+        raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
     return value
 
 
 def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
+    return _int_between(text, 1)
 
 
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
+def _precision(text: str) -> int:
+    # every binary64 value prints exactly within 1074 decimal places
+    return _int_between(text, 0, 1074)
 
 
 def _tolerance(text: str) -> float:
@@ -435,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--precision",
-        type=_non_negative_int,
+        type=_precision,
         default=6,
         metavar="N",
         help="decimal places in text output (default 6)",
@@ -487,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
     )
     p.add_argument(
-        "--cap", type=int, default=20, help="max atom count (default 20)"
+        "--cap", type=int, default=POWER_SET_CAP,
+        help="max atom count (default %(default)s)",
     )
     p.set_defaults(func=cmd_powerset)
 
@@ -498,13 +496,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("value", type=float, help="membership value in (0,1]")
     p.add_argument(
-        "--max-terms", type=int, default=64, help="bit budget (default 64)"
+        "--max-terms", type=int, default=DEFAULT_CONFIG.max_terms,
+        help="bit budget (default %(default)s)",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-12, help="residual tolerance (default 1e-12)"
+        "--tol", type=float, default=DEFAULT_CONFIG.tol_residual,
+        help="residual tolerance (default %(default)s)",
     )
     p.add_argument(
-        "--max-index", type=int, default=256, help="level cap (default 256)"
+        "--max-index", type=int, default=DEFAULT_CONFIG.max_index,
+        help="level cap (default %(default)s)",
     )
     p.set_defaults(func=cmd_encode)
 
@@ -518,7 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="sequence text like '10|01', or its JSON form",
     )
     p.add_argument(
-        "--tol", type=float, default=1e-12, help="root tolerance (default 1e-12)"
+        "--tol", type=float, default=DEFAULT_CONFIG.tol_root,
+        help="root tolerance (default %(default)s)",
     )
     p.set_defaults(func=cmd_decode)
 
@@ -537,7 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=1e-10, help="error tolerance (default 1e-10)"
     )
     p.add_argument(
-        "--max-terms", type=int, default=64, help="encoder bit budget (default 64)"
+        "--max-terms", type=int, default=DEFAULT_CONFIG.max_terms,
+        help="encoder bit budget (default %(default)s)",
     )
     p.set_defaults(func=cmd_roundtrip)
 
@@ -577,10 +580,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FuzznestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FuzznestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -127,10 +127,7 @@ class FuzzySet:
                 )
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
-            if not in_superstructure(e, universe):
-                raise UniverseError(
-                    f"{print_expr(e)} uses atoms outside the universe"
-                )
+            _inside(e, universe)
             size = len(seen)
             seen.add(e)
             if len(seen) == size:
@@ -268,15 +265,20 @@ class _Propagation:
         return values[0]
 
 
+def _inside(e: SetExpr, universe: AtomUniverse) -> SetExpr:
+    """e itself, or UniverseError if it uses atoms outside the universe."""
+    if not in_superstructure(e, universe):
+        raise UniverseError(f"{print_expr(e)} uses atoms outside the universe")
+    return e
+
+
 def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     """Membership of y derived from the base fuzzy set.
 
     y may be any superstructure element over the base universe; see the
     module docstring for the rule order.
     """
-    y = normalize(y)
-    if not in_superstructure(y, base.universe):
-        raise UniverseError(f"{print_expr(y)} uses atoms outside the universe")
+    y = _inside(normalize(y), base.universe)
     return _Propagation(base).membership(y)
 
 
@@ -292,14 +294,11 @@ def construct_fuzzy_set(
     seen: set[SetExpr] = set()
     out: list[tuple[SetExpr, float]] = []
     for expr in universe_exprs:
-        e = normalize(expr)
-        if e in seen:
-            raise DuplicateElementError(f"duplicate element {print_expr(e)}")
+        e = _inside(normalize(expr), base.universe)
+        size = len(seen)
         seen.add(e)
-        if not in_superstructure(e, base.universe):
-            raise UniverseError(
-                f"{print_expr(e)} uses atoms outside the universe"
-            )
+        if len(seen) == size:
+            raise DuplicateElementError(f"duplicate element {print_expr(e)}")
         out.append((e, memberships.membership(e)))
     return FuzzySet(base.universe, tuple(out))
 
@@ -453,11 +452,7 @@ def verify_classical_degeneracy(
     memberships = _Propagation(base)
     worst = 0.0
     for probe in probe_exprs:
-        e = normalize(probe)
-        if not in_superstructure(e, base.universe):
-            raise UniverseError(
-                f"{print_expr(e)} uses atoms outside the universe"
-            )
+        e = _inside(normalize(probe), base.universe)
         value = memberships.membership(e)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
@@ -482,14 +477,22 @@ def fuzzyset_to_json(fs: FuzzySet) -> str:
     return '{"atoms":[%s],"elements":[%s]}' % (atoms, rows)
 
 
-def fuzzyset_from_json(text: str) -> FuzzySet:
+def _load_object(text: str, what: str) -> dict:
+    """The object text holds, or ParseError: malformed, too deep, or no object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as ex:
-        offset = len(text[: ex.pos].encode("utf-8")) if ex.pos is not None else 0
+        offset = len(text[: ex.pos].encode("utf-8"))
         raise ParseError(f"invalid JSON: {ex.msg}", offset) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 0) from None
     if not isinstance(doc, dict):
-        raise ParseError("fuzzy set JSON must be an object", 0)
+        raise ParseError(f"{what} JSON must be an object", 0)
+    return doc
+
+
+def fuzzyset_from_json(text: str) -> FuzzySet:
+    doc = _load_object(text, "fuzzy set")
     atoms = doc.get("atoms")
     rows = doc.get("elements")
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):

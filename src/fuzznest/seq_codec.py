@@ -6,6 +6,8 @@ is written as a vertical bar in text form, so "10|01" holds 1-bits at
 indices -2, 0, 2. A sequence selects the universe {x}^(k) for its 1-bits,
 and its cardinality series G(t) = sum of u_k(t) over 1-bits is strictly
 increasing with G(0) = 0, so G(t) = 1 has exactly one root in (0, 1].
+A sequence's text is read as tokens of one regular expression: a run of
+bits with any separators inside it, "...", or any other character.
 
 decode finds that root by safeguarded Newton: Newton steps kept inside
 a shrinking bracket, which otherwise bisects, in exponent while it spans
@@ -22,11 +24,12 @@ from __future__ import annotations
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 
 from ._kernels import greedy_encode, level_value, series_root, series_value
 from .errors import ConfigError, InvariantError, ParseError, RangeError
-from .fuzzy_core import FuzzySet
+from .fuzzy_core import FuzzySet, _load_object
 from .set_expr import AtomUniverse, Braced, SetExpr
 
 __all__ = [
@@ -46,6 +49,9 @@ __all__ = [
 ]
 
 _ELLIPSIS = "…"
+# after any separators: a run of bits, "...", or any other character
+_SEQ_TOKEN = re.compile(r"[ \t\r\n,]*([01](?:[ \t\r\n,]*[01])*|\.\.\.|[^ \t\r\n,])")
+_BITS = str.maketrans("01", "\0\1", " \t\r\n,")  # bits to bytes 0, 1; no separators
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,11 +169,6 @@ def decode(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
     sequence this is the root of the stored prefix, an upper bound on
     the value of the full expansion.
     """
-    ones = sum(a.bits)
-    if ones == 1:
-        return 1.0
-    if ones == 0:  # G(1) counts the 1-bits
-        raise ConfigError("series cannot reach 1; corrupted sequence")
     return series_root(a.m_star, a.bits, cfg.tol_root)
 
 
@@ -217,68 +218,57 @@ def parse_sequence(text: str) -> BinarySequence:
     """Parse text like "10|01", "(1,0|1,0,1,1)", or "|0100…".
 
     The bar is the mandatory 1-bit at index 0; bits left of it run up to
-    index -1, bits right of it from index 1. Commas and whitespace are
-    ignored, one pair of surrounding parentheses is allowed, and a
-    trailing ellipsis ("…" or "...") marks the sequence as truncated.
+    index -1, bits right of it from index 1. Commas, spaces, tabs, CR
+    and LF are ignored, one pair of surrounding parentheses is allowed,
+    and a trailing ellipsis ("…" or "...") marks the sequence truncated.
+    Tokens are bit runs (separators allowed inside), "..." and single
+    characters; each side of the bar holds at most one run.
     """
-
-    def at(j: int) -> int:
-        return len(text[:j].encode("utf-8"))
-
-    left: list[int] = []
-    right: list[int] = []
-    side = left
-    bar_seen = False
-    truncated = False
-    opened = False
-    closed = False
-    started = False
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n,":
-            i += 1
-            continue
+    tokens = _SEQ_TOKEN.findall(text)
+    runs = ["", ""]  # the bits left and right of the bar, as "\0" and "\1"
+    side = 0
+    opened = closed = truncated = False
+    for i, tok in enumerate(tokens):
         if closed:
-            raise ParseError("unexpected input after ')'", at(i))
-        if truncated and ch != ")":
-            raise ParseError("unexpected input after the ellipsis", at(i))
-        if ch == "(":
-            if started or opened:
-                raise ParseError("unexpected '('", at(i))
+            raise _sequence_error(text, i, "unexpected input after ')'")
+        if truncated and tok != ")":
+            raise _sequence_error(text, i, "unexpected input after the ellipsis")
+        if tok == "(":
+            if i:  # after a bit or the bar
+                raise _sequence_error(text, i, "unexpected '('")
             opened = True
-        elif ch == ")":
+        elif tok == ")":
             if not opened:
-                raise ParseError("unexpected ')'", at(i))
+                raise _sequence_error(text, i, "unexpected ')'")
             closed = True
-        elif ch == _ELLIPSIS:
+        elif tok == "..." or tok == _ELLIPSIS:
             truncated = True
-        elif ch == ".":
-            if text[i : i + 3] != "...":
-                raise ParseError("stray '.'", at(i))
-            truncated = True
-            i += 3
-            continue
-        elif ch == "|":
-            if bar_seen:
-                raise ParseError("second '|' marker", at(i))
-            bar_seen = True
-            side = right
-            started = True
-        elif ch in "01":
-            side.append(int(ch))
-            started = True
+        elif tok == "|":
+            if side:
+                raise _sequence_error(text, i, "second '|' marker")
+            side = 1
+        elif tok[0] in "01":
+            runs[side] = tok.translate(_BITS)
+        elif tok == ".":
+            raise _sequence_error(text, i, "stray '.'")
         else:
-            raise ParseError(f"unexpected character {ch!r}", at(i))
-        i += 1
+            raise _sequence_error(text, i, f"unexpected character {tok!r}")
     if opened and not closed:
-        raise ParseError("missing ')'", at(n))
-    if not bar_seen:
-        raise ParseError("missing '|' marker", at(n))
-    if left and left[0] == 0:
+        raise _sequence_error(text, len(tokens), "missing ')'")
+    if not side:
+        raise _sequence_error(text, len(tokens), "missing '|' marker")
+    left, right = runs
+    if left[:1] == "\0":
         raise InvariantError("the leftmost bit of the left part must be 1")
-    return BinarySequence(-len(left), tuple(left + [1] + right), truncated)
+    bits = tuple((left + "\1" + right).encode())
+    return BinarySequence(-len(left), bits, truncated)
+
+
+def _sequence_error(text: str, token: int, message: str) -> ParseError:
+    """ParseError at a token's UTF-8 offset, or at the end past the last."""
+    starts = [m.start(1) for m in _SEQ_TOKEN.finditer(text)]
+    at = starts[token] if token < len(starts) else len(text)
+    return ParseError(message, len(text[:at].encode("utf-8")))
 
 
 def print_sequence(a: BinarySequence) -> str:
@@ -305,13 +295,7 @@ def sequence_from_json(text: str) -> BinarySequence:
     Extra keys are ignored, so the CLI's enriched encode output feeds
     straight back in. truncated defaults to false.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as ex:
-        offset = len(text[: ex.pos].encode("utf-8")) if ex.pos is not None else 0
-        raise ParseError(f"invalid JSON: {ex.msg}", offset) from None
-    if not isinstance(doc, dict):
-        raise ParseError("sequence JSON must be an object", 0)
+    doc = _load_object(text, "sequence")
     if "m_star" not in doc or "bits" not in doc:
         raise ParseError('sequence JSON needs "m_star" and "bits"', 0)
     m_star = doc["m_star"]

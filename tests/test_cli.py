@@ -103,6 +103,36 @@ def test_propagate_missing_file(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        (b"[" * 100_000, "invalid JSON: nested too deeply (byte offset 0)"),
+        (b"\xff\xfe{}", "invalid UTF-8: invalid start byte (byte offset 0)"),
+        (
+            b'{"atoms":["\xe9"],"elements":[]}',
+            "invalid UTF-8: invalid continuation byte (byte offset 11)",
+        ),
+    ],
+    ids=["deep", "not-utf8", "not-utf8-later"],
+)
+@pytest.mark.parametrize(
+    "argv", [["card"], ["propagate", "∅"], ["powerset"]], ids=lambda a: a[0]
+)
+def test_unreadable_fuzzy_set_file_exit_2(argv, content, error, capsys, tmp_path):
+    # both once ended in a traceback with exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
+def test_decode_too_deep_json_exit_2(capsys):
+    text = '{"m_star":%s,"bits":[1]}' % ("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "decode", text)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: nested too deeply (byte offset 0)\n"
+
+
 # ------------------------------------------------------------ card/power
 
 
@@ -701,6 +731,30 @@ def test_count_arguments_must_be_positive(argv, capsys):
     assert captured.out == ""
     assert "usage:" in captured.err and "Traceback" not in captured.err
     assert ("--count" if "--count" in argv else "--trials") in captured.err
+
+
+@pytest.mark.parametrize("precision", ["-1", "1075", "2147483648", "x"])
+def test_precision_out_of_range_is_a_usage_error(precision, capsys):
+    # 2147483648 once ended in "ValueError: precision too big" with exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["examples", "1", "--precision", precision])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "--precision" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("precision", [0, 1074])
+def test_precision_edges_are_accepted(precision, capsys):
+    code, out, err = run(capsys, "decode", "10|01", "--precision", str(precision))
+    assert code == 0 and err == ""
+    value = out.splitlines()[0].split()[1]
+    assert len(value.partition(".")[2]) == precision
+    # 1074 places show a binary64 value exactly
+    if precision == 1074:
+        w = decode(parse_sequence("10|01"))
+        assert value == f"{w:.2000f}".rstrip("0").ljust(len(value), "0")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e400", "-1", "-1e-9", "x"])

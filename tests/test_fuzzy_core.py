@@ -490,6 +490,13 @@ def test_fuzzyset_json_rejects_boolean_membership(flag):
     assert fs.elements == ((Braced("x1", 0), 1.0),)
 
 
+def test_fuzzyset_json_too_deep_is_a_parse_error():
+    # nesting json's decoder cannot follow ended in RecursionError
+    with pytest.raises(ParseError) as exc:
+        fuzzyset_from_json("[" * 100_000)
+    assert str(exc.value) == "invalid JSON: nested too deeply (byte offset 0)"
+
+
 def test_fuzzyset_json_error_offset():
     with pytest.raises(ParseError) as exc:
         fuzzyset_from_json('{"atoms": }')

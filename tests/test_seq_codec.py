@@ -548,3 +548,11 @@ def test_sequence_json_defaults_and_extras():
 def test_sequence_json_rejects_malformed(text):
     with pytest.raises(ParseError):
         sequence_from_json(text)
+
+
+def test_sequence_json_too_deep_is_a_parse_error():
+    # nesting json's decoder cannot follow ended in RecursionError
+    text = '{"m_star":%s,"bits":[1]}' % ("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError) as exc:
+        sequence_from_json(text)
+    assert str(exc.value) == "invalid JSON: nested too deeply (byte offset 0)"
