@@ -197,7 +197,7 @@ def cmd_powerset(args) -> int:
     the products are finite floats, which json prints with
     float.__repr__."""
     base = _read_fuzzyset(args.fuzzyset)
-    _, texts, products = _power_columns(base, args.cap, with_members=False)
+    _, texts, products = _power_columns(base, args.cap)
     report = None
     if args.verify:
         report = verify_power_cardinality(base, args.tol, cap=args.cap)
@@ -407,6 +407,10 @@ def _positive_int(text: str) -> int:
     return _int_between(text, 1)
 
 
+def _count(text: str) -> int:
+    return _int_between(text, 0)
+
+
 def _precision(text: str) -> int:
     # every binary64 value prints exactly within 1074 decimal places
     return _int_between(text, 0, 1074)
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
     )
     p.add_argument(
-        "--cap", type=int, default=POWER_SET_CAP,
+        "--cap", type=_count, default=POWER_SET_CAP,
         help="max atom count (default %(default)s)",
     )
     p.set_defaults(func=cmd_powerset)

@@ -22,11 +22,11 @@ cardinality exactly 2^(scalar cardinality of the base), which
 verify_power_cardinality checks numerically from the 2^n subset
 products, without building the listing of 2^n expressions.
 
-The listing itself is enumerated once, as columns of member tuples,
-printed texts and products, each subset extending a shorter one.
-fuzzy_power_set builds its elements from those columns, its sets
-carrying their texts, and ``fuzznest powerset`` prints the texts and
-products without building any node.
+The listing itself is enumerated once, by itertools.combinations over
+the sorted atom names and their factors, as columns of printed texts
+and products. fuzzy_power_set pairs them with the subsets of level-0
+atoms in the same order, its sets carrying their texts, and ``fuzznest
+powerset`` prints the texts and products without building any node.
 """
 
 from __future__ import annotations
@@ -34,12 +34,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from ._kernels import level_value
 from .errors import (
     CapExceededError,
+    ConfigError,
     DomainError,
     DuplicateElementError,
     InvariantError,
@@ -169,6 +171,9 @@ class VerificationReport:
     def check(
         cls, label: str, computed: float, expected: float, tolerance: float
     ) -> "VerificationReport":
+        """ConfigError unless the tolerance is finite and at least 0."""
+        if not (0.0 <= tolerance < math.inf):
+            raise ConfigError("tolerance must be finite and at least 0")
         diff = abs(computed - expected)
         return cls(label, computed, expected, diff, tolerance, diff <= tolerance)
 
@@ -303,87 +308,45 @@ def construct_fuzzy_set(
     return FuzzySet(base.universe, tuple(out))
 
 
-def _require_flat(base: FuzzySet) -> dict[str, float]:
-    """Membership by atom name, or DomainError if base is not flat."""
-    expected = {Braced(name, 0) for name in base.universe.atoms}
-    actual = [expr for expr, _ in base.elements]
-    if len(actual) != len(expected) or set(actual) != expected:
-        raise DomainError(
-            "operation needs a flat fuzzy set: exactly the universe atoms "
-            "at level 0, nothing else"
-        )
-    return {expr.atom: mu for expr, mu in base.elements}  # type: ignore[union-attr]
-
-
 def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     """Atom names in sorted order and their factors 2^mu - 1.
 
     Raises DomainError for a base that is not flat, then
     CapExceededError for more than cap atoms.
     """
-    mu_by_name = _require_flat(base)
-    n = len(base.universe.atoms)
+    names = sorted(base.universe.atoms)
+    level0 = [Braced(name, 0) for name in names]
+    mu = dict(base.elements)
+    if len(base.elements) != len(level0) or mu.keys() != set(level0):
+        raise DomainError(
+            "operation needs a flat fuzzy set: exactly the universe atoms "
+            "at level 0, nothing else"
+        )
+    n = len(names)
     if n > cap:
         raise CapExceededError(
             f"{n} atoms would enumerate 2^{n} subsets (cap is {cap})"
         )
-    names = sorted(base.universe.atoms)
-    return names, [2.0 ** mu_by_name[name] - 1.0 for name in names]
+    return names, [2.0 ** mu[e] - 1.0 for e in level0]
 
 
 def _power_columns(
-    base: FuzzySet, cap: int, with_members: bool = True
-) -> tuple[list[tuple[Braced, ...]] | None, list[str], list[float]]:
-    """The power set of a flat base as three columns in listing order:
-    each subset's level-0 atoms (None unless with_members), its printed
-    text and its product of (2^mu - 1) over its atoms.
-
-    The order is by subset size, then lexicographic by atom names. Each
-    subset of size s + 1 extends one of size s by a later atom: one
-    tuple concatenation, one multiply, and one string concatenation for
-    its prefix text plus one to close it. The texts are those print_expr
-    gives the listed elements: "∅", "{a}" and "{a,b,...}". Raises as
-    _power_factors does.
+    base: FuzzySet, cap: int
+) -> tuple[list[str], list[str], list[float]]:
+    """The power set of a flat base in listing order: the sorted atom
+    names, then each subset's printed text ("∅", "{a}", "{a,b,...}", as
+    print_expr gives it) and its product of (2^mu - 1), by math.prod
+    left to right. The order, by size and then lexicographic by name, is
+    the one itertools.combinations gives over the sorted names. Raises
+    as _power_factors does.
     """
     names, factors = _power_factors(base, cap)
-    n = len(names)
-    level0 = [(Braced(name, 0),) for name in names]
-    # a subset whose last atom is names[i - 1] extends by the atoms from
-    # names[i] on; its prefix text lacks the closing brace
-    seps_from = [["," + name for name in names[i:]] for i in range(n + 1)]
-    factors_from = [factors[i:] for i in range(n + 1)]
-    members_from = [level0[i:] for i in range(n + 1)]
-    starts_from = [range(i + 1, n + 1) for i in range(n + 1)]
-
-    starts = list(range(1, n + 1))
-    prefixes = ["{" + name for name in names]
-    products = factors
-    members = level0 if with_members else None
-    all_members = [()] + level0 if with_members else None
-    all_texts = ["∅"] + [prefix + "}" for prefix in prefixes]
-    all_products = [1.0] + factors
-    while starts:
-        prefixes = [
-            prefix + sep
-            for prefix, i in zip(prefixes, starts)
-            for sep in seps_from[i]
-        ]
-        products = [
-            product * f
-            for product, i in zip(products, starts)
-            for f in factors_from[i]
-        ]
-        if with_members:
-            members = [
-                atoms + atom
-                for atoms, i in zip(members, starts)
-                for atom in members_from[i]
-            ]
-            all_members += members
-        starts = [j for i in starts for j in starts_from[i]]
-        all_texts += [prefix + "}" for prefix in prefixes]
-        all_products += products
-    return all_members, all_texts, all_products
+    texts = ["∅"]
+    products = [1.0]
+    for size in range(1, len(names) + 1):
+        texts += ["{" + t + "}" for t in map(",".join, combinations(names, size))]
+        products += map(math.prod, combinations(factors, size))
+    return names, texts, products
 
 
 def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
@@ -394,15 +357,17 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     Elements are ordered by subset size, then lexicographically by atom
     names. CapExceededError guards the exponential blowup for n > cap.
 
-    The elements come from one enumeration (_power_columns), and every
-    set of two or more atoms carries the text it was built with, so
-    printing the listing walks no set again.
+    The texts and products come from one enumeration (_power_columns),
+    and every set of two or more atoms carries its text, so printing the
+    listing walks no set again.
     """
-    members, texts, products = _power_columns(base, cap)
-    n = len(base.universe)
+    names, texts, products = _power_columns(base, cap)
+    n = len(names)
+    level0 = [Braced(name, 0) for name in names]
+    members = chain.from_iterable(combinations(level0, s) for s in range(2, n + 1))
     elements: list[SetExpr] = [EMPTY]
-    elements += [Braced(atoms[0].atom, 1) for atoms in members[1 : n + 1]]
-    elements += map(SetOf, members[n + 1 :], texts[n + 1 :])
+    elements += [Braced(name, 1) for name in names]
+    elements += map(SetOf, members, texts[n + 1 :])
     return FuzzySet(base.universe, tuple(zip(elements, products)))
 
 
@@ -477,6 +442,11 @@ def fuzzyset_to_json(fs: FuzzySet) -> str:
     return '{"atoms":[%s],"elements":[%s]}' % (atoms, rows)
 
 
+def _is_number(value, kinds) -> bool:
+    """value is an instance of kinds and not a bool (which is an int)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _load_object(text: str, what: str) -> dict:
     """The object text holds, or ParseError: malformed, too deep, or no object."""
     try:
@@ -504,11 +474,7 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
         if not isinstance(row, dict) or "expr" not in row or "mu" not in row:
             raise ParseError('each element needs "expr" and "mu"', 0)
         mu = row["mu"]
-        if (
-            not isinstance(row["expr"], str)
-            or not isinstance(mu, (int, float))
-            or isinstance(mu, bool)
-        ):
+        if not isinstance(row["expr"], str) or not _is_number(mu, (int, float)):
             raise ParseError('"expr" must be text and "mu" a number', 0)
         expr = parse_expr(row["expr"])
         try:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 from ._kernels import greedy_encode, level_value, series_root, series_value
 from .errors import ConfigError, InvariantError, ParseError, RangeError
-from .fuzzy_core import FuzzySet, _load_object
-from .set_expr import AtomUniverse, Braced, SetExpr
+from .fuzzy_core import FuzzySet, _is_number, _load_object
+from .set_expr import AtomUniverse, Braced, SetExpr, _byte_offset
 
 __all__ = [
     "BinarySequence",
@@ -121,10 +121,11 @@ class SolverConfig:
 
     def __post_init__(self):
         for tol in (self.tol_root, self.tol_residual):
-            if not (0.0 < tol < math.inf):
+            if not (_is_number(tol, (int, float)) and 0.0 < tol < math.inf):
                 raise ConfigError("tolerances must be finite and positive")
-        if self.max_terms < 1 or self.max_index < 1:
-            raise ConfigError("caps must be at least 1")
+        for cap in (self.max_terms, self.max_index):
+            if not (_is_number(cap, int) and cap >= 1):
+                raise ConfigError("caps must be integers, at least 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -266,9 +267,7 @@ def parse_sequence(text: str) -> BinarySequence:
 
 def _sequence_error(text: str, token: int, message: str) -> ParseError:
     """ParseError at a token's UTF-8 offset, or at the end past the last."""
-    starts = [m.start(1) for m in _SEQ_TOKEN.finditer(text)]
-    at = starts[token] if token < len(starts) else len(text)
-    return ParseError(message, len(text[:at].encode("utf-8")))
+    return ParseError(message, _byte_offset(_SEQ_TOKEN, text, token))
 
 
 def print_sequence(a: BinarySequence) -> str:
@@ -301,7 +300,7 @@ def sequence_from_json(text: str) -> BinarySequence:
     m_star = doc["m_star"]
     bits = doc["bits"]
     truncated = doc.get("truncated", False)
-    if not isinstance(m_star, int) or isinstance(m_star, bool):
+    if not _is_number(m_star, int):
         raise ParseError('"m_star" must be an integer', 0)
     if not isinstance(bits, list) or not all(
         isinstance(b, int) and not isinstance(b, bool) for b in bits

@@ -23,11 +23,11 @@ like the printer they walk trees with explicit stacks, not recursion.
 
 A SetOf may carry its printed form in ``text``, which ``print_expr``
 then returns without walking the set. Only a producer that has the text
-at hand anyway fills it: the power-set listing of ``fuzzy_core`` builds
-each subset's text from its prefix's. ``parse_expr`` and ``normalize``
-leave it empty. Kept on every node of a chain of depth d, the texts
-would hold O(d^2) characters, while the canonicalizer holds each text
-only until the parent's is formed.
+at hand anyway fills it: the power-set listing of ``fuzzy_core`` joins
+each subset's atom names into its text as it enumerates the subsets.
+``parse_expr`` and ``normalize`` leave it empty. Kept on every node of
+a chain of depth d, the texts would hold O(d^2) characters, while the
+canonicalizer holds each text only until the parent's is formed.
 """
 
 from __future__ import annotations
@@ -331,22 +331,22 @@ _TOKEN = re.compile(
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
-def _byte_offset(text: str, token: int, shift: int = 0) -> int:
-    """UTF-8 offset of a token's start (shifted by `shift` characters),
-    or of the end of the text for the end-of-input token."""
-    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+def _byte_offset(pattern: re.Pattern, text: str, token: int, shift: int = 0) -> int:
+    """UTF-8 offset where group 1 of the pattern's token-th match starts
+    (plus `shift` characters), or of the text's end past the last match."""
+    starts = [m.start(1) for m in pattern.finditer(text)]
     at = starts[token] + shift if token < len(starts) else len(text)
     return len(text[:at].encode("utf-8"))
 
 
 def _fail(text: str, token: int, message: str, shift: int = 0) -> ParseError:
-    return ParseError(message, _byte_offset(text, token, shift))
+    return ParseError(message, _byte_offset(_TOKEN, text, token, shift))
 
 
 def _level_misuse(text: str, token: int) -> LevelError:
     return LevelError(
         "level annotation ^(n) is only valid on a braced atom "
-        f"(at byte offset {_byte_offset(text, token)})"
+        f"(at byte offset {_byte_offset(_TOKEN, text, token)})"
     )
 
 

@@ -185,6 +185,17 @@ def test_powerset_cap_error(capsys, base3_path):
     assert code == 2 and "cap" in err
 
 
+@pytest.mark.parametrize("cap", ["-1", "2.5", "x"])
+def test_powerset_cap_usage_error(cap, capsys, base3_path):
+    # -1 once passed the parser and ended in "error: ... (cap is -1)"
+    with pytest.raises(SystemExit) as exc:
+        main(["powerset", base3_path, "--cap", cap])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:") and "--cap" in captured.err
+
+
 def test_powerset_rejects_non_flat(capsys, tmp_path, base4_path):
     deep = tmp_path / "deep.json"
     deep.write_text(

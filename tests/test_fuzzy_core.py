@@ -12,6 +12,7 @@ from fuzznest import (
     AtomUniverse,
     Braced,
     CapExceededError,
+    ConfigError,
     DomainError,
     DuplicateElementError,
     FuzzySet,
@@ -330,6 +331,13 @@ def test_verification_report_invariants():
     assert good.passed and good.abs_diff == 0.5
     bad = VerificationReport.check("off", 2.0, 1.5, 0.25)
     assert not bad.passed
+    assert VerificationReport.check("exact", 1.0, 1.0, 0.0).passed
+    base = example_base_4()
+    for tol in (math.nan, -1e-9, math.inf):
+        with pytest.raises(ConfigError):
+            VerificationReport.check("tol", 2.0, 1.5, tol)
+        with pytest.raises(ConfigError):
+            verify_power_cardinality(base, tol=tol)
 
 
 def test_classical_degeneracy_all_ones():

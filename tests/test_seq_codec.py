@@ -506,6 +506,17 @@ def test_solver_config_validation():
         SolverConfig(max_terms=0)
     with pytest.raises(ConfigError):
         SolverConfig(max_index=0)
+    # caps are integers, tolerances numbers; a bool is neither
+    for bad in (math.nan, 2.5, 3.0, "3", True, None):
+        with pytest.raises(ConfigError):
+            SolverConfig(max_terms=bad)
+        with pytest.raises(ConfigError):
+            SolverConfig(max_index=bad)
+    for bad in ("x", True, None):
+        with pytest.raises(ConfigError):
+            SolverConfig(tol_root=bad)
+        with pytest.raises(ConfigError):
+            SolverConfig(tol_residual=bad)
     assert SolverConfig() == DEFAULT_CONFIG
 
 
