@@ -44,7 +44,7 @@ from .seq_codec import (
     sequence_from_json,
     series_cardinality,
 )
-from .set_expr import Braced, parse_expr, print_expr, structural_depth
+from .set_expr import parse_expr, print_expr, structural_depth
 
 # ------------------------------------------------------------ formatting
 
@@ -104,17 +104,6 @@ def _read_sequence(text: str) -> BinarySequence:
     if text.lstrip().startswith("{"):
         return sequence_from_json(text)
     return parse_sequence(text)
-
-
-def _decode_with_expansion(
-    seq: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG
-) -> tuple[float, FuzzySet]:
-    """decode(seq, cfg) and expand_to_fuzzy(seq, "x", cfg), solving once.
-
-    The expansion's element at level 0 is u_0(w) = w itself.
-    """
-    expansion = expand_to_fuzzy(seq, "x", cfg)
-    return expansion.membership_table()[Braced("x", 0)], expansion
 
 
 def _element_rows(fs: FuzzySet, precision: int) -> list[tuple[str, str]]:
@@ -240,7 +229,9 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     seq = _read_sequence(args.sequence)
-    value, expansion = _decode_with_expansion(seq, SolverConfig(tol_root=args.tol))
+    cfg = SolverConfig(tol_root=args.tol)
+    value = decode(seq, cfg)
+    expansion = expand_to_fuzzy(seq, "x", cfg)
     if args.json:
         return _emit_json(
             {
@@ -359,7 +350,8 @@ def _example_decoding(precision: int) -> tuple[str, bool]:
     blocks = []
     for text in ("10|01", "|01001"):
         seq = parse_sequence(text)
-        value, expansion = _decode_with_expansion(seq)
+        value = decode(seq)
+        expansion = expand_to_fuzzy(seq)
         rows = [("sequence", print_sequence(seq))]
         rows += _decode_rows(value, expansion, precision)
         blocks.append(_table(rows))

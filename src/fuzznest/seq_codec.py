@@ -13,10 +13,16 @@ decode finds that root by safeguarded Newton: Newton steps kept inside
 a shrinking bracket, which otherwise bisects, in exponent while it spans
 more than a factor of 2 and arithmetically after that, so a root far
 below 0.5 costs a few more series evaluations than one near it rather
-than one more per binade. encode inverts it greedily, picking
+than one more per binade. Each sequence keeps its root with the
+tolerance it was solved to, so decoding it again, or expanding it after
+decoding, does not solve again. encode inverts it greedily, picking
 ever-higher levels whose contribution keeps the partial series at w
 below 1, until the residual drops under tol_residual or max_terms bits
 are spent (the truncated flag records which).
+
+Outside the series kernel, per-bit work is one C-level call each:
+tuple.count validates the bits, bytes.translate prints them and
+itertools.compress lists the indices of the 1-bits.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import compress
 
 from ._kernels import greedy_encode, level_value, series_root, series_value
 from .errors import ConfigError, InvariantError, ParseError, RangeError
@@ -52,6 +59,7 @@ _ELLIPSIS = "…"
 # after any separators: a run of bits, "...", or any other character
 _SEQ_TOKEN = re.compile(r"[ \t\r\n,]*([01](?:[ \t\r\n,]*[01])*|\.\.\.|[^ \t\r\n,])")
 _BITS = str.maketrans("01", "\0\1", " \t\r\n,")  # bits to bytes 0, 1; no separators
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bytes 0, 1 back to bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,12 +69,21 @@ class BinarySequence:
     Invariants: m_star <= 0; the bit at index 0 is 1; if m_star < 0 the
     first bit is 1; a non-truncated sequence never ends in 0 (so finite
     sequences have one canonical form). truncated marks a prefix of a
-    longer expansion, where trailing zeros are meaningful.
+    longer expansion, where trailing zeros are meaningful. m_star is an
+    int and truncated a bool (neither a bool nor an int stand in for the
+    other), so every sequence survives a JSON round trip.
+
+    ``_root`` holds (tol_root, root) from the last decode; only decode
+    sets it. It is a cache and takes no part in ==, hash, repr or
+    pickling, and dataclasses.replace returns a copy without it.
     """
 
     m_star: int
     bits: tuple[int, ...]
     truncated: bool = False
+    _root: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         try:
@@ -74,13 +91,15 @@ class BinarySequence:
         except TypeError:
             raise InvariantError("bits must be 0 or 1") from None
         object.__setattr__(self, "bits", bits)
-        if not isinstance(self.m_star, int):
+        if not _is_number(self.m_star, int):
             raise InvariantError("m_star must be an integer")
+        if not isinstance(self.truncated, bool):
+            raise InvariantError("truncated must be a boolean")
         if self.m_star > 0:
             raise InvariantError("m_star must be <= 0")
         if not bits:
             raise InvariantError("bits must be non-empty")
-        if any(b not in (0, 1) for b in bits):
+        if bits.count(0) + bits.count(1) != len(bits):
             raise InvariantError("bits must be 0 or 1")
         if self.last_index < 0:
             raise InvariantError("bits must cover index 0")
@@ -97,9 +116,11 @@ class BinarySequence:
 
     @property
     def nonzero_indices(self) -> tuple[int, ...]:
-        return tuple(
-            self.m_star + i for i, b in enumerate(self.bits) if b
-        )
+        start = self.m_star
+        return tuple(compress(range(start, start + len(self.bits)), self.bits))
+
+    def __reduce__(self):
+        return (BinarySequence, (self.m_star, self.bits, self.truncated))
 
     def bit(self, k: int) -> int:
         if self.m_star <= k <= self.last_index:
@@ -136,14 +157,15 @@ def iterate_level(t: float, k: int) -> float:
 
     The two maps are mutual inverses on [0,1] with fixed points 0 and 1.
     The iteration stops once it reaches a fixed point, so any integer k
-    costs bounded work; t outside [0,1] or a k that is not an integer
-    (2.5, inf, nan) raises RangeError.
+    costs bounded work. A t that is not a number in [0,1] or a k that
+    is not an integer (2.5, inf, nan, "2") raises RangeError; a bool is
+    neither, and an integral float k such as 2.0 is an integer.
     """
-    if not (0.0 <= t <= 1.0):
+    if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
     try:
-        level = int(k)
-    except (TypeError, ValueError, OverflowError):
+        level = int(k) if _is_number(k, (int, float)) else None
+    except (ValueError, OverflowError):
         level = None
     if level is None or level != k:
         raise RangeError(f"k must be an integer, got {k!r}")
@@ -157,8 +179,8 @@ def sequence_to_universe(a: BinarySequence, atom: str = "x") -> list[SetExpr]:
 
 
 def series_cardinality(a: BinarySequence, t: float) -> float:
-    """G(t): the sum of u_k(t) over the stored 1-bits."""
-    if not (0.0 <= t <= 1.0):
+    """G(t): the sum of u_k(t) over the stored 1-bits; t a number in [0,1]."""
+    if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
     return series_value(a.m_star, a.bits, float(t))
 
@@ -168,9 +190,17 @@ def decode(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> float:
 
     The single-bit sequence (|) decodes to exactly 1. For a truncated
     sequence this is the root of the stored prefix, an upper bound on
-    the value of the full expansion.
+    the value of the full expansion. The sequence keeps the root of its
+    last solve with its tolerance, so a second call with an equal
+    cfg.tol_root (expand_to_fuzzy's, say) returns it without solving.
     """
-    return series_root(a.m_star, a.bits, cfg.tol_root)
+    tol = cfg.tol_root
+    memo = a._root
+    if memo is not None and memo[0] == tol:
+        return memo[1]
+    root = series_root(a.m_star, a.bits, tol)
+    object.__setattr__(a, "_root", (tol, root))
+    return root
 
 
 def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
@@ -178,10 +208,11 @@ def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
 
     truncated=False means the residual |G(w) - 1| met cfg.tol_residual;
     truncated=True means cfg.max_terms bits were spent first. Raises
-    RangeError for w outside (0,1] and IndexCapExceededError when the
-    level search passes cfg.max_index (w pathologically near 0).
+    RangeError for a w that is not a number in (0,1] (a bool is not a
+    number here) and IndexCapExceededError when the level search passes
+    cfg.max_index (w pathologically near 0).
     """
-    if not (0.0 < w <= 1.0):
+    if not (_is_number(w, (int, float)) and 0.0 < w <= 1.0):
         raise RangeError(f"w must be in (0,1], got {w!r}")
     m_star, bits, truncated, _ = greedy_encode(
         float(w), cfg.tol_residual, cfg.max_terms, cfg.max_index
@@ -195,7 +226,9 @@ def expand_to_fuzzy(
     """The fuzzy set the sequence encodes: u_k(decode(a)) at {atom}^(k).
 
     Its scalar cardinality is 1 up to the solver tolerances (exactly the
-    defining property of the decoded membership value).
+    defining property of the decoded membership value). w comes from
+    decode(a, cfg), so decoding and then expanding one sequence object
+    solves once.
     """
     universe = AtomUniverse((atom,))  # validates the name before solving
     w = decode(a, cfg)
@@ -273,9 +306,11 @@ def _sequence_error(text: str, token: int, message: str) -> ParseError:
 def print_sequence(a: BinarySequence) -> str:
     """Inverse of parse_sequence; no separators, ellipsis when truncated."""
     zero_pos = -a.m_star
-    left = "".join(str(b) for b in a.bits[:zero_pos])
-    right = "".join(str(b) for b in a.bits[zero_pos + 1 :])
-    return left + "|" + right + (_ELLIPSIS if a.truncated else "")
+    digits = bytes(a.bits).translate(_DIGITS).decode()
+    return (
+        digits[:zero_pos] + "|" + digits[zero_pos + 1 :]
+        + (_ELLIPSIS if a.truncated else "")
+    )
 
 
 # ------------------------------------------------------------------ JSON
@@ -302,9 +337,8 @@ def sequence_from_json(text: str) -> BinarySequence:
     truncated = doc.get("truncated", False)
     if not _is_number(m_star, int):
         raise ParseError('"m_star" must be an integer', 0)
-    if not isinstance(bits, list) or not all(
-        isinstance(b, int) and not isinstance(b, bool) for b in bits
-    ):
+    # json.loads yields exact built-in types, so this refuses bools too
+    if not isinstance(bits, list) or not {int}.issuperset(map(type, bits)):
         raise ParseError('"bits" must be a list of integers', 0)
     if not isinstance(truncated, bool):
         raise ParseError('"truncated" must be a boolean', 0)

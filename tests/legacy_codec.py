@@ -1,5 +1,7 @@
 """The sequence parser and the greedy encoder as they stood before the
-token-loop parser and the single upward level search, frozen as a
+token-loop parser and the single upward level search, and the per-bit
+loops of BinarySequence's validation, nonzero_indices and print_sequence
+as they stood before single C-level calls replaced them, frozen as a
 reference for equivalence tests.
 
 ``parse_sequence`` walks the text one character at a time and computes
@@ -13,6 +15,7 @@ results compare with ``==``.
 from __future__ import annotations
 
 import math
+import operator
 
 from fuzznest import BinarySequence
 from fuzznest.errors import IndexCapExceededError, InvariantError, ParseError
@@ -161,3 +164,41 @@ def greedy_encode(
     for c in chosen:
         bits[c - m_star] = 1
     return m_star, bits, truncated, s
+
+
+def check_sequence(m_star, bits, truncated=False) -> tuple[int, ...]:
+    """BinarySequence's validation: the bits as ints, or InvariantError."""
+    try:
+        bits = tuple(map(operator.index, bits))
+    except TypeError:
+        raise InvariantError("bits must be 0 or 1") from None
+    if not isinstance(m_star, int):
+        raise InvariantError("m_star must be an integer")
+    if m_star > 0:
+        raise InvariantError("m_star must be <= 0")
+    if not bits:
+        raise InvariantError("bits must be non-empty")
+    if any(b not in (0, 1) for b in bits):
+        raise InvariantError("bits must be 0 or 1")
+    last_index = m_star + len(bits) - 1
+    if last_index < 0:
+        raise InvariantError("bits must cover index 0")
+    if bits[-m_star] != 1:
+        raise InvariantError("the bit at index 0 must be 1")
+    if m_star < 0 and bits[0] != 1:
+        raise InvariantError("the bit at m_star must be 1")
+    if not truncated and last_index > 0 and bits[-1] != 1:
+        raise InvariantError("a finite sequence cannot end in 0")
+    return bits
+
+
+def nonzero_indices(a: BinarySequence) -> tuple[int, ...]:
+    return tuple(a.m_star + i for i, b in enumerate(a.bits) if b)
+
+
+def print_sequence(a: BinarySequence) -> str:
+    """Inverse of parse_sequence; no separators, ellipsis when truncated."""
+    zero_pos = -a.m_star
+    left = "".join(str(b) for b in a.bits[:zero_pos])
+    right = "".join(str(b) for b in a.bits[zero_pos + 1 :])
+    return left + "|" + right + (_ELLIPSIS if a.truncated else "")

@@ -1,6 +1,7 @@
 """The token-loop sequence parser and the encoder's single upward search
-against the character loop and the two searches they replaced (frozen in
-legacy_codec.py).
+against the character loop and the two searches they replaced, and
+BinarySequence's validation, nonzero_indices and print_sequence against
+their per-bit loops (all frozen in legacy_codec.py).
 
 Seeded random texts and encoder inputs: results must be equal with
 ``==``, and failures must raise the same exception class with the same
@@ -14,6 +15,7 @@ import random
 import pytest
 
 from fuzznest import (
+    BinarySequence,
     IndexCapExceededError,
     SolverConfig,
     encode,
@@ -166,3 +168,58 @@ def test_cli_encode_walk_down_stops_at_a_fixed_point(capsys, monkeypatch):
     assert captured.err == (
         "error: initial index search passed -1000000000000000000\n"
     )
+
+
+# each character of a random text stands for one candidate bit: mostly
+# bits and values operator.index takes (bools), and a few ints out of
+# range and values it refuses (text, None)
+_BIT_OF = {"0": 0, "1": 1, "|": 1, "(": 0, ")": 1, ",": True, " ": False}
+_BIT_OF.update({".": 0, "\t": 1, "\r": 0, "\n": 1, "…": 1, "\x0c": 0})
+_BIT_OF.update({"\xa0": 1, "é": 2, "𝟙": "1", "x": None})
+
+
+def _checked_bits(m_star, bits, truncated):
+    return BinarySequence(m_star, bits, truncated).bits
+
+
+def test_sequence_checks_match_per_bit_loop():
+    rng = random.Random(20260901)
+    messages = {}
+    for _ in range(20000):
+        text = _random_text(rng)
+        bits = tuple(_BIT_OF.get(ch, ch) for ch in text)
+        m_star = rng.randint(-len(bits), 1)
+        if rng.random() < 0.02:
+            m_star = float(m_star)
+        case = (m_star, bits, rng.random() < 0.3)
+        want = _outcome(legacy.check_sequence, *case)
+        got = _outcome(_checked_bits, *case)
+        assert got == want, case
+        key = "ok" if want[0] == "ok" else want[1]
+        messages[key] = messages.get(key, 0) + 1
+    # the sample reaches a success and every message
+    assert len(messages) == 9 and min(messages.values()) > 100, messages
+
+
+def _corpus_sequences():
+    rng = random.Random(20260901)
+    for _ in range(20000):
+        outcome = _outcome(parse_sequence, _random_text(rng))
+        if outcome[0] == "ok":
+            yield outcome[1]
+    rng = random.Random(777)
+    for w, tol, max_terms, max_index in _encoder_cases(rng):
+        outcome = _outcome(encode, w, SolverConfig(tol, tol, max_terms, max_index))
+        if outcome[0] == "ok":
+            yield outcome[1]
+
+
+def test_print_and_indices_match_per_bit_loops():
+    count = 0
+    for seq in _corpus_sequences():
+        assert print_sequence(seq) == legacy.print_sequence(seq), seq
+        assert seq.nonzero_indices == legacy.nonzero_indices(seq), seq
+        bits = seq.bits
+        assert legacy.check_sequence(seq.m_star, bits, seq.truncated) == bits
+        count += 1
+    assert count > 2000

@@ -1,6 +1,8 @@
 """Binary sequences, level maps, series, decoding, and greedy encoding."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -98,6 +100,36 @@ def test_sequence_trailing_zero_allowed_when_truncated():
 def test_sequence_m_star_must_be_int():
     with pytest.raises(InvariantError):
         BinarySequence(0.0, (1,))
+
+
+@pytest.mark.parametrize(
+    "m_star,bits,truncated",
+    [
+        (0, (1, 0), 1),  # the JSON writer would emit "truncated":1
+        (0, (1,), 0),
+        (0, (1,), None),
+        (0, (1,), "yes"),
+        (False, (1, 1), False),  # ... and "m_star":false
+        (True, (1,), False),
+    ],
+)
+def test_sequence_field_types(m_star, bits, truncated):
+    with pytest.raises(InvariantError):
+        BinarySequence(m_star, bits, truncated)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(st.integers(-3, 1), st.booleans()),
+    st.lists(st.sampled_from([0, 1, True, False]), max_size=6),
+    st.sampled_from([False, True, 0, 1, None]),
+)
+def test_every_accepted_sequence_survives_json(m_star, bits, truncated):
+    try:
+        a = BinarySequence(m_star, tuple(bits), truncated)
+    except InvariantError:
+        return
+    assert sequence_from_json(sequence_to_json(a)) == a
 
 
 # ---------------------------------------------------------------- parsing
@@ -233,6 +265,24 @@ def test_iterate_level_range_error():
         assert float.hex(iterate_level(0.3, k)) == float.hex(level_value(0.3, k))
 
 
+def test_codec_api_takes_numbers_only():
+    a = parse_sequence("10|01")
+    for bad in (True, False, "0.3", None, b"\x01", [0.5]):
+        with pytest.raises(RangeError):
+            encode(bad)
+        with pytest.raises(RangeError):
+            iterate_level(bad, 2)
+        with pytest.raises(RangeError):
+            iterate_level(0.5, bad)
+        with pytest.raises(RangeError):
+            series_cardinality(a, bad)
+    # an int t or w and an integral float k stay numbers
+    assert iterate_level(0.5, 2.0) == iterate_level(0.5, 2)
+    assert iterate_level(1, -3) == 1.0
+    assert series_cardinality(a, 1) == 3.0
+    assert encode(1) == BAR
+
+
 def test_level_monotone_decreasing_in_k():
     for t in (0.1, 0.5, 0.9):
         values = [iterate_level(t, k) for k in range(-20, 21)]
@@ -289,6 +339,72 @@ def test_series_range_error():
 
 
 # ----------------------------------------------------------------- decode
+
+
+def _count_root_calls(monkeypatch):
+    calls = []
+    solve = seq_codec.series_root
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(seq_codec, "series_root", counted)
+    return calls
+
+
+# the counting tests build fresh sequences: a module constant such as BAR
+# keeps the root of any earlier test's decode
+
+
+def test_decode_then_expand_solves_once(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    a = parse_sequence("10|01")
+    w = decode(a)
+    fs = expand_to_fuzzy(a)
+    assert decode(a) == w and len(calls) == 1
+    assert fs.membership_table()[Braced("x", 0)] == w
+    assert expand_to_fuzzy(a) == fs and len(calls) == 1
+
+
+def test_decode_solves_again_for_another_tolerance(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    loose = SolverConfig(tol_root=1e-3)
+    a = parse_sequence("|01001")
+    fine_root = decode(a)
+    loose_root = decode(a, loose)
+    assert len(calls) == 2 and loose_root != fine_root
+    assert loose_root == decode(parse_sequence("|01001"), loose)
+    assert len(calls) == 3
+    # the memo holds the last tolerance's root only
+    assert decode(a, loose) == loose_root and len(calls) == 3
+    assert decode(a) == fine_root and len(calls) == 4
+    # an equal tolerance is the same tolerance
+    assert decode(a, SolverConfig(tol_root=1e-12, max_terms=3)) == fine_root
+    assert len(calls) == 4
+
+
+def test_decode_equal_sequences_solve_on_their_own(monkeypatch):
+    calls = _count_root_calls(monkeypatch)
+    a, b = parse_sequence("10|1011"), parse_sequence("10|1011")
+    assert a == b and a is not b
+    assert decode(a) == decode(b) and len(calls) == 2
+
+
+def test_decode_memo_is_invisible():
+    a = parse_sequence("10|01")
+    decode(a)
+    fresh = parse_sequence("10|01")
+    assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    assert pickle.loads(pickle.dumps(a)) == fresh
+    assert a.__match_args__ == ("m_star", "bits", "truncated")
+    for copy in (dataclasses.replace(a), pickle.loads(pickle.dumps(a))):
+        assert copy == a and copy._root is None
+    with pytest.raises(TypeError):
+        BinarySequence(0, (1,), False, (1e-12, 0.5))
+    with pytest.raises(TypeError):
+        BinarySequence(0, (1,), _root=(1e-12, 0.5))
 
 
 def test_decode_bar_exact():
