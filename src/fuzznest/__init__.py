@@ -12,118 +12,18 @@ Three layers:
   bits greedily.
 """
 
-from .errors import (
-    CapExceededError,
-    ConfigError,
-    DomainError,
-    DuplicateElementError,
-    FuzznestError,
-    IndexCapExceededError,
-    InvariantError,
-    LevelError,
-    MissingMembershipError,
-    ParseError,
-    RangeError,
-    UniverseError,
-)
-from .fuzzy_core import (
-    POWER_SET_CAP,
-    FuzzySet,
-    VerificationReport,
-    construct_fuzzy_set,
-    fuzzy_power_set,
-    fuzzyset_from_json,
-    fuzzyset_to_json,
-    propagate_membership,
-    scalar_cardinality,
-    verify_classical_degeneracy,
-    verify_power_cardinality,
-)
-from .seq_codec import (
-    DEFAULT_CONFIG,
-    BinarySequence,
-    SolverConfig,
-    decode,
-    encode,
-    expand_to_fuzzy,
-    iterate_level,
-    parse_sequence,
-    print_sequence,
-    sequence_from_json,
-    sequence_to_json,
-    sequence_to_universe,
-    series_cardinality,
-)
-from .set_expr import (
-    EMPTY,
-    AtomUniverse,
-    Braced,
-    Empty,
-    SetExpr,
-    SetOf,
-    atoms_of,
-    in_superstructure,
-    normalize,
-    parse_expr,
-    print_expr,
-    structural_depth,
-)
+from . import errors, fuzzy_core, seq_codec, set_expr
+from .errors import *
+from .fuzzy_core import *
+from .seq_codec import *
+from .set_expr import *
 
 __version__ = "0.1.0"
 
-
 __all__ = [
     "__version__",
-    # errors
-    "FuzznestError",
-    "ParseError",
-    "LevelError",
-    "UniverseError",
-    "MissingMembershipError",
-    "DuplicateElementError",
-    "CapExceededError",
-    "IndexCapExceededError",
-    "DomainError",
-    "RangeError",
-    "ConfigError",
-    "InvariantError",
-    # set_expr
-    "Empty",
-    "Braced",
-    "SetOf",
-    "SetExpr",
-    "EMPTY",
-    "AtomUniverse",
-    "parse_expr",
-    "print_expr",
-    "normalize",
-    "in_superstructure",
-    "atoms_of",
-    "structural_depth",
-    # fuzzy_core
-    "FuzzySet",
-    "VerificationReport",
-    "POWER_SET_CAP",
-    "scalar_cardinality",
-    "propagate_membership",
-    "construct_fuzzy_set",
-    "fuzzy_power_set",
-    "verify_power_cardinality",
-    "verify_classical_degeneracy",
-    "fuzzyset_to_json",
-    "fuzzyset_from_json",
-    # seq_codec
-    "BinarySequence",
-    "SolverConfig",
-    "DEFAULT_CONFIG",
-    "iterate_level",
-    "sequence_to_universe",
-    "series_cardinality",
-    "decode",
-    "encode",
-    "expand_to_fuzzy",
-    "parse_sequence",
-    "print_sequence",
-    "sequence_to_json",
-    "sequence_from_json",
+    *errors.__all__,
+    *set_expr.__all__,
+    *fuzzy_core.__all__,
+    *seq_codec.__all__,
 ]

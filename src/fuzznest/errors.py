@@ -7,6 +7,21 @@ matches its meaning (ValueError for bad values, LookupError for lookups).
 
 from __future__ import annotations
 
+__all__ = [
+    "FuzznestError",
+    "ParseError",
+    "LevelError",
+    "UniverseError",
+    "MissingMembershipError",
+    "DuplicateElementError",
+    "CapExceededError",
+    "IndexCapExceededError",
+    "DomainError",
+    "RangeError",
+    "ConfigError",
+    "InvariantError",
+]
+
 
 class FuzznestError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -16,6 +16,10 @@ base membership that grow as far as the call's highest level asks and
 end where level_value stops, so every level of an atom is computed once
 per call, with the bits level_value gives.
 
+Elements are told apart by their printed text, as set_expr's sets tell
+members apart, and the pass that canonicalizes an element gives its
+text. No call here compares or hashes a node.
+
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
 cardinality exactly 2^(scalar cardinality of the base), which
@@ -56,10 +60,12 @@ from .set_expr import (
     Empty,
     SetExpr,
     SetOf,
+    _canonical,
+    _Item,
+    _parse,
     atoms_of,
     in_superstructure,
     normalize,
-    parse_expr,
     print_expr,
 )
 
@@ -99,44 +105,39 @@ class FuzzySet:
     ) -> "FuzzySet":
         """Validate, canonicalize, and construct.
 
-        Raises InvariantError for memberships outside [0,1] or a
-        non-unit empty set, UniverseError for foreign atoms, and
-        DuplicateElementError when two expressions share one canonical
-        form.
+        Raises InvariantError for memberships that are not numbers in
+        [0,1] or a non-unit empty set, UniverseError for foreign atoms,
+        and DuplicateElementError when two expressions share one
+        canonical form.
         """
         return cls._from_canonical(
-            universe, ((normalize(expr), mu) for expr, mu in pairs)
+            universe, ((_canonical(expr), mu) for expr, mu in pairs)
         )
 
     @classmethod
     def _from_canonical(
         cls,
         universe: AtomUniverse,
-        pairs: Iterable[tuple[SetExpr, float]],
+        pairs: Iterable[tuple[_Item, float]],
     ) -> "FuzzySet":
-        """build() for expressions that are canonical already.
+        """build() for the canonical items (node, depth, text) the
+        canonicalizer gives.
 
-        Each element is hashed once: it is added to the set of those
-        seen, and a set that does not grow means a duplicate.
+        Checks each element's membership (a number in [0,1], and 1 for
+        the empty set), then its universe, then that its text is new.
         """
-        seen: set[SetExpr] = set()
+        seen: set[str] = set()
         out: list[tuple[SetExpr, float]] = []
-        for e, mu in pairs:
+        for item, mu in pairs:
+            e, _, text = item
+            if not _is_number(mu, (int, float)):
+                raise InvariantError(f"membership {mu!r} for {text} is not a number")
+            if not (0 <= mu <= 1):  # exact for an int beyond the float range
+                raise InvariantError(f"membership {mu!r} for {text} is outside [0,1]")
             mu = float(mu)
-            if not (0.0 <= mu <= 1.0):
-                raise InvariantError(
-                    f"membership {mu!r} for {print_expr(e)} is outside [0,1]"
-                )
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
-            _inside(e, universe)
-            size = len(seen)
-            seen.add(e)
-            if len(seen) == size:
-                raise DuplicateElementError(
-                    f"duplicate element {print_expr(e)}"
-                )
-            out.append((e, mu))
+            out.append((_new_element(item, universe, seen), mu))
         return cls(universe, tuple(out))
 
     @classmethod
@@ -171,7 +172,10 @@ class VerificationReport:
     def check(
         cls, label: str, computed: float, expected: float, tolerance: float
     ) -> "VerificationReport":
-        """ConfigError unless the tolerance is finite and at least 0."""
+        """ConfigError unless the tolerance is a number (not a bool),
+        finite and at least 0."""
+        if not _is_number(tolerance, (int, float)):
+            raise ConfigError(f"tolerance must be a number, got {tolerance!r}")
         if not (0.0 <= tolerance < math.inf):
             raise ConfigError("tolerance must be finite and at least 0")
         diff = abs(computed - expected)
@@ -186,26 +190,27 @@ def scalar_cardinality(fs: FuzzySet) -> float:
 class _Propagation:
     """Membership propagation from one base for the span of one call.
 
-    Rule 2 needs a table lookup only for a kind of element the base
-    lists beyond its level-0 atoms: hashing a set walks its whole
-    subtree, and a level-0 atom's stored value is its base membership,
-    which rule 3 gives too. Rule 3 reads each atom's levels from two
-    ladders of its base membership t, one for the levels above 0 and one
-    for those below: rungs[j] is level_value(t, +-j), each rung one
-    level_value step from the one before. A ladder grows only as far as
-    a level asks, and once a step returns its input (a fixed point of
-    the map) it ends with that value repeated, which stands for every
-    higher level, as in level_value. So each level of an atom is
-    computed once per call, bit for bit as level_value(t, k) computes it.
+    Rule 2 looks the printed text up in a table, and only for a kind of
+    element the base lists beyond its level-0 atoms: printing a set
+    walks its whole subtree, and a level-0 atom's stored value is its
+    base membership, which rule 3 gives too. Rule 3 reads each atom's
+    levels from two ladders of its base membership t (stored under the
+    atom's name, its text), one for the levels above 0 and one for those
+    below: rungs[j] is level_value(t, +-j), each rung one level_value
+    step from the one before. A ladder grows only as far as a level
+    asks, and once a step returns its input (a fixed point of the map)
+    it ends with that value repeated, which stands for every higher
+    level, as in level_value. So each level of an atom is computed once
+    per call, bit for bit as level_value(t, k) computes it.
     """
 
     __slots__ = ("table", "sets_listed", "levels_listed", "up", "down")
 
     def __init__(self, base: FuzzySet):
-        self.table = base.membership_table()
-        self.sets_listed = any(isinstance(e, SetOf) for e in self.table)
+        self.table = {print_expr(e): mu for e, mu in base.elements}
+        self.sets_listed = any(isinstance(e, SetOf) for e, _ in base.elements)
         self.levels_listed = any(
-            isinstance(e, Braced) and e.level != 0 for e in self.table
+            isinstance(e, Braced) and e.level != 0 for e, _ in base.elements
         )
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
@@ -215,7 +220,7 @@ class _Propagation:
         ladders = self.up if k >= 0 else self.down
         rungs = ladders.get(atom)
         if rungs is None:
-            t = self.table.get(Braced(atom, 0))
+            t = self.table.get(atom)
             if t is None:
                 raise MissingMembershipError(
                     f"atom {atom!r} has no base membership"
@@ -256,12 +261,12 @@ class _Propagation:
             elif isinstance(x, Empty):
                 values.append(1.0)
             elif isinstance(x, Braced):
-                stored = table.get(x) if levels_listed else None
+                stored = table.get(print_expr(x)) if levels_listed else None
                 if stored is None:
                     stored = self.level(x.atom, x.level)
                 values.append(stored)
             else:
-                stored = table.get(x) if sets_listed else None
+                stored = table.get(print_expr(x)) if sets_listed else None
                 if stored is not None:
                     values.append(stored)
                 else:
@@ -274,6 +279,17 @@ def _inside(e: SetExpr, universe: AtomUniverse) -> SetExpr:
     """e itself, or UniverseError if it uses atoms outside the universe."""
     if not in_superstructure(e, universe):
         raise UniverseError(f"{print_expr(e)} uses atoms outside the universe")
+    return e
+
+
+def _new_element(item: _Item, universe: AtomUniverse, seen: set[str]) -> SetExpr:
+    """The item's node after _inside, unless its text is in seen (which
+    it joins)."""
+    e, _, text = item
+    _inside(e, universe)
+    if text in seen:
+        raise DuplicateElementError(f"duplicate element {text}")
+    seen.add(text)
     return e
 
 
@@ -296,14 +312,10 @@ def construct_fuzzy_set(
     canonical form raise DuplicateElementError.
     """
     memberships = _Propagation(base)
-    seen: set[SetExpr] = set()
+    seen: set[str] = set()
     out: list[tuple[SetExpr, float]] = []
     for expr in universe_exprs:
-        e = _inside(normalize(expr), base.universe)
-        size = len(seen)
-        seen.add(e)
-        if len(seen) == size:
-            raise DuplicateElementError(f"duplicate element {print_expr(e)}")
+        e = _new_element(_canonical(expr), base.universe, seen)
         out.append((e, memberships.membership(e)))
     return FuzzySet(base.universe, tuple(out))
 
@@ -311,13 +323,15 @@ def construct_fuzzy_set(
 def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     """Atom names in sorted order and their factors 2^mu - 1.
 
-    Raises DomainError for a base that is not flat, then
-    CapExceededError for more than cap atoms.
+    Raises ConfigError unless cap is an integer at least 0, then
+    DomainError for a base that is not flat, then CapExceededError for
+    more than cap atoms.
     """
+    if not (_is_number(cap, int) and cap >= 0):
+        raise ConfigError(f"cap must be an integer at least 0, got {cap!r}")
     names = sorted(base.universe.atoms)
-    level0 = [Braced(name, 0) for name in names]
-    mu = dict(base.elements)
-    if len(base.elements) != len(level0) or mu.keys() != set(level0):
+    mu = {print_expr(e): m for e, m in base.elements}  # a level-0 atom prints its name
+    if len(base.elements) != len(names) or mu.keys() != set(names):
         raise DomainError(
             "operation needs a flat fuzzy set: exactly the universe atoms "
             "at level 0, nothing else"
@@ -327,7 +341,7 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
         raise CapExceededError(
             f"{n} atoms would enumerate 2^{n} subsets (cap is {cap})"
         )
-    return names, [2.0 ** mu[e] - 1.0 for e in level0]
+    return names, [2.0 ** mu[name] - 1.0 for name in names]
 
 
 def _power_columns(
@@ -469,20 +483,20 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
         raise ParseError('"atoms" must be a list of names', 0)
     if not isinstance(rows, list):
         raise ParseError('"elements" must be a list', 0)
-    pairs: list[tuple[SetExpr, float]] = []
+    pairs: list[tuple[_Item, float]] = []
     for row in rows:
         if not isinstance(row, dict) or "expr" not in row or "mu" not in row:
             raise ParseError('each element needs "expr" and "mu"', 0)
         mu = row["mu"]
         if not isinstance(row["expr"], str) or not _is_number(mu, (int, float)):
             raise ParseError('"expr" must be text and "mu" a number', 0)
-        expr = parse_expr(row["expr"])
+        item = _parse(row["expr"])
         try:
             mu = float(mu)
         except OverflowError:  # an integer beyond the float range
             raise ParseError(
                 '"mu" is outside [0,1] and the float range', 0
             ) from None
-        pairs.append((expr, mu))
-    # parse_expr returns canonical expressions: no second normalize pass
+        pairs.append((item, mu))
+    # parsing canonicalizes: no second normalize pass
     return FuzzySet._from_canonical(AtomUniverse(tuple(atoms)), pairs)

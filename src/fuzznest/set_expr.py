@@ -21,6 +21,13 @@ equal sets compare equal with ``==``. Both canonicalize in one pass that
 carries each subtree's depth and printed form up to its parent, and
 like the printer they walk trees with explicit stacks, not recursion.
 
+Distinct canonical trees print differently, so the printed form is the
+package's one identity rule: a set deduplicates its members by it, and
+``fuzzy_core`` tells elements apart by it, taking each element's text
+from the pass that canonicalizes it. No library call compares or hashes
+a node: the dataclass-generated ``==`` and ``hash`` recurse, and serve
+only the caller's own comparisons.
+
 A SetOf may carry its printed form in ``text``, which ``print_expr``
 then returns without walking the set. Only a producer that has the text
 at hand anyway fills it: the power-set listing of ``fuzzy_core`` joins
@@ -95,16 +102,25 @@ _IDENT_CONT = _IDENT_START | set("0123456789")
 
 @dataclass(frozen=True, slots=True)
 class AtomUniverse:
-    """Ordered finite collection of distinct atom names."""
+    """Ordered finite collection of distinct atom names.
+
+    ``atoms`` may be given as any iterable of names but a bare str, and
+    is stored as a tuple.
+    """
 
     atoms: tuple[str, ...]
     # the names as a set, built once by __post_init__
     _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.atoms, str):
+            raise InvariantError(
+                f"atoms must be a collection of names, not {self.atoms!r}"
+            )
+        object.__setattr__(self, "atoms", tuple(self.atoms))
         seen = set()
         for name in self.atoms:
-            if not _is_identifier(name) or name == "empty":
+            if not (isinstance(name, str) and _is_identifier(name)) or name == "empty":
                 raise InvariantError(f"invalid atom name {name!r}")
             if name in seen:
                 raise InvariantError(f"duplicate atom name {name!r}")
@@ -294,8 +310,13 @@ def normalize(e: SetExpr) -> SetExpr:
     post-order pass builds each subtree's depth and printed form once,
     from those of its members.
     """
+    return _canonical(e)[0]
+
+
+def _canonical(e: SetExpr) -> _Item:
+    """The item of normalize(e): the canonical node, its depth and text."""
     if isinstance(e, Braced) and isinstance(e.atom, str):
-        return e
+        return (e, e.level, _braced_text(e.atom, e.level))
     items: list[_Item] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
@@ -312,7 +333,7 @@ def normalize(e: SetExpr) -> SetExpr:
             items.append(_EMPTY_ITEM)
         else:
             raise TypeError(f"not a set expression: {x!r}")
-    return items[0][0]
+    return items[0]
 
 
 # ----------------------------------------------------------------- parsing
@@ -381,6 +402,11 @@ def parse_expr(text: str) -> SetExpr:
     a single token and becomes its item in one step; a unit at level 0
     is read as the bare atom it denotes, so "{{a}^(0)}^(3)" is "{a}^(3)".
     """
+    return _parse(text)[0]
+
+
+def _parse(text: str) -> _Item:
+    """The item of parse_expr(text): the canonical node, its depth and text."""
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
     frames: list[list[_Item]] = []  # the items read so far, per open brace
@@ -442,7 +468,7 @@ def parse_expr(text: str) -> SetExpr:
         else:
             if tokens[i]:
                 raise _fail(text, i, "unexpected trailing input")
-            return item[0]
+            return item
 
 
 # --------------------------------------------------------------- universe

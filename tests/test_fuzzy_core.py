@@ -12,6 +12,7 @@ from fuzznest import (
     AtomUniverse,
     Braced,
     CapExceededError,
+    Empty,
     ConfigError,
     DomainError,
     DuplicateElementError,
@@ -68,6 +69,15 @@ def test_build_validates():
         FuzzySet.build(u, [(Braced("zz", 0), 0.5)])
     with pytest.raises(DuplicateElementError):
         FuzzySet.build(u, [(Braced("x1", 1), 0.5), (SetOf((Braced("x1", 0),)), 0.5)])
+
+
+@pytest.mark.parametrize(
+    "mu", [True, "1", None, pytest.param(10**400, id="beyond-float-range")]
+)
+def test_memberships_must_be_numbers(mu):
+    with pytest.raises(InvariantError):
+        FuzzySet.flat([("x1", mu)])
+    assert FuzzySet.flat([("x1", 1)]).elements == ((Braced("x1", 0), 1.0),)
 
 
 def test_build_canonicalizes():
@@ -261,6 +271,15 @@ def test_power_set_cap():
     assert verify_power_cardinality(base, cap=5).passed
 
 
+@pytest.mark.parametrize("cap", ["20", None, 2.5, True, -1])
+def test_power_set_cap_must_be_an_integer(cap):
+    base = example_base_3()
+    with pytest.raises(ConfigError):
+        fuzzy_power_set(base, cap=cap)
+    with pytest.raises(ConfigError):
+        verify_power_cardinality(base, cap=cap)
+
+
 def test_power_set_requires_flat_base():
     u = AtomUniverse(("x1",))
     deep = FuzzySet.build(u, [(Braced("x1", 0), 0.5), (Braced("x1", 1), 0.5)])
@@ -338,6 +357,15 @@ def test_verification_report_invariants():
             VerificationReport.check("tol", 2.0, 1.5, tol)
         with pytest.raises(ConfigError):
             verify_power_cardinality(base, tol=tol)
+
+
+@pytest.mark.parametrize("tol", ["1e-9", None, True, False])
+def test_tolerance_must_be_a_number(tol):
+    with pytest.raises(ConfigError):
+        VerificationReport.check("tol", 2.0, 1.5, tol)
+    with pytest.raises(ConfigError):
+        verify_power_cardinality(example_base_4(), tol=tol)
+    assert verify_power_cardinality(example_base_4(), tol=1).tolerance == 1
 
 
 def test_classical_degeneracy_all_ones():
@@ -509,3 +537,49 @@ def test_fuzzyset_json_error_offset():
     with pytest.raises(ParseError) as exc:
         fuzzyset_from_json('{"atoms": }')
     assert exc.value.offset == 10
+
+
+# ---------------------------------------------------------------- identity
+
+
+@pytest.fixture
+def nodes_refuse_eq_and_hash(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a library call compared or hashed a node")
+
+    for kind in (Empty, Braced, SetOf):
+        monkeypatch.setattr(kind, "__eq__", refuse)
+        monkeypatch.setattr(kind, "__hash__", refuse)
+
+
+def test_no_library_call_compares_or_hashes_a_node(nodes_refuse_eq_and_hash):
+    flat = example_base_3()
+    listing = fuzzyset_from_json(fuzzyset_to_json(fuzzy_power_set(flat)))
+    leveled = FuzzySet.build(
+        flat.universe, [*flat.elements, (Braced("x1", 2), 0.7), (EMPTY, 1.0)]
+    )
+    probes = [
+        parse_expr(t)
+        for t in ("∅", "x2", "{x1}^(2)", "{x1}^(-3)", "{x1,x3}", "{{x1,x2},x3}")
+    ]
+    # the listing has no level-0 atoms: its probes are its sets and sets of them
+    listed = [parse_expr(t) for t in ("∅", "{x2}", "{x1,x3}", "{{x1},{x1,x2}}")]
+    for base, exprs in ((flat, probes), (leveled, probes), (listing, listed)):
+        fs = construct_fuzzy_set(base, exprs)
+        values = [propagate_membership(base, p) for p in exprs]
+        assert [mu for _, mu in fs.elements] == values
+    # the listing stores what rule 3 gives; a stored level wins over it
+    assert [propagate_membership(listing, p) for p in listed] == [
+        propagate_membership(flat, p) for p in listed
+    ]
+    assert propagate_membership(leveled, Braced("x1", 2)) == 0.7
+    assert scalar_cardinality(fuzzy_power_set(flat)) == scalar_cardinality(listing)
+    assert verify_power_cardinality(flat).passed
+    classical = FuzzySet.flat([("x1", 0.0), ("x2", 1.0), ("x3", 1.0)])
+    assert verify_classical_degeneracy(classical, probes).passed
+    with pytest.raises(DuplicateElementError):
+        FuzzySet.build(
+            flat.universe, [(Braced("x1", 1), 0.5), (SetOf((Braced("x1", 0),)), 0.5)]
+        )
+    with pytest.raises(DomainError):
+        verify_power_cardinality(leveled)

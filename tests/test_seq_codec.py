@@ -226,6 +226,10 @@ def test_sequence_to_universe():
     assert named == [Braced("y", 0), Braced("y", 1)]
     with pytest.raises(InvariantError):
         sequence_to_universe(BAR, atom="not a name")
+    with pytest.raises(InvariantError):
+        sequence_to_universe(BAR, atom=5)
+    with pytest.raises(InvariantError):
+        expand_to_fuzzy(BAR, 5)
 
 
 # ------------------------------------------------------------- level maps

@@ -22,6 +22,7 @@ from fuzznest import (
     print_expr,
     structural_depth,
 )
+from fuzznest import set_expr
 from helpers import ATOM_POOL, random_expr
 
 # ------------------------------------------------------------------ parse
@@ -223,6 +224,19 @@ def test_atom_universe_validation():
         AtomUniverse(("",))
 
 
+@pytest.mark.parametrize("atoms", ["xy", "x", (5,), ("x", None), (b"x",)])
+def test_atom_universe_needs_names(atoms):
+    with pytest.raises(InvariantError):
+        AtomUniverse(atoms)
+
+
+def test_atom_universe_stores_a_tuple():
+    u = AtomUniverse(["x", "y"])
+    assert u.atoms == ("x", "y")
+    assert u == AtomUniverse(("x", "y"))
+    assert hash(u) == hash(AtomUniverse(("x", "y")))
+
+
 def test_in_superstructure():
     u = AtomUniverse(("x1", "x2"))
     assert in_superstructure(Braced("x1", 0), u)
@@ -246,7 +260,7 @@ def test_atoms_of():
 
 # ------------------------------------------------------------- properties
 
-_exprs = st.recursive(
+_raw_exprs = st.recursive(
     st.one_of(
         st.just(EMPTY),
         st.builds(
@@ -259,7 +273,8 @@ _exprs = st.recursive(
         lambda xs: SetOf(tuple(xs))
     ),
     max_leaves=25,
-).map(normalize)
+)
+_exprs = _raw_exprs.map(normalize)
 
 
 @given(_exprs)
@@ -270,6 +285,14 @@ def test_parse_print_roundtrip(e):
 @given(_exprs)
 def test_normalize_idempotent(e):
     assert normalize(e) == e
+
+
+@given(_raw_exprs)
+def test_canonical_items_carry_the_printed_text(raw):
+    # fuzzy_core tells elements apart by the text these items carry
+    e, depth, text = set_expr._canonical(raw)
+    assert text == print_expr(e) and depth == structural_depth(e)
+    assert set_expr._parse(text) == (e, depth, text)
 
 
 def test_roundtrip_random_generator_sanity():
