@@ -64,13 +64,8 @@ def _series(m_star: int, bits: Sequence[int], t: float) -> tuple[float, float]:
     return total, slope
 
 
-def series_value(m_star: int, bits: Sequence[int], t: float) -> float:
-    """Sum of u_k(t) over the 1-bits; bits[i] is the bit at m_star + i."""
-    return _series(m_star, bits, t)[0]
-
-
 def series_root(m_star: int, bits: Sequence[int], tol_root: float) -> float:
-    """Unique t with series_value = 1, by safeguarded Newton on [0, 1].
+    """Unique t with G(t) = 1, by safeguarded Newton on [0, 1].
 
     The series is strictly increasing with value 0 at t=0 and #bits at
     t=1. A single-bit sequence is the identity series, root exactly 1.

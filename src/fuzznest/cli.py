@@ -44,7 +44,7 @@ from .seq_codec import (
     sequence_from_json,
     series_cardinality,
 )
-from .set_expr import parse_expr, print_expr, structural_depth
+from .set_expr import _parse, parse_expr, print_expr
 
 # ------------------------------------------------------------ formatting
 
@@ -90,6 +90,20 @@ def _report_json(report: VerificationReport) -> dict:
 
 def _verdict(passed: bool, tolerance: float) -> str:
     return f"{'PASS' if passed else 'FAIL'} (tol {tolerance:g})"
+
+
+def _emit_check(
+    args, fields: dict, rows: list[tuple[str, str]], worst: float, tol: float
+) -> int:
+    """Print a randomized check's result, as the JSON object of fields plus
+    tolerance and pass or as the rows and the verdict; return its exit status."""
+    passed = worst <= tol
+    if args.json:
+        _emit_json({**fields, "tolerance": tol, "pass": passed})
+    else:
+        print(_table(rows))
+        print(_verdict(passed, tol))
+    return 0 if passed else 1
 
 
 def _read_fuzzyset(path: str) -> FuzzySet:
@@ -147,16 +161,10 @@ def _encode_rows(seq: BinarySequence, w: float) -> list[tuple[str, str]]:
 
 
 def cmd_parse(args) -> int:
-    expr = parse_expr(args.expr)
+    _, depth, text = _parse(args.expr)
     if args.json:
-        return _emit_json(
-            {
-                "input": args.expr,
-                "canonical": print_expr(expr),
-                "depth": structural_depth(expr),
-            }
-        )
-    print(print_expr(expr))
+        return _emit_json({"input": args.expr, "canonical": text, "depth": depth})
+    print(text)
     return 0
 
 
@@ -256,24 +264,12 @@ def cmd_roundtrip(args) -> int:
     worst = 0.0
     for w in values:
         worst = max(worst, abs(decode(encode(w, cfg), cfg) - w))
-    passed = worst <= args.tol
-    if args.json:
-        _emit_json(
-            {
-                "trials": len(values),
-                "max_abs_error": worst,
-                "tolerance": args.tol,
-                "pass": passed,
-            }
-        )
-    else:
-        rows = [
-            ("trials", str(len(values))),
-            ("max abs error", f"{worst:.3e}"),
-        ]
-        print(_table(rows))
-        print(_verdict(passed, args.tol))
-    return 0 if passed else 1
+    fields = {"trials": len(values), "max_abs_error": worst}
+    rows = [
+        ("trials", str(len(values))),
+        ("max abs error", f"{worst:.3e}"),
+    ]
+    return _emit_check(args, fields, rows, worst, args.tol)
 
 
 def _theorem_one_diff(rng: random.Random, tol: float) -> float:
@@ -302,27 +298,18 @@ def cmd_verify_theorem(args) -> int:
         label = "level composition law: u_m after u_n = u_(m+n)"
         tol = args.tol if args.tol is not None else 1e-12
         worst = max(_theorem_two_diff(rng) for _ in range(args.trials))
-    passed = worst <= tol
-    if args.json:
-        _emit_json(
-            {
-                "id": args.id,
-                "label": label,
-                "trials": args.trials,
-                "max_abs_diff": worst,
-                "tolerance": tol,
-                "pass": passed,
-            }
-        )
-    else:
-        rows = [
-            ("check", label),
-            ("trials", str(args.trials)),
-            ("max abs diff", f"{worst:.3e}"),
-        ]
-        print(_table(rows))
-        print(_verdict(passed, tol))
-    return 0 if passed else 1
+    fields = {
+        "id": args.id,
+        "label": label,
+        "trials": args.trials,
+        "max_abs_diff": worst,
+    }
+    rows = [
+        ("check", label),
+        ("trials", str(args.trials)),
+        ("max abs diff", f"{worst:.3e}"),
+    ]
+    return _emit_check(args, fields, rows, worst, tol)
 
 
 # ----------------------------------------------------- worked examples

@@ -61,12 +61,14 @@ from .set_expr import (
     SetExpr,
     SetOf,
     _canonical,
+    _depth,
     _Item,
     _parse,
     atoms_of,
     in_superstructure,
     normalize,
     print_expr,
+    structural_depth,
 )
 
 __all__ = [
@@ -143,7 +145,10 @@ class FuzzySet:
     @classmethod
     def flat(cls, memberships: Iterable[tuple[str, float]]) -> "FuzzySet":
         """Fuzzy set of bare atoms; the universe is taken from the names."""
-        items = list(memberships)
+        try:
+            items = [(name, mu) for name, mu in memberships]
+        except (TypeError, ValueError):
+            raise InvariantError("flat() takes (name, membership) pairs") from None
         universe = AtomUniverse(tuple(name for name, _ in items))
         return cls.build(universe, [(Braced(name, 0), mu) for name, mu in items])
 
@@ -191,24 +196,29 @@ class _Propagation:
     """Membership propagation from one base for the span of one call.
 
     Rule 2 looks the printed text up in a table, and only for a kind of
-    element the base lists beyond its level-0 atoms: printing a set
-    walks its whole subtree, and a level-0 atom's stored value is its
-    base membership, which rule 3 gives too. Rule 3 reads each atom's
-    levels from two ladders of its base membership t (stored under the
-    atom's name, its text), one for the levels above 0 and one for those
-    below: rungs[j] is level_value(t, +-j), each rung one level_value
-    step from the one before. A ladder grows only as far as a level
-    asks, and once a step returns its input (a fixed point of the map)
-    it ends with that value repeated, which stands for every higher
-    level, as in level_value. So each level of an atom is computed once
-    per call, bit for bit as level_value(t, k) computes it.
+    element the base lists beyond its level-0 atoms: a level-0 atom's
+    stored value is its base membership, which rule 3 gives too. A set
+    is printed, which walks its subtree, only at the depth of a listed
+    set; one post-order pass over the probe gives the depths, and sets
+    of one depth are disjoint, so each listed depth prints O(probe).
+    Rule 3 reads each atom's levels from two ladders of its base
+    membership t (stored under the atom's name, its text), one for the
+    levels above 0 and one for those below: rungs[j] is
+    level_value(t, +-j), each rung one level_value step from the one
+    before. A ladder grows only as far as a level asks, and once a step
+    returns its input (a fixed point of the map) it ends with that value
+    repeated, which stands for every higher level, as in level_value. So
+    each level of an atom is computed once per call, bit for bit as
+    level_value(t, k) computes it.
     """
 
-    __slots__ = ("table", "sets_listed", "levels_listed", "up", "down")
+    __slots__ = ("table", "set_depths", "levels_listed", "up", "down")
 
     def __init__(self, base: FuzzySet):
         self.table = {print_expr(e): mu for e, mu in base.elements}
-        self.sets_listed = any(isinstance(e, SetOf) for e, _ in base.elements)
+        self.set_depths = {
+            structural_depth(e) for e, _ in base.elements if isinstance(e, SetOf)
+        }
         self.levels_listed = any(
             isinstance(e, Braced) and e.level != 0 for e, _ in base.elements
         )
@@ -245,9 +255,12 @@ class _Propagation:
         """Membership of a canonical y under the rule order of the
         module docstring, evaluated with an explicit stack (members left
         to right, so errors and rounding match a recursive evaluation)."""
-        table, levels_listed, sets_listed = (
-            self.table, self.levels_listed, self.sets_listed
+        table, levels_listed, set_depths = (
+            self.table, self.levels_listed, self.set_depths
         )
+        depth_of: dict[int, int] = {}  # id(set) -> depth, when sets are listed
+        if set_depths:
+            _depth(y, depth_of)
         values: list[float] = []
         todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
         while todo:
@@ -266,7 +279,8 @@ class _Propagation:
                     stored = self.level(x.atom, x.level)
                 values.append(stored)
             else:
-                stored = table.get(print_expr(x)) if sets_listed else None
+                listed = set_depths and depth_of[id(x)] in set_depths
+                stored = table.get(print_expr(x)) if listed else None
                 if stored is not None:
                     values.append(stored)
                 else:

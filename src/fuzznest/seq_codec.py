@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress
 
-from ._kernels import greedy_encode, level_value, series_root, series_value
+from ._kernels import _series, greedy_encode, level_value, series_root
 from .errors import ConfigError, InvariantError, ParseError, RangeError
 from .fuzzy_core import FuzzySet, _is_number, _load_object
 from .set_expr import AtomUniverse, Braced, SetExpr, _byte_offset
@@ -182,7 +182,7 @@ def series_cardinality(a: BinarySequence, t: float) -> float:
     """G(t): the sum of u_k(t) over the stored 1-bits; t a number in [0,1]."""
     if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
-    return series_value(a.m_star, a.bits, float(t))
+    return _series(a.m_star, a.bits, float(t))[0]
 
 
 def decode(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> float:

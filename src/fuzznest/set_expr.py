@@ -28,18 +28,20 @@ from the pass that canonicalizes it. No library call compares or hashes
 a node: the dataclass-generated ``==`` and ``hash`` recurse, and serve
 only the caller's own comparisons.
 
-A SetOf may carry its printed form in ``text``, which ``print_expr``
-then returns without walking the set. Only a producer that has the text
-at hand anyway fills it: the power-set listing of ``fuzzy_core`` joins
-each subset's atom names into its text as it enumerates the subsets.
-``parse_expr`` and ``normalize`` leave it empty. Kept on every node of
-a chain of depth d, the texts would hold O(d^2) characters, while the
-canonicalizer holds each text only until the parent's is formed.
+``print_expr`` prints every tree with one walker, but a SetOf may carry
+its printed form in ``text``, which ``print_expr`` then returns without
+walking the set. Only a producer that has the text at hand anyway fills
+it: the power-set listing of ``fuzzy_core`` joins each subset's atom
+names into its text as it enumerates the subsets. ``parse_expr`` and
+``normalize`` leave it empty. Kept on every node of a chain of depth d,
+the texts would hold O(d^2) characters, while the canonicalizer holds
+each text only until the parent's is formed.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Union
@@ -96,8 +98,10 @@ SetExpr = Union[Empty, Braced, SetOf]
 
 EMPTY = Empty()
 
+# an atom name, as AtomUniverse checks it and the tokenizer reads it
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
+_is_identifier = re.compile(_IDENT).fullmatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,7 +109,7 @@ class AtomUniverse:
     """Ordered finite collection of distinct atom names.
 
     ``atoms`` may be given as any iterable of names but a bare str, and
-    is stored as a tuple.
+    is stored as a tuple; anything else raises InvariantError.
     """
 
     atoms: tuple[str, ...]
@@ -113,7 +117,7 @@ class AtomUniverse:
     _names: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if isinstance(self.atoms, str):
+        if isinstance(self.atoms, str) or not isinstance(self.atoms, Iterable):
             raise InvariantError(
                 f"atoms must be a collection of names, not {self.atoms!r}"
             )
@@ -132,12 +136,6 @@ class AtomUniverse:
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-
-def _is_identifier(name: str) -> bool:
-    if not name or name[0] not in _IDENT_START:
-        return False
-    return all(c in _IDENT_CONT for c in name[1:])
 
 
 def _post_order(e: SetExpr) -> list:
@@ -168,6 +166,11 @@ def structural_depth(e: SetExpr) -> int:
     The depth of a level-annotated atom is its signed level, so formally
     unbraced atoms sort before bare atoms, which sort before braced ones.
     """
+    return _depth(e, None)
+
+
+def _depth(e: SetExpr, by_id: dict[int, int] | None) -> int:
+    """structural_depth(e); by_id, if given, gets each set's depth by id."""
     depths: list[int] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
@@ -184,6 +187,8 @@ def structural_depth(e: SetExpr) -> int:
                 deepest = max(depths[-n:])
                 del depths[-n:]
             depths.append(deepest + 1)
+            if by_id is not None:
+                by_id[id(x)] = deepest + 1
     return depths[0]
 
 
@@ -203,23 +208,14 @@ def print_expr(e: SetExpr) -> str:
 
     Levels 0 and 1 use the bare name and literal braces; every other
     level (including negatives) uses the ^(n) notation. A set that
-    carries its text returns it without being walked.
+    carries its text returns it; any other set is printed by the one
+    iterative walk below, a flat set of atoms included.
     """
     if isinstance(e, Braced) and isinstance(e.atom, str):
         return _braced_text(e.atom, e.level)
     if isinstance(e, SetOf):
         if e.text is not None:
             return e.text
-        # a set of braced atoms, such as every power-set subset, prints
-        # in one join; a bare atom (level 0) needs no call
-        texts = []
-        for x in e.elements:
-            if not (isinstance(x, Braced) and isinstance(x.atom, str)):
-                break
-            level = x.level
-            texts.append(x.atom if level == 0 else _braced_text(x.atom, level))
-        else:
-            return "{" + ",".join(texts) + "}"
     parts: list[str] = []
     frames = [iter((e,))]  # the root, then one iterator per open set
     while frames:
@@ -344,7 +340,6 @@ def _canonical(e: SetExpr) -> _Item:
 # and, if present, "^" "(" INT ")": its atom is not "empty", and no
 # further "^" follows it. Every other input, malformed ones included, is
 # read token by token, so each error keeps its message and offset.
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN = re.compile(
     r"\s*(\{\s*(?!empty\s*\})%s\s*\}(?:\s*\^\s*\(\s*[+-]?\d+\s*\))?(?!\s*\^)"
     r"|%s|[+-]?\d+|\S)" % (_IDENT, _IDENT)

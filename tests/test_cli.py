@@ -831,6 +831,20 @@ def test_examples_match_golden(example_id, capsys):
     assert out == golden
 
 
+# parse (empty, a unit at level 0, a chain of depth 300), roundtrip and
+# verify-theorem, each passing and failing, in text and --json: the
+# stdout and exit status every one of them must keep
+_PINS = json.loads((GOLDEN_DIR / "cli_pins.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "pin", _PINS, ids=[f"{i}-{p['argv'][0]}" for i, p in enumerate(_PINS)]
+)
+def test_cli_output_matches_pins(pin, capsys):
+    code, out, err = run(capsys, *pin["argv"])
+    assert (out, code, err) == (pin["stdout"], pin["exit"], "")
+
+
 def test_example_2_reports_pass(capsys):
     _, out, _ = run(capsys, "examples", "2")
     assert "PASS (tol 1e-12)" in out

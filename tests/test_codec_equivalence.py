@@ -23,7 +23,7 @@ from fuzznest import (
     print_sequence,
 )
 from fuzznest import _kernels
-from fuzznest._kernels import _series, greedy_encode, series_value
+from fuzznest._kernels import _series, greedy_encode
 from fuzznest.cli import main
 
 import legacy_codec as legacy
@@ -113,7 +113,7 @@ def test_greedy_encode_matches_two_searches():
 
 
 def test_series_value_needs_no_endpoint_cases():
-    # series_value once returned 0.0 at t = 0 and the number of 1-bits at
+    # the series value once returned 0.0 at t = 0 and the number of 1-bits at
     # t = 1 without walking the bits; the walk gives the same floats
     rng = random.Random(99)
     for _ in range(3000):
@@ -122,9 +122,8 @@ def test_series_value_needs_no_endpoint_cases():
         right = [rng.randint(0, 1) for _ in range(rng.randint(0, 60))]
         bits = [1, *left[1:], 1, *right] if m_star else [1, *right]
         for t in (0.0, -0.0):
-            value = series_value(m_star, bits, t)
+            value = _series(m_star, bits, t)[0]
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
-        assert series_value(m_star, bits, 1.0) == float(sum(bits))
         assert _series(m_star, bits, 1.0)[0] == float(sum(bits))
 
 

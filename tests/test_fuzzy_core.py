@@ -80,6 +80,14 @@ def test_memberships_must_be_numbers(mu):
     assert FuzzySet.flat([("x1", 1)]).elements == ((Braced("x1", 0), 1.0),)
 
 
+@pytest.mark.parametrize(
+    "memberships", [5, [5], [("x", 0.5, 1)]], ids=["int", "int-item", "triple"]
+)
+def test_flat_needs_name_membership_pairs(memberships):
+    with pytest.raises(InvariantError):
+        FuzzySet.flat(memberships)
+
+
 def test_build_canonicalizes():
     u = AtomUniverse(("x",))
     fs = FuzzySet.build(u, [(Braced(Braced("x", 2), -1), 0.4)])
@@ -188,6 +196,32 @@ def test_propagate_duplicate_members_count_once():
         oracle_mp.level(0.3, 1)
     )
     assert abs(got - float(want)) <= TOL
+
+
+def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
+    # with {x,y} listed, rule 2 looks up by printed text only the sets of
+    # depth 1, so the prints do not grow with the depth of the probe
+    u = AtomUniverse(("x", "y"))
+    pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25)]
+    base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
+    printed = []
+
+    def counted(e):
+        printed.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
+    counts = []
+    for depth in (1000, 2000):
+        probe = parse_expr("{y," * depth + "x" + "}" * depth)
+        printed.clear()
+        got = propagate_membership(base, probe)
+        counts.append(len(printed))
+        want = 0.25  # the innermost set, {x,y}, keeps its stored value
+        for _ in range(depth - 1):
+            want = (2.0 ** 0.6 - 1.0) * (2.0 ** want - 1.0)
+        assert got == want
+    assert counts[0] == counts[1] == len(pairs) + 1
 
 
 # --------------------------------------------------------- construct sets

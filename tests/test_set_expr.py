@@ -224,10 +224,28 @@ def test_atom_universe_validation():
         AtomUniverse(("",))
 
 
-@pytest.mark.parametrize("atoms", ["xy", "x", (5,), ("x", None), (b"x",)])
+@pytest.mark.parametrize("atoms", ["xy", "x", (5,), ("x", None), (b"x",), 5, None])
 def test_atom_universe_needs_names(atoms):
     with pytest.raises(InvariantError):
         AtomUniverse(atoms)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["x", "_", "X_9", "x1y", "empty", "1x", "x-y", "x\n", " x", "é", "x²", "٣", ""],
+)
+def test_atom_names_are_what_the_parser_reads_as_atoms(name):
+    # one grammar: a universe accepts a name iff it parses as a bare atom
+    try:
+        parsed = parse_expr(name) == Braced(name, 0)
+    except ParseError:
+        parsed = False
+    try:
+        AtomUniverse((name,))
+        accepted = True
+    except InvariantError:
+        accepted = False
+    assert accepted == parsed
 
 
 def test_atom_universe_stores_a_tuple():
