@@ -27,7 +27,6 @@ from .fuzzy_core import (
     construct_fuzzy_set,
     fuzzy_power_set,
     fuzzyset_from_json,
-    propagate_membership,
     scalar_cardinality,
     verify_power_cardinality,
 )
@@ -93,17 +92,16 @@ def _verdict(passed: bool, tolerance: float) -> str:
 
 
 def _emit_check(
-    args, fields: dict, rows: list[tuple[str, str]], worst: float, tol: float
+    args, fields: dict, rows: list[tuple[str, str]], report: VerificationReport
 ) -> int:
     """Print a randomized check's result, as the JSON object of fields plus
     tolerance and pass or as the rows and the verdict; return its exit status."""
-    passed = worst <= tol
     if args.json:
-        _emit_json({**fields, "tolerance": tol, "pass": passed})
+        _emit_json({**fields, "tolerance": report.tolerance, "pass": report.passed})
     else:
         print(_table(rows))
-        print(_verdict(passed, tol))
-    return 0 if passed else 1
+        print(_verdict(report.passed, report.tolerance))
+    return 0 if report.passed else 1
 
 
 def _read_fuzzyset(path: str) -> FuzzySet:
@@ -269,7 +267,8 @@ def cmd_roundtrip(args) -> int:
         ("trials", str(len(values))),
         ("max abs error", f"{worst:.3e}"),
     ]
-    return _emit_check(args, fields, rows, worst, args.tol)
+    report = VerificationReport("decode(encode(w)) = w", worst, 0.0, args.tol)
+    return _emit_check(args, fields, rows, report)
 
 
 def _theorem_one_diff(rng: random.Random, tol: float) -> float:
@@ -309,7 +308,7 @@ def cmd_verify_theorem(args) -> int:
         ("trials", str(args.trials)),
         ("max abs diff", f"{worst:.3e}"),
     ]
-    return _emit_check(args, fields, rows, worst, tol)
+    return _emit_check(args, fields, rows, VerificationReport(label, worst, 0.0, tol))
 
 
 # ----------------------------------------------------- worked examples
@@ -409,17 +408,19 @@ def _tolerance(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    json_option = argparse.ArgumentParser(add_help=False)
+    json_option.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
-    common.add_argument(
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument(
         "--precision",
         type=_precision,
         default=6,
         metavar="N",
         help="decimal places in text output (default 6)",
     )
+    common = [json_option, precision]
 
     parser = argparse.ArgumentParser(
         prog="fuzznest",
@@ -432,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser(
-        "parse", parents=[common], help="canonicalize a set expression"
+        "parse", parents=common, help="canonicalize a set expression"
     )
     p.add_argument("expr", help="expression text, e.g. '{x1,{x2}}'")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser(
         "propagate",
-        parents=[common],
+        parents=common,
         help="derive memberships for expressions from a base fuzzy set",
     )
     p.add_argument("fuzzyset", help="path to a fuzzy set JSON file")
@@ -447,14 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_propagate)
 
     p = sub.add_parser(
-        "card", parents=[common], help="scalar cardinality of a fuzzy set"
+        "card", parents=common, help="scalar cardinality of a fuzzy set"
     )
     p.add_argument("fuzzyset", help="path to a fuzzy set JSON file")
     p.set_defaults(func=cmd_card)
 
     p = sub.add_parser(
         "powerset",
-        parents=[common],
+        parents=common,
         help="fuzzy power set of a flat fuzzy set",
     )
     p.add_argument("fuzzyset", help="path to a fuzzy set JSON file")
@@ -474,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "encode",
-        parents=[common],
+        parents=common,
         help="greedy binary-sequence expansion of a membership value",
     )
     p.add_argument("value", type=float, help="membership value in (0,1]")
@@ -494,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "decode",
-        parents=[common],
+        parents=common,
         help="membership value of a binary sequence, with its expansion",
     )
     p.add_argument(
@@ -509,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "roundtrip",
-        parents=[common],
+        parents=common,
         help="check decode(encode(w)) = w for one or many values",
     )
     group = p.add_mutually_exclusive_group(required=True)
@@ -529,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-theorem",
-        parents=[common],
+        parents=common,
         help="randomized check: 1 = power-set cardinality law, "
         "2 = level composition law",
     )
@@ -548,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "examples",
-        parents=[common],
+        parents=[precision],
         help="reproduce a worked example (1 construction, 2 power set, "
         "3 decoding, 4 encoding)",
     )

@@ -42,9 +42,9 @@ class ParseError(FuzznestError, ValueError):
 class LevelError(FuzznestError, ValueError):
     """A level annotation applied where it cannot mean anything.
 
-    Raised for ^(n) attached to a non-atom in source text, and for a
+    Raised for ^(n) attached to a non-atom in source text, for a
     negative level attached to a set or the empty set during
-    normalization.
+    normalization, and for a level that is not an int.
     """
 
 

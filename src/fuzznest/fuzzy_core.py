@@ -158,33 +158,31 @@ class FuzzySet:
 
 @dataclass(frozen=True, slots=True)
 class VerificationReport:
-    """Outcome of one numeric check: computed vs expected at a tolerance."""
+    """Outcome of one numeric check: computed vs expected at a tolerance.
+
+    abs_diff and passed are derived from these four fields, never given.
+    ConfigError unless the tolerance is a number (not a bool), finite
+    and at least 0.
+    """
 
     label: str
     computed: float
     expected: float
-    abs_diff: float
     tolerance: float
-    passed: bool
 
     def __post_init__(self):
-        if self.abs_diff != abs(self.computed - self.expected):
-            raise InvariantError("abs_diff must equal |computed - expected|")
-        if self.passed != (self.abs_diff <= self.tolerance):
-            raise InvariantError("passed must mean abs_diff <= tolerance")
-
-    @classmethod
-    def check(
-        cls, label: str, computed: float, expected: float, tolerance: float
-    ) -> "VerificationReport":
-        """ConfigError unless the tolerance is a number (not a bool),
-        finite and at least 0."""
-        if not _is_number(tolerance, (int, float)):
-            raise ConfigError(f"tolerance must be a number, got {tolerance!r}")
-        if not (0.0 <= tolerance < math.inf):
+        if not _is_number(self.tolerance, (int, float)):
+            raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
+        if not (0.0 <= self.tolerance < math.inf):
             raise ConfigError("tolerance must be finite and at least 0")
-        diff = abs(computed - expected)
-        return cls(label, computed, expected, diff, tolerance, diff <= tolerance)
+
+    @property
+    def abs_diff(self) -> float:
+        return abs(self.computed - self.expected)
+
+    @property
+    def passed(self) -> bool:
+        return self.abs_diff <= self.tolerance
 
 
 def scalar_cardinality(fs: FuzzySet) -> float:
@@ -311,10 +309,10 @@ def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     """Membership of y derived from the base fuzzy set.
 
     y may be any superstructure element over the base universe; see the
-    module docstring for the rule order.
+    module docstring for the rule order. This is construct_fuzzy_set
+    over the one expression y.
     """
-    y = _inside(normalize(y), base.universe)
-    return _Propagation(base).membership(y)
+    return construct_fuzzy_set(base, (y,)).elements[0][1]
 
 
 def construct_fuzzy_set(
@@ -386,8 +384,8 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     names. CapExceededError guards the exponential blowup for n > cap.
 
     The texts and products come from one enumeration (_power_columns),
-    and every set of two or more atoms carries its text, so printing the
-    listing walks no set again.
+    and every set of two or more atoms carries its text, set here and
+    nowhere else, so printing the listing walks no set again.
     """
     names, texts, products = _power_columns(base, cap)
     n = len(names)
@@ -395,7 +393,10 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     members = chain.from_iterable(combinations(level0, s) for s in range(2, n + 1))
     elements: list[SetExpr] = [EMPTY]
     elements += [Braced(name, 1) for name in names]
-    elements += map(SetOf, members, texts[n + 1 :])
+    elements += map(SetOf, members)
+    set_text = SetOf.__dict__["text"].__set__  # text is no SetOf argument
+    for node, text in zip(elements[n + 1 :], texts[n + 1 :]):
+        set_text(node, text)
     return FuzzySet(base.universe, tuple(zip(elements, products)))
 
 
@@ -417,9 +418,7 @@ def verify_power_cardinality(
         products += [p * f for p in products]
     computed = math.fsum(products)
     expected = 2.0 ** scalar_cardinality(base)
-    return VerificationReport.check(
-        "power-set cardinality law", computed, expected, tol
-    )
+    return VerificationReport("power-set cardinality law", computed, expected, tol)
 
 
 def verify_classical_degeneracy(
@@ -449,7 +448,7 @@ def verify_classical_degeneracy(
         value = memberships.membership(e)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
-    return VerificationReport.check("classical degeneracy", worst, 0.0, 0.0)
+    return VerificationReport("classical degeneracy", worst, 0.0, 0.0)
 
 
 # ------------------------------------------------------------------- JSON

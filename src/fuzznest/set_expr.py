@@ -30,12 +30,15 @@ only the caller's own comparisons.
 
 ``print_expr`` prints every tree with one walker, but a SetOf may carry
 its printed form in ``text``, which ``print_expr`` then returns without
-walking the set. Only a producer that has the text at hand anyway fills
-it: the power-set listing of ``fuzzy_core`` joins each subset's atom
-names into its text as it enumerates the subsets. ``parse_expr`` and
-``normalize`` leave it empty. Kept on every node of a chain of depth d,
-the texts would hold O(d^2) characters, while the canonicalizer holds
-each text only until the parent's is formed.
+walking the set. No caller supplies it: only the power-set listing of
+``fuzzy_core`` sets it, joining each subset's atom names as it
+enumerates the subsets, and the constructor, ``parse_expr``,
+``normalize`` and ``dataclasses.replace`` leave it None. Kept on every
+node of a chain of depth d, the texts would hold O(d^2) characters,
+while the canonicalizer holds each text only until the parent's is formed.
+
+A level is an ``int`` (not a bool); printing or canonicalizing any
+other level raises LevelError.
 """
 
 from __future__ import annotations
@@ -83,12 +86,13 @@ class Braced:
 class SetOf:
     """A finite set of expressions.
 
-    ``text``, if given, must be what print_expr prints for this set; it
-    is a cache and takes no part in ==, hash or repr.
+    ``text`` is what print_expr prints for this set, or None. It is no
+    constructor argument: only fuzzy_core's power-set listing sets it.
+    It takes no part in ==, hash or repr.
     """
 
     elements: tuple["SetExpr", ...]
-    text: str | None = field(default=None, compare=False, repr=False)
+    text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         return print_expr(self)
@@ -196,6 +200,8 @@ def _depth(e: SetExpr, by_id: dict[int, int] | None) -> int:
 
 
 def _braced_text(atom: str, level: int) -> str:
+    if type(level) is not int:
+        raise LevelError(f"level must be an integer, got {level!r}")
     if level == 0:
         return atom
     if level == 1:
@@ -285,6 +291,8 @@ def _set_item(items: list[_Item]) -> _Item:
 
 def _braced_over(inner: _Item, level: int) -> _Item:
     """The canonical item of `level` braces around a canonical item."""
+    if type(level) is not int:
+        raise LevelError(f"level must be an integer, got {level!r}")
     node, depth, text = inner
     if isinstance(node, Braced):
         return _braced_item(node.atom, node.level + level)
@@ -302,9 +310,9 @@ def normalize(e: SetExpr) -> SetExpr:
     Collapses Braced-over-Braced by adding levels, folds a singleton set
     of a Braced node into the level, deduplicates and sorts set elements.
     Raises LevelError when a negative level is attached to a set or to
-    the empty set, since those cannot denote anything. One iterative
-    post-order pass builds each subtree's depth and printed form once,
-    from those of its members.
+    the empty set, since those cannot denote anything, and for a level
+    that is not an int. One iterative post-order pass builds each
+    subtree's depth and printed form once, from those of its members.
     """
     return _canonical(e)[0]
 

@@ -74,7 +74,7 @@ def verify_power_cardinality(
     """Check card(power set) against 2^card(base) over the whole listing."""
     computed = scalar_cardinality(fuzzy_power_set(base, cap=cap))
     expected = 2.0 ** scalar_cardinality(base)
-    return VerificationReport.check(
+    return VerificationReport(
         "power-set cardinality law", computed, expected, tol
     )
 
@@ -99,7 +99,7 @@ def powerset_output(
     power = fuzzy_power_set(base, cap=cap)
     computed = scalar_cardinality(power)
     expected = 2.0 ** scalar_cardinality(base)
-    report = VerificationReport.check(
+    report = VerificationReport(
         "power-set cardinality law", computed, expected, tol
     )
     print_expr = legacy_set_expr.print_expr

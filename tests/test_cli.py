@@ -716,6 +716,7 @@ def test_verify_theorem_failure_exit_1(capsys):
         ["roundtrip"],
         ["examples", "9"],
         ["verify-theorem", "3"],
+        ["examples", "1", "--json"],  # examples prints text only
     ],
 )
 def test_usage_errors(argv, capsys):

@@ -1,5 +1,7 @@
 """Fuzzy sets, membership propagation, power sets, verification reports."""
 
+import dataclasses
+import json
 import math
 import random
 
@@ -18,6 +20,7 @@ from fuzznest import (
     DuplicateElementError,
     FuzzySet,
     InvariantError,
+    LevelError,
     MissingMembershipError,
     ParseError,
     SetOf,
@@ -29,6 +32,7 @@ from fuzznest import (
     fuzzyset_from_json,
     fuzzyset_to_json,
     iterate_level,
+    normalize,
     parse_expr,
     print_expr,
     propagate_membership,
@@ -344,6 +348,23 @@ def test_power_set_matches_bitmask_enumeration():
     assert abs(card - 2.0 ** scalar_cardinality(base)) <= 1e-9
 
 
+def test_a_replaced_listing_subset_prints_its_own_members():
+    # only fuzzy_power_set sets SetOf.text: a node made from a listed set
+    # by dataclasses.replace has none, and no caller can pass one
+    power = fuzzy_power_set(FuzzySet.flat([("x", 0.2), ("y", 0.3), ("z", 0.5)]))
+    xyz = power.elements[-1][0]
+    assert xyz.text == print_expr(xyz) == "{x,y,z}"
+    xy = dataclasses.replace(xyz, elements=xyz.elements[:2])
+    assert xy == parse_expr("{x,y}") and xy.text is None
+    assert print_expr(xy) == str(xy) == "{x,y}"
+    doc = json.loads(fuzzyset_to_json(FuzzySet(power.universe, ((xy, 0.5),))))
+    assert doc["elements"] == [{"expr": "{x,y}", "mu": 0.5}]
+    with pytest.raises(TypeError):
+        SetOf(xyz.elements, "nonsense")
+    with pytest.raises(TypeError):
+        SetOf(xy.elements, text="{x,y}")
+
+
 # ------------------------------------------------------------ verification
 
 
@@ -376,19 +397,21 @@ def test_verify_power_cardinality_builds_no_listing(monkeypatch):
 
 
 def test_verification_report_invariants():
-    with pytest.raises(InvariantError):
+    # abs_diff and passed are derived from the four fields, never given
+    fields = [f.name for f in dataclasses.fields(VerificationReport)]
+    assert fields == ["label", "computed", "expected", "tolerance"]
+    assert not hasattr(VerificationReport, "check")
+    with pytest.raises(TypeError):
         VerificationReport("bad", 1.0, 2.0, 0.5, 1e-9, False)
-    with pytest.raises(InvariantError):
-        VerificationReport("bad", 1.0, 2.0, 1.0, 1e-9, True)
-    good = VerificationReport.check("ok", 2.0, 1.5, 1.0)
+    good = VerificationReport("ok", 2.0, 1.5, 1.0)
     assert good.passed and good.abs_diff == 0.5
-    bad = VerificationReport.check("off", 2.0, 1.5, 0.25)
+    bad = VerificationReport("off", 2.0, 1.5, 0.25)
     assert not bad.passed
-    assert VerificationReport.check("exact", 1.0, 1.0, 0.0).passed
+    assert VerificationReport("exact", 1.0, 1.0, 0.0).passed
     base = example_base_4()
-    for tol in (math.nan, -1e-9, math.inf):
+    for tol in (math.nan, -1e-9, -1.0, math.inf):
         with pytest.raises(ConfigError):
-            VerificationReport.check("tol", 2.0, 1.5, tol)
+            VerificationReport("tol", 2.0, 1.5, tol)
         with pytest.raises(ConfigError):
             verify_power_cardinality(base, tol=tol)
 
@@ -396,7 +419,7 @@ def test_verification_report_invariants():
 @pytest.mark.parametrize("tol", ["1e-9", None, True, False])
 def test_tolerance_must_be_a_number(tol):
     with pytest.raises(ConfigError):
-        VerificationReport.check("tol", 2.0, 1.5, tol)
+        VerificationReport("tol", 2.0, 1.5, tol)
     with pytest.raises(ConfigError):
         verify_power_cardinality(example_base_4(), tol=tol)
     assert verify_power_cardinality(example_base_4(), tol=1).tolerance == 1
@@ -617,3 +640,30 @@ def test_no_library_call_compares_or_hashes_a_node(nodes_refuse_eq_and_hash):
         )
     with pytest.raises(DomainError):
         verify_power_cardinality(leveled)
+
+
+@pytest.mark.parametrize("level", [2.5, 2.0, 0.5, True, False, "2", None])
+def test_a_level_that_is_not_an_int_raises_level_error(level):
+    base = FuzzySet.flat([("x", 0.5), ("y", 0.25)])
+    braced = Braced("x", level)
+    exprs = [
+        braced,
+        Braced(Braced("x", 1), level),
+        Braced(SetOf((Braced("x", 0), Braced("y", 0))), level),
+        SetOf((braced, Braced("x", 2))),
+        SetOf((SetOf((braced, EMPTY)), Braced("y", 0))),
+    ]
+    for expr in exprs:
+        with pytest.raises(LevelError):
+            normalize(expr)
+        with pytest.raises(LevelError):
+            FuzzySet.build(base.universe, [(expr, 0.5)])
+        with pytest.raises(LevelError):
+            construct_fuzzy_set(base, [expr])
+        with pytest.raises(LevelError):
+            propagate_membership(base, expr)
+    for expr in (braced, exprs[3], exprs[4]):  # the trees print_expr walks
+        with pytest.raises(LevelError):
+            print_expr(expr)
+        with pytest.raises(LevelError):
+            fuzzyset_to_json(FuzzySet(base.universe, ((expr, 0.5),)))
