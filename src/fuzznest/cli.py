@@ -24,6 +24,7 @@ from .fuzzy_core import (
     FuzzySet,
     VerificationReport,
     _power_columns,
+    _power_report,
     construct_fuzzy_set,
     fuzzy_power_set,
     fuzzyset_from_json,
@@ -159,7 +160,7 @@ def _encode_rows(seq: BinarySequence, w: float) -> list[tuple[str, str]]:
 
 
 def cmd_parse(args) -> int:
-    _, depth, text = _parse(args.expr)
+    _, depth, text = _parse(args.expr, {})
     if args.json:
         return _emit_json({"input": args.expr, "canonical": text, "depth": depth})
     print(text)
@@ -187,19 +188,22 @@ def cmd_card(args) -> int:
 
 def cmd_powerset(args) -> int:
     """Lists the power set from the enumeration's columns of texts and
-    products, building no node and no per-row dict. The JSON is what
-    json.dumps writes for {"elements": [{"expr": ..., "mu": ...}, ...]}:
-    the products are finite floats, which json prints with
-    float.__repr__."""
+    products, building no node and no per-row dict, and checks the law
+    on those products. The JSON is what json.dumps writes for
+    {"elements": [{"expr": ..., "mu": ...}, ...]}: the products are
+    finite floats, which json prints with float.__repr__, and one %
+    formats every row from the flat list text, product, text, ..."""
     base = _read_fuzzyset(args.fuzzyset)
     _, texts, products = _power_columns(base, args.cap)
     report = None
     if args.verify:
-        report = verify_power_cardinality(base, args.tol, cap=args.cap)
+        report = _power_report(base, products, args.tol)
     if args.json:
-        exprs = map(encode_basestring_ascii, texts)
-        rows = map('{"expr": %s, "mu": %r}'.__mod__, zip(exprs, products))
-        out = '{"elements": [' + ", ".join(rows) + "]"
+        flat = [None] * (2 * len(texts))
+        flat[::2] = map(encode_basestring_ascii, texts)
+        flat[1::2] = products
+        template = ", ".join(['{"expr": %s, "mu": %r}'] * len(texts))
+        out = '{"elements": [' + template % tuple(flat) + "]"
         if report is not None:
             out += ', "report": ' + json.dumps(_report_json(report))
         print(out + "}")

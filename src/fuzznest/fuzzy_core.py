@@ -31,6 +31,16 @@ the sorted atom names and their factors, as columns of printed texts
 and products. fuzzy_power_set pairs them with the subsets of level-0
 atoms in the same order, its sets carrying their texts, and ``fuzznest
 powerset`` prints the texts and products without building any node.
+
+fuzzyset_to_json writes the whole document with one % over a flat list
+of arguments (escaped text, membership, escaped text, ...), so no
+formatting call runs per row. fuzzyset_from_json parses every row with
+one table of atom tokens: each distinct token becomes one node, shared
+by all the rows that hold it. The atoms of those nodes are all the
+atoms of the document, so one look at each tells whether the universe
+holds them; the elements are walked for foreign atoms only when it
+does not, which finds the first offending row as a walk of every row
+would.
 """
 
 from __future__ import annotations
@@ -121,12 +131,15 @@ class FuzzySet:
         cls,
         universe: AtomUniverse,
         pairs: Iterable[tuple[_Item, float]],
+        foreign: bool = True,
     ) -> "FuzzySet":
         """build() for the canonical items (node, depth, text) the
         canonicalizer gives.
 
         Checks each element's membership (a number in [0,1], and 1 for
         the empty set), then its universe, then that its text is new.
+        A caller that has found every atom of every item in the universe
+        passes foreign=False, and no element is walked for its atoms.
         """
         seen: set[str] = set()
         out: list[tuple[SetExpr, float]] = []
@@ -139,7 +152,7 @@ class FuzzySet:
             mu = float(mu)
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
-            out.append((_new_element(item, universe, seen), mu))
+            out.append((_new_element(item, universe if foreign else None, seen), mu))
         return cls(universe, tuple(out))
 
     @classmethod
@@ -161,8 +174,8 @@ class VerificationReport:
     """Outcome of one numeric check: computed vs expected at a tolerance.
 
     abs_diff and passed are derived from these four fields, never given.
-    ConfigError unless the tolerance is a number (not a bool), finite
-    and at least 0.
+    ConfigError unless computed, expected and the tolerance are numbers
+    (not bools), and the tolerance is finite and at least 0.
     """
 
     label: str
@@ -171,8 +184,10 @@ class VerificationReport:
     tolerance: float
 
     def __post_init__(self):
-        if not _is_number(self.tolerance, (int, float)):
-            raise ConfigError(f"tolerance must be a number, got {self.tolerance!r}")
+        for name in ("computed", "expected", "tolerance"):
+            value = getattr(self, name)
+            if not _is_number(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.tolerance < math.inf):
             raise ConfigError("tolerance must be finite and at least 0")
 
@@ -294,11 +309,14 @@ def _inside(e: SetExpr, universe: AtomUniverse) -> SetExpr:
     return e
 
 
-def _new_element(item: _Item, universe: AtomUniverse, seen: set[str]) -> SetExpr:
-    """The item's node after _inside, unless its text is in seen (which
-    it joins)."""
+def _new_element(
+    item: _Item, universe: AtomUniverse | None, seen: set[str]
+) -> SetExpr:
+    """The item's node after _inside (unless universe is None), unless
+    its text is in seen (which it joins)."""
     e, _, text = item
-    _inside(e, universe)
+    if universe is not None:
+        _inside(e, universe)
     if text in seen:
         raise DuplicateElementError(f"duplicate element {text}")
     seen.add(text)
@@ -416,6 +434,14 @@ def verify_power_cardinality(
     products = [1.0]
     for f in factors:
         products += [p * f for p in products]
+    return _power_report(base, products, tol)
+
+
+def _power_report(
+    base: FuzzySet, products: list[float], tol: float
+) -> VerificationReport:
+    """The power-set law's report from the 2^n subset products of a flat
+    base, in any order."""
     computed = math.fsum(products)
     expected = 2.0 ** scalar_cardinality(base)
     return VerificationReport("power-set cardinality law", computed, expected, tol)
@@ -458,15 +484,18 @@ def fuzzyset_to_json(fs: FuzzySet) -> str:
     """Serialize with 17 significant digits so values survive round trips.
 
     Each text is escaped as json.dumps escapes a str with its default
-    arguments (encode_basestring_ascii), once per row.
+    arguments (encode_basestring_ascii). One % formats the whole
+    document from a flat argument list (the atoms, then text, membership,
+    text, ...), writing each membership by %.17g, the bytes of
+    format(mu, ".17g").
     """
-    atoms = ",".join(map(encode_basestring_ascii, fs.universe.atoms))
-    rows = ",".join([
-        '{"expr":%s,"mu":%s}'
-        % (encode_basestring_ascii(print_expr(expr)), format(mu, ".17g"))
-        for expr, mu in fs.elements
-    ])
-    return '{"atoms":[%s],"elements":[%s]}' % (atoms, rows)
+    args = [",".join(map(encode_basestring_ascii, fs.universe.atoms))]
+    args += chain.from_iterable(fs.elements)
+    args[1::2] = map(encode_basestring_ascii, map(print_expr, args[1::2]))
+    row = '{"expr":%s,"mu":%.17g}'
+    return (
+        '{"atoms":[%s],"elements":[' + ",".join([row] * len(fs.elements)) + "]}"
+    ) % tuple(args)
 
 
 def _is_number(value, kinds) -> bool:
@@ -497,13 +526,14 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
     if not isinstance(rows, list):
         raise ParseError('"elements" must be a list', 0)
     pairs: list[tuple[_Item, float]] = []
+    leaves: dict[str, _Item] = {}  # one item per distinct atom token
     for row in rows:
         if not isinstance(row, dict) or "expr" not in row or "mu" not in row:
             raise ParseError('each element needs "expr" and "mu"', 0)
         mu = row["mu"]
         if not isinstance(row["expr"], str) or not _is_number(mu, (int, float)):
             raise ParseError('"expr" must be text and "mu" a number', 0)
-        item = _parse(row["expr"])
+        item = _parse(row["expr"], leaves)
         try:
             mu = float(mu)
         except OverflowError:  # an integer beyond the float range
@@ -511,5 +541,9 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
                 '"mu" is outside [0,1] and the float range', 0
             ) from None
         pairs.append((item, mu))
-    # parsing canonicalizes: no second normalize pass
-    return FuzzySet._from_canonical(AtomUniverse(tuple(atoms)), pairs)
+    universe = AtomUniverse(tuple(atoms))
+    # every atom of every row is the atom of a leaf: one check per leaf
+    # says whether any element needs the walk that finds the first
+    # foreign one; parsing canonicalizes, so no second normalize pass
+    foreign = not all(e.atom in universe for e, _, _ in leaves.values())
+    return FuzzySet._from_canonical(universe, pairs, foreign)

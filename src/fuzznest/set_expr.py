@@ -405,11 +405,19 @@ def parse_expr(text: str) -> SetExpr:
     a single token and becomes its item in one step; a unit at level 0
     is read as the bare atom it denotes, so "{{a}^(0)}^(3)" is "{a}^(3)".
     """
-    return _parse(text)[0]
+    return _parse(text, {})[0]
 
 
-def _parse(text: str) -> _Item:
-    """The item of parse_expr(text): the canonical node, its depth and text."""
+def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
+    """The item of parse_expr(text): the canonical node, its depth and text.
+
+    leaves maps the text of each atom token read so far, a bare or a
+    braced atom, to its item; a token found there reuses the item and
+    its node. A caller that parses many texts passes one dict to all of
+    them, so every distinct atom token becomes one node, shared by every
+    tree that holds it, and the atoms of all the trees are the atoms of
+    the dict's items.
+    """
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
     frames: list[list[_Item]] = []  # the items read so far, per open brace
@@ -433,17 +441,19 @@ def _parse(text: str) -> _Item:
         elif tok and tok[0] in _IDENT_START:
             if tokens[i] == "^":
                 raise _level_misuse(text, i)
-            item, atom = (Braced(tok, 0), 0, tok), True
+            item = leaves.get(tok)
+            if item is None:
+                item = leaves[tok] = (Braced(tok, 0), 0, tok)
+            atom = True
         elif tok[:1] == "{":
             # a braced atom: "{" NAME "}", then "^(" INT ")" or nothing
-            name, _, level = tok[1:].partition("}")
-            name = name.strip()
-            if level:
+            item = leaves.get(tok)
+            if item is None:
+                name, _, level = tok[1:].partition("}")
                 # int() skips the whitespace around the integer
-                level = int(level.partition("(")[2][:-1])
-                item, atom = _braced_item(name, level), level == 0
-            else:
-                item, atom = _braced_item(name, 1), False
+                level = int(level.partition("(")[2][:-1]) if level else 1
+                item = leaves[tok] = _braced_item(name.strip(), level)
+            atom = item[1] == 0  # a braced atom's depth is its level
         elif tok:
             raise _fail(text, i - 1, f"unexpected character {tok[0]!r}")
         else:

@@ -172,9 +172,13 @@ def test_powerset_enumerates_once(as_json, capsys, monkeypatch, base3_path):
     def not_called(*args, **kwargs):
         raise AssertionError("fuzzy_power_set was called")
 
+    def not_checked(*args, **kwargs):
+        raise AssertionError("verify_power_cardinality was called")
+
     for module in (cli, fuzzy_core):
         monkeypatch.setattr(module, "_power_columns", counted)
         monkeypatch.setattr(module, "fuzzy_power_set", not_called)
+    monkeypatch.setattr(cli, "verify_power_cardinality", not_checked)
     argv = ["powerset", base3_path, "--verify"] + (["--json"] if as_json else [])
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "") and len(calls) == 1

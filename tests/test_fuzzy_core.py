@@ -31,6 +31,7 @@ from fuzznest import (
     fuzzy_power_set,
     fuzzyset_from_json,
     fuzzyset_to_json,
+    in_superstructure,
     iterate_level,
     normalize,
     parse_expr,
@@ -408,12 +409,22 @@ def test_verification_report_invariants():
     bad = VerificationReport("off", 2.0, 1.5, 0.25)
     assert not bad.passed
     assert VerificationReport("exact", 1.0, 1.0, 0.0).passed
+    assert VerificationReport("ints", 3, 1, 2).passed  # an int is a number
     base = example_base_4()
     for tol in (math.nan, -1e-9, -1.0, math.inf):
         with pytest.raises(ConfigError):
             VerificationReport("tol", 2.0, 1.5, tol)
         with pytest.raises(ConfigError):
             verify_power_cardinality(base, tol=tol)
+
+
+@pytest.mark.parametrize("value", ["1", None, True, False, 1j])
+@pytest.mark.parametrize("field", ["computed", "expected"])
+def test_report_values_must_be_numbers(field, value):
+    # a str once built and leaked TypeError from .passed and .abs_diff
+    fields = {"label": "x", "computed": 2.0, "expected": 1.5, "tolerance": 0.1}
+    with pytest.raises(ConfigError, match=f"^{field} must be a number, got "):
+        VerificationReport(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("tol", ["1e-9", None, True, False])
@@ -581,6 +592,63 @@ def test_fuzzyset_json_rejects_boolean_membership(flag):
     # integer memberships stay numbers
     fs = fuzzyset_from_json(text.replace(flag, "1"))
     assert fs.elements == ((Braced("x1", 0), 1.0),)
+
+
+def test_json_reader_builds_one_leaf_per_distinct_atom(monkeypatch):
+    base = FuzzySet.flat([(f"x{i}", i / 13) for i in range(1, 13)])
+    text = fuzzyset_to_json(fuzzy_power_set(base))
+    level0 = []
+    init = Braced.__init__
+
+    def counted_init(self, atom, level):
+        init(self, atom, level)
+        if level == 0:
+            level0.append(atom)
+
+    def no_walk(e, universe):
+        raise AssertionError("an element was walked for its atoms")
+
+    monkeypatch.setattr(Braced, "__init__", counted_init)
+    monkeypatch.setattr(fuzzy_core, "in_superstructure", no_walk)
+    fs = fuzzyset_from_json(text)
+    assert len(fs.elements) == 2**12
+    assert sorted(level0) == sorted(base.universe.atoms)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 15])
+def test_json_reader_raises_at_the_first_foreign_row(k, monkeypatch):
+    doc = json.loads(fuzzyset_to_json(fuzzy_power_set(example_base_4())))
+    doc["elements"][k]["expr"] = "{%s,zz}" % doc["elements"][k]["expr"]
+    foreign = print_expr(parse_expr(doc["elements"][k]["expr"]))
+    walked = []
+
+    def counted(e, universe):
+        walked.append(e)
+        return in_superstructure(e, universe)
+
+    monkeypatch.setattr(fuzzy_core, "in_superstructure", counted)
+    with pytest.raises(UniverseError) as exc:
+        fuzzyset_from_json(json.dumps(doc))
+    assert str(exc.value) == f"{foreign} uses atoms outside the universe"
+    assert len(walked) == k + 1  # the rows up to and including row k
+
+
+def test_json_writer_edge_cases():
+    empty = FuzzySet(AtomUniverse(()), ())
+    assert fuzzyset_to_json(empty) == '{"atoms":[],"elements":[]}'
+    # the trusting constructor keeps integer memberships: %.17g writes them
+    # as format(mu, ".17g") did
+    ints = FuzzySet(
+        AtomUniverse(("x1", "x2")),
+        ((Braced("x1", 0), 1), (Braced("x2", 0), 0), (EMPTY, 1)),
+    )
+    assert fuzzyset_to_json(ints) == (
+        '{"atoms":["x1","x2"],"elements":[{"expr":"x1","mu":1},'
+        '{"expr":"x2","mu":0},{"expr":"\\u2205","mu":1}]}'
+    )
+    assert fuzzyset_from_json(fuzzyset_to_json(ints)).elements == tuple(
+        (e, float(mu)) for e, mu in ints.elements
+    )
 
 
 def test_fuzzyset_json_too_deep_is_a_parse_error():

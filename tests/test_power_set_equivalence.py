@@ -10,8 +10,13 @@ same exception class with the same message, and ``fuzznest powerset``
 must write byte-identical output. Listed sets carry the text the
 printer gives them, and the JSON writer is byte-identical to the one
 that called json.dumps once per row (frozen in legacy_fuzzy_json.py).
+The JSON reader gives the same fuzzy set, bit for bit, or the same
+error as the reader that parsed each row on its own and walked every
+element for foreign atoms (frozen there too), on listings, mixed sets
+and broken variants of both.
 """
 
+import json
 import random
 
 import pytest
@@ -21,10 +26,17 @@ from fuzznest import (
     Braced,
     CapExceededError,
     DomainError,
+    DuplicateElementError,
     Empty,
+    FuzznestError,
     FuzzySet,
+    InvariantError,
+    LevelError,
+    ParseError,
     SetOf,
+    UniverseError,
     fuzzy_power_set,
+    fuzzyset_from_json,
     fuzzyset_to_json,
     print_expr,
     verify_power_cardinality,
@@ -212,3 +224,79 @@ def test_json_writer_matches_reference():
             for key in seen:
                 seen[key] += key in printed
     assert min(seen.values()) >= 50, seen
+
+
+def _read(reader, text: str):
+    """The fuzzy set a reader gives, as universe, elements and membership
+    bits, or its error as class, message and offset."""
+    try:
+        fs = reader(text)
+    except FuzznestError as exc:
+        return type(exc), str(exc), getattr(exc, "offset", None)
+    return fs.universe, [e for e, _ in fs.elements], [mu.hex() for _, mu in fs.elements]
+
+
+_FOREIGN = "zz"  # in no universe of these tests
+_MALFORMED = ("{x1,", "{x1}^(", "x1 x2", "{{x1}^(2)}^(3)", "{x1}^(2)^(3)")
+
+
+def _broken(rng: random.Random, doc: dict) -> tuple[str, dict]:
+    """A copy of a document with one or two faults: a foreign atom in the
+    first, a middle or the last row, or a dropped universe atom, alone or
+    before or after a membership outside [0,1], a duplicate or a
+    malformed row."""
+    doc = json.loads(json.dumps(doc))
+    rows = doc["elements"]
+    n = len(rows)
+    kind = rng.choice(("foreign", "dropped", "mu", "duplicate", "malformed"))
+    k = rng.choice((0, n // 2, n - 1))
+    if kind == "dropped":
+        if doc["atoms"]:
+            del doc["atoms"][rng.randrange(len(doc["atoms"]))]
+        return kind, doc
+    rows[k]["expr"] = "{%s,%s}" % (rows[k]["expr"], _FOREIGN)
+    if kind == "foreign" or n < 2:
+        return kind, doc
+    j = rng.choice([i for i in range(n) if i != k])
+    if kind == "mu":
+        rows[j]["mu"] = rng.choice((1.5, -0.25, 2))
+    elif kind == "duplicate":
+        rows[j]["expr"] = rows[rng.choice([i for i in range(n) if i != j])]["expr"]
+    else:
+        rows[j]["expr"] = rng.choice(_MALFORMED)
+    return kind, doc
+
+
+def _documents(seed: int):
+    """(kind, text): power-set listings and mixed sets, then broken
+    variants of those with up to 256 rows."""
+    rng = random.Random(seed)
+    docs = []
+    for base, cap, _ in _bases(seed, 60):
+        try:
+            docs.append(json.loads(fuzzyset_to_json(fuzzy_power_set(base, cap))))
+        except (DomainError, CapExceededError):
+            continue
+    docs += [json.loads(fuzzyset_to_json(fs)) for fs in _mixed_sets(seed + 1, 150)]
+    for doc in docs:
+        yield "intact", json.dumps(doc, ensure_ascii=False)
+        if 0 < len(doc["elements"]) <= 256:
+            for _ in range(3):
+                kind, broken = _broken(rng, doc)
+                yield kind, json.dumps(broken, ensure_ascii=False)
+
+
+def test_json_reader_matches_reference():
+    kinds: dict[str, int] = {}
+    errors: dict[type, int] = {}
+    for kind, text in _documents(20261022):
+        want = _read(legacy_fuzzy_json.fuzzyset_from_json, text)
+        assert _read(fuzzyset_from_json, text) == want, (kind, text)
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if isinstance(want[0], type):
+            errors[want[0]] = errors.get(want[0], 0) + 1
+    assert kinds["intact"] >= 150 and min(kinds.values()) >= 40, kinds
+    assert set(errors) == {
+        UniverseError, InvariantError, DuplicateElementError, ParseError, LevelError
+    }, errors
+    assert min(errors.values()) >= 10, errors

@@ -310,7 +310,7 @@ def test_canonical_items_carry_the_printed_text(raw):
     # fuzzy_core tells elements apart by the text these items carry
     e, depth, text = set_expr._canonical(raw)
     assert text == print_expr(e) and depth == structural_depth(e)
-    assert set_expr._parse(text) == (e, depth, text)
+    assert set_expr._parse(text, {}) == (e, depth, text)
 
 
 def test_roundtrip_random_generator_sanity():
