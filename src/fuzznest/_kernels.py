@@ -1,13 +1,14 @@
 """Numeric kernels: the level maps, the cardinality series and its root,
 and the greedy encoder.
 
-The level map u_k(t) is k applications of v -> 2^v - 1 for k > 0, |k|
-applications of v -> log2(v + 1) for k < 0. Consecutive levels satisfy
-u_{k+1} = 2^(u_k) - 1 for every integer k, which lets series and scans
-advance incrementally instead of recomputing each level from scratch.
-Differentiating that recurrence gives the slope of each level,
-u'_{k+1} = ln2 * 2^(u_k) * u'_k, and going down
-u'_{k-1} = u'_k / (ln2 * (u_k + 1)), with u'_0 = 1.
+The level map u_k(t) is k up steps _up(v) = 2^v - 1 for k > 0, |k| down
+steps _down(v) = log2(v + 1) for k < 0. The pair is the one place the
+map is written out but for _series, and _climb the one walk of it.
+Consecutive levels satisfy u_{k+1} = 2^(u_k) - 1 for every integer k,
+which lets series and scans advance incrementally instead of
+recomputing each level from scratch. Differentiating that recurrence
+gives the slope of each level, u'_{k+1} = ln2 * 2^(u_k) * u'_k, and
+going down u'_{k-1} = u'_k / (ln2 * (u_k + 1)), with u'_0 = 1.
 """
 
 from __future__ import annotations
@@ -20,33 +21,56 @@ from .errors import IndexCapExceededError
 _LN2 = math.log(2.0)
 
 
-def level_value(t: float, k: int) -> float:
-    """u_k(t). 0 and 1 are fixed points of both maps and stay exact.
+def _up(v: float) -> float:
+    return 2.0 ** v - 1.0
 
-    Both maps are deterministic, so once an iterate equals the one
-    before it every later one does too: the loop stops there with the
-    value all |k| steps would give. In binary64 the iterates settle on
-    such a fixed point within about two hundred steps, so even a huge
-    |k| costs bounded work.
+
+def _down(v: float) -> float:
+    return math.log2(v + 1.0)
+
+
+def _climb(rungs: list[float], k: int) -> float:
+    """rungs[|k|] of a ladder, grown as far as |k| asks.
+
+    rungs[j] is u_{+-j}(rungs[0]), one _up step (k > 0) or _down step
+    (k < 0) from rungs[j - 1], so a caller keeps one ladder per sign.
+    Once a step returns its input the ladder ends with that value
+    repeated, which stands for every higher level. Such a stall need not
+    be a fixed point of the map: from t in (1.7e-16, 1 - 2^-52) the up
+    walk stalls at 2^-52 (2.0 ** v rounds to 1 + 2^-52, not to 1) and
+    from t in (3.5e-16, 1 - 2^-52) the down walk at 1 - 3 * 2^-53. Over
+    t in (0, 1) both stall within 207 steps (96 up and 112 down from
+    t = 0.3), so any |k| costs bounded work.
     """
-    v = t
-    if k > 0:
-        for _ in range(k):
-            nxt = 2.0 ** v - 1.0
-            if nxt == v:
-                break
-            v = nxt
-    else:
-        for _ in range(-k):
-            nxt = math.log2(v + 1.0)
-            if nxt == v:
-                break
-            v = nxt
+    n = k if k >= 0 else -k
+    if n < len(rungs):
+        return rungs[n]
+    v = rungs[-1]
+    if len(rungs) > 1 and rungs[-2] == v:
+        return v  # the ladder ended where a step returned its input
+    step = _up if k > 0 else _down
+    append = rungs.append
+    for _ in range(n + 1 - len(rungs)):
+        nxt = step(v)
+        if nxt == v:
+            append(v)  # not nxt: the step takes -0.0 to 0.0
+            break
+        append(nxt)
+        v = nxt
     return v
 
 
+def level_value(t: float, k: int) -> float:
+    """u_k(t), read from a new ladder of t. 0 and 1 stay exact."""
+    return _climb([t], k)
+
+
 def _series(m_star: int, bits: Sequence[int], t: float) -> tuple[float, float]:
-    """(G(t), G'(t)) in one walk over the bits; bits[i] is at m_star + i."""
+    """(G(t), G'(t)) in one walk over the bits; bits[i] is at m_star + i.
+
+    The steps are inline, sharing 2^v and v + 1 with the slope: calling
+    _up and _down per bit made an evaluation a third slower (15.7 against
+    11.9 us over 200 encoder outputs, CPython 3.11 on one Xeon core)."""
     v = t
     d = 1.0
     for _ in range(-m_star):
@@ -129,11 +153,11 @@ def series_root(m_star: int, bits: Sequence[int], tol_root: float) -> float:
 def _initial_index(w: float, max_index: int) -> tuple[int, float]:
     """(k, u_k(w)) for the least k < 0 with u_k(w) + w - 1 <= 0, a side that
     decreases in k, else (0, w). The walk down raises on passing -max_index,
-    or at a fixed point of the map, where its test can no longer change."""
+    or where a step returns its input, after which its test cannot change."""
     s0 = w - 1.0
     k, v = 0, w
     while True:
-        nxt = math.log2(v + 1.0)
+        nxt = _down(v)
         if nxt + s0 > 0.0:
             return k, v
         if nxt == v or k == -max_index:
@@ -156,7 +180,7 @@ def greedy_encode(
     truncation at max_terms bits.
 
     A first index below 0 comes from _initial_index's walk down, which
-    raises IndexCapExceededError at a fixed point; every other index from
+    raises IndexCapExceededError where it stalls; every other index from
     one upward search from the previous index (or 0), up to max_index.
 
     Returns (m_star, bits, truncated, residual).
@@ -172,7 +196,7 @@ def greedy_encode(
                 if k > max_index:
                     search = "index" if chosen else "initial index"
                     raise IndexCapExceededError(f"{search} search passed {max_index}")
-                v = 2.0 ** v - 1.0
+                v = _up(v)
                 if k != 0 and s + v <= 0.0:
                     break
         chosen.append(k)

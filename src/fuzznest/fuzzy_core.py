@@ -11,10 +11,10 @@ elements by three rules applied in order:
    members' propagated memberships.
 
 Each call of construct_fuzzy_set, propagate_membership or
-verify_classical_degeneracy reads an atom's levels from ladders of its
-base membership that grow as far as the call's highest level asks and
-end where level_value stops, so every level of an atom is computed once
-per call, with the bits level_value gives.
+verify_classical_degeneracy reads an atom's levels from the two ladders
+of its base membership (_kernels._climb), which it keeps for the call,
+so every level of an atom is computed once per call, with the bits
+level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
 
 Elements are told apart by their printed text, as set_expr's sets tell
 members apart, and the pass that canonicalizes an element gives its
@@ -52,7 +52,7 @@ from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
-from ._kernels import level_value
+from ._kernels import _climb, _up
 from .errors import (
     CapExceededError,
     ConfigError,
@@ -214,15 +214,10 @@ class _Propagation:
     is printed, which walks its subtree, only at the depth of a listed
     set; one post-order pass over the probe gives the depths, and sets
     of one depth are disjoint, so each listed depth prints O(probe).
-    Rule 3 reads each atom's levels from two ladders of its base
-    membership t (stored under the atom's name, its text), one for the
-    levels above 0 and one for those below: rungs[j] is
-    level_value(t, +-j), each rung one level_value step from the one
-    before. A ladder grows only as far as a level asks, and once a step
-    returns its input (a fixed point of the map) it ends with that value
-    repeated, which stands for every higher level, as in level_value. So
-    each level of an atom is computed once per call, bit for bit as
-    level_value(t, k) computes it.
+    Rule 3 reads each atom's levels from two _climb ladders of its base
+    membership t (stored under the atom's name, its text), up for the
+    levels from 0 and down for those below. So each level of an atom is
+    computed once per call, bit for bit as level_value(t, k) computes it.
     """
 
     __slots__ = ("table", "set_depths", "levels_listed", "up", "down")
@@ -249,20 +244,7 @@ class _Propagation:
                     f"atom {atom!r} has no base membership"
                 )
             rungs = ladders[atom] = [t]
-        n = abs(k)
-        if n < len(rungs):
-            return rungs[n]
-        v = rungs[-1]
-        if len(rungs) > 1 and rungs[-2] == v:
-            return v  # the ladder ended on a fixed point
-        step = 1 if k > 0 else -1
-        for _ in range(n + 1 - len(rungs)):
-            nxt = level_value(v, step)
-            rungs.append(nxt)
-            if nxt == v:
-                break
-            v = nxt
-        return v
+        return _climb(rungs, k)
 
     def membership(self, y: SetExpr) -> float:
         """Membership of a canonical y under the rule order of the
@@ -281,7 +263,7 @@ class _Propagation:
             if type(x) is int:
                 product = 1.0
                 for value in values[len(values) - x:]:
-                    product *= 2.0 ** value - 1.0
+                    product *= _up(value)
                 del values[len(values) - x:]
                 values.append(product)
             elif isinstance(x, Empty):
@@ -371,7 +353,7 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
         raise CapExceededError(
             f"{n} atoms would enumerate 2^{n} subsets (cap is {cap})"
         )
-    return names, [2.0 ** mu[name] - 1.0 for name in names]
+    return names, [_up(mu[name]) for name in names]
 
 
 def _power_columns(

@@ -34,7 +34,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress
 
-from ._kernels import _series, greedy_encode, level_value, series_root
+from ._kernels import _climb, _series, greedy_encode, level_value, series_root
 from .errors import ConfigError, InvariantError, ParseError, RangeError
 from .fuzzy_core import FuzzySet, _is_number, _load_object
 from .set_expr import AtomUniverse, Braced, SetExpr, _byte_offset
@@ -156,10 +156,11 @@ def iterate_level(t: float, k: int) -> float:
     """u_k(t): k-fold 2^v - 1 for k > 0, |k|-fold log2(v + 1) for k < 0.
 
     The two maps are mutual inverses on [0,1] with fixed points 0 and 1.
-    The iteration stops once it reaches a fixed point, so any integer k
-    costs bounded work. A t that is not a number in [0,1] or a k that
-    is not an integer (2.5, inf, nan, "2") raises RangeError; a bool is
-    neither, and an integral float k such as 2.0 is an integer.
+    The walk stops where a step returns its input, which need not be a
+    fixed point (see _kernels._climb), so any integer k costs bounded
+    work. A t that is not a number in [0,1] or a k that is not an
+    integer (2.5, inf, nan, "2") raises RangeError; a bool is neither,
+    and an integral float k such as 2.0 is an integer.
     """
     if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
         raise RangeError(f"t must be in [0,1], got {t!r}")
@@ -232,16 +233,11 @@ def expand_to_fuzzy(
     """
     universe = AtomUniverse((atom,))  # validates the name before solving
     w = decode(a, cfg)
-    indices = a.nonzero_indices
-    zero = indices.index(0)
-    levels = [w] * len(indices)
-    # each level steps from its neighbour nearer index 0, not from w; the
-    # maps are deterministic, so the values are those of level_value(w, k)
-    for i in range(zero + 1, len(indices)):
-        levels[i] = level_value(levels[i - 1], indices[i] - indices[i - 1])
-    for i in range(zero - 1, -1, -1):
-        levels[i] = level_value(levels[i + 1], indices[i] - indices[i + 1])
-    pairs = tuple((Braced(atom, k), u) for k, u in zip(indices, levels))
+    up, down = [w], [w]  # w's two ladders, so each level is one step
+    pairs = tuple(
+        (Braced(atom, k), _climb(up if k >= 0 else down, k))
+        for k in a.nonzero_indices
+    )
     return FuzzySet(universe, pairs)
 
 

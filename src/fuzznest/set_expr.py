@@ -374,6 +374,16 @@ def _level_misuse(text: str, token: int) -> LevelError:
     )
 
 
+def _int_level(text: str, token: int, tok: str, digits: str) -> int:
+    """int(digits) for the level that ends the token-th token, tok, or a
+    ParseError at its sign or first digit past int()'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        shift = tok.rindex(digits.strip())
+        raise _fail(text, token, "level has too many digits", shift) from None
+
+
 def _level(text: str, tokens: list[str], i: int) -> tuple[int, int]:
     """Read "(" INT ")" from token i on; return the level and the next token."""
     if tokens[i] != "(":
@@ -385,7 +395,7 @@ def _level(text: str, tokens: list[str], i: int) -> tuple[int, int]:
         raise _fail(text, i + 1, "expected an integer level", shift)
     if tokens[i + 2] != ")":
         raise _fail(text, i + 2, "expected ')'")
-    return int(tok), i + 3
+    return _int_level(text, i + 1, tok, tok), i + 3
 
 
 def parse_expr(text: str) -> SetExpr:
@@ -451,7 +461,8 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
             if item is None:
                 name, _, level = tok[1:].partition("}")
                 # int() skips the whitespace around the integer
-                level = int(level.partition("(")[2][:-1]) if level else 1
+                digits = level.partition("(")[2][:-1]
+                level = _int_level(text, i - 1, tok, digits) if digits else 1
                 item = leaves[tok] = _braced_item(name.strip(), level)
             atom = item[1] == 0  # a braced atom's depth is its level
         elif tok:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from fuzznest import Braced, Empty, FuzzySet, SetExpr, SetOf, normalize
 
 ATOM_POOL = ("x1", "x2", "x3", "x4", "y", "z0")
+
+# int() refuses a string of more digits than this; 0 means no limit
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# the digits of a level just past that limit (5,000 when there is none)
+HUGE_LEVEL = "1" * (INT_DIGIT_LIMIT + 1 if INT_DIGIT_LIMIT else 5000)
 
 
 def random_expr(rng: random.Random, depth: int = 4) -> SetExpr:

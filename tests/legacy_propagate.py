@@ -2,16 +2,35 @@
 from per-call ladders, frozen as a reference for equivalence tests.
 
 Every braced atom looks its base membership up in the table and applies
-level_value from scratch. Node classes, errors and level_value are the
-package's own, so results compare bit for bit.
+level_value from scratch. level_value is frozen here as it stood then,
+walking its map until a step returns its input; node classes and errors
+are the package's own, so results compare bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
 from fuzznest import Braced, Empty, FuzzySet, MissingMembershipError, SetExpr, SetOf
-from fuzznest._kernels import level_value
+
+
+def level_value(t: float, k: int) -> float:
+    """u_k(t), stopping where a step returns its input (which it returns)."""
+    v = t
+    if k > 0:
+        for _ in range(k):
+            nxt = 2.0 ** v - 1.0
+            if nxt == v:
+                break
+            v = nxt
+    else:
+        for _ in range(-k):
+            nxt = math.log2(v + 1.0)
+            if nxt == v:
+                break
+            v = nxt
+    return v
 
 
 def lookup_table(base: FuzzySet) -> tuple[dict[SetExpr, float], bool]:

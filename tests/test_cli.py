@@ -25,6 +25,7 @@ from fuzznest import (
 )
 from fuzznest import cli, fuzzy_core, seq_codec
 from fuzznest.cli import main
+from helpers import HUGE_LEVEL, INT_DIGIT_LIMIT
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -823,6 +824,24 @@ def test_module_entry_point():
     )
     assert out.returncode == 0 and out.stderr == ""
     assert out.stdout == (GOLDEN_DIR / "example3.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("template", ["{a}^(%s)", "{{a}^(0)}^(%s)"])
+def test_parse_level_past_the_int_digit_limit_exits_2(template):
+    text = template % HUGE_LEVEL
+    out = subprocess.run(
+        [sys.executable, "-m", "fuzznest", "parse", text],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+    )
+    if not INT_DIGIT_LIMIT:  # no limit: int() cannot fail
+        assert out.returncode == 0 and out.stderr == ""
+        assert out.stdout == "{a}^(%s)\n" % HUGE_LEVEL
+        return
+    offset = template.index("%")
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == f"error: level has too many digits (byte offset {offset})\n"
 
 
 # ------------------------------------------------------------ golden files

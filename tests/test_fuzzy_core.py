@@ -42,7 +42,7 @@ from fuzznest import (
     verify_power_cardinality,
 )
 from fuzznest import fuzzy_core
-from helpers import ATOM_POOL, random_expr, random_flat_set
+from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, random_flat_set
 import oracle_mp
 from oracle_mp import CONSTRUCTION_VALUES, POWERSET_VALUES
 
@@ -576,6 +576,18 @@ def test_fuzzyset_json_shape():
 def test_fuzzyset_json_rejects_malformed(text):
     with pytest.raises(ParseError):
         fuzzyset_from_json(text)
+
+
+def test_fuzzyset_json_level_past_the_int_digit_limit():
+    expr = "{x1}^(%s)" % HUGE_LEVEL
+    text = json.dumps({"atoms": ["x1"], "elements": [{"expr": expr, "mu": 0.5}]})
+    if not INT_DIGIT_LIMIT:  # no limit: int() cannot fail
+        (e, _), = fuzzyset_from_json(text).elements
+        assert print_expr(e) == expr
+        return
+    with pytest.raises(ParseError, match="level has too many digits") as exc:
+        fuzzyset_from_json(text)
+    assert exc.value.offset == 6
 
 
 def test_fuzzyset_json_rejects_integer_beyond_float_range():

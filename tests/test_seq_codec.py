@@ -32,7 +32,7 @@ from fuzznest import (
     sequence_to_universe,
     series_cardinality,
 )
-from fuzznest import seq_codec
+from fuzznest import _kernels, seq_codec
 from fuzznest._kernels import level_value
 from oracle_mp import (
     EXPANSION_A,
@@ -568,8 +568,8 @@ def _expansion_inputs() -> list[BinarySequence]:
 
 
 def test_expand_matches_per_bit_levels():
-    # the levels are chained from one 1-bit to the next, once down and
-    # once up from w; each must be bit-identical to u_k(w) from w itself
+    # the levels are rungs of two ladders of w, one down and one up; each
+    # must be bit-identical to u_k(w) from w itself
     for a in _expansion_inputs():
         w = decode(a)
         fs = expand_to_fuzzy(a)
@@ -577,6 +577,31 @@ def test_expand_matches_per_bit_levels():
         for (e, mu), k in zip(fs.elements, a.nonzero_indices):
             assert e == Braced("x", k)
             assert float.hex(mu) == float.hex(level_value(w, k)), (str(a), k)
+
+
+def test_expand_steps_once_per_level(monkeypatch):
+    # 1-bits at every index in -40..40: one step per level, not |k| per bit
+    a = BinarySequence(-40, (1,) * 81)
+    w = decode(a)
+    calls = {"up": 0, "down": 0}
+
+    def counted(name):
+        step = getattr(_kernels, "_" + name)
+
+        def counting(v):
+            calls[name] += 1
+            return step(v)
+
+        return counting
+
+    monkeypatch.setattr(_kernels, "_up", counted("up"))
+    monkeypatch.setattr(_kernels, "_down", counted("down"))
+    fs = expand_to_fuzzy(a)
+    assert calls == {"up": 40, "down": 40}
+    monkeypatch.undo()
+    for (e, mu), k in zip(fs.elements, range(-40, 41)):
+        assert e == Braced("x", k)
+        assert float.hex(mu) == float.hex(level_value(w, k)), k
 
 
 def test_expand_checks_the_atom_before_solving(monkeypatch):

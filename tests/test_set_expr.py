@@ -23,7 +23,7 @@ from fuzznest import (
     structural_depth,
 )
 from fuzznest import set_expr
-from helpers import ATOM_POOL, random_expr
+from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr
 
 # ------------------------------------------------------------------ parse
 
@@ -99,6 +99,26 @@ def test_parse_error_reports_byte_offset():
     with pytest.raises(ParseError) as exc:
         parse_expr("{x1,]}")
     assert exc.value.offset == 4
+
+
+@pytest.mark.parametrize(
+    "template, offset, sign",
+    [
+        ("{a}^(%s)", 5, ""),  # one braced-atom token
+        ("{ a } ^ ( +%s )", 10, ""),
+        ("{{a}^(0)}^(%s)", 11, ""),  # "(" INT ")" after a set's brace
+        ("{{a}^(0)}^( -%s )", 12, "-"),
+    ],
+)
+def test_level_past_the_int_digit_limit(template, offset, sign):
+    # the offset is that of the level's sign or first digit
+    text = template % HUGE_LEVEL
+    if not INT_DIGIT_LIMIT:  # no limit: int() cannot fail
+        assert print_expr(parse_expr(text)) == "{a}^(%s%s)" % (sign, HUGE_LEVEL)
+        return
+    with pytest.raises(ParseError, match="level has too many digits") as exc:
+        parse_expr(text)
+    assert exc.value.offset == offset
 
 
 @pytest.mark.parametrize(
