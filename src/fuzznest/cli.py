@@ -44,7 +44,7 @@ from .seq_codec import (
     sequence_from_json,
     series_cardinality,
 )
-from .set_expr import _parse, parse_expr, print_expr
+from .set_expr import _parse, parse_expr
 
 # ------------------------------------------------------------ formatting
 
@@ -120,16 +120,16 @@ def _read_sequence(text: str) -> BinarySequence:
 
 
 def _element_rows(fs: FuzzySet, precision: int) -> list[tuple[str, str]]:
-    return [(print_expr(e), _fmt(mu, precision)) for e, mu in fs.elements]
+    return [(t, _fmt(mu, precision)) for t, (_, mu) in zip(fs.texts, fs.elements)]
 
 
 def _element_json(fs: FuzzySet) -> list[dict]:
-    return [{"expr": print_expr(e), "mu": mu} for e, mu in fs.elements]
+    return [{"expr": t, "mu": mu} for t, (_, mu) in zip(fs.texts, fs.elements)]
 
 
 def _base_row(base: FuzzySet, precision: int) -> tuple[str, str]:
-    pairs = [f"{print_expr(e)}={_fmt(mu, precision)}" for e, mu in base.elements]
-    return ("base", " ".join(pairs))
+    rows = _element_rows(base, precision)
+    return ("base", " ".join([f"{t}={value}" for t, value in rows]))
 
 
 def _decode_rows(

@@ -17,8 +17,9 @@ so every level of an atom is computed once per call, with the bits
 level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
 
 Elements are told apart by their printed text, as set_expr's sets tell
-members apart, and the pass that canonicalizes an element gives its
-text. No call here compares or hashes a node.
+members apart. The pass that canonicalizes an element gives its text,
+and the fuzzy set keeps it in ``FuzzySet.texts``, which every writer
+reads. No call here compares or hashes a node.
 
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
@@ -28,8 +29,8 @@ products, without building the listing of 2^n expressions.
 
 The listing itself is enumerated once, by itertools.combinations over
 the sorted atom names and their factors, as columns of printed texts
-and products. fuzzy_power_set pairs them with the subsets of level-0
-atoms in the same order, its sets carrying their texts, and ``fuzznest
+and products. fuzzy_power_set pairs the products with the subsets of
+level-0 atoms in the same order and keeps the texts, and ``fuzznest
 powerset`` prints the texts and products without building any node.
 
 fuzzyset_to_json writes the whole document with one % over a flat list
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -76,7 +77,6 @@ from .set_expr import (
     _parse,
     atoms_of,
     in_superstructure,
-    normalize,
     print_expr,
     structural_depth,
 )
@@ -108,6 +108,24 @@ class FuzzySet:
 
     universe: AtomUniverse
     elements: tuple[tuple[SetExpr, float], ...]
+    _texts: tuple[str, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        """The elements' printed forms, in element order: the texts their
+        maker kept (build, flat, fuzzyset_from_json, construct_fuzzy_set,
+        fuzzy_power_set), else printed once, at the first read."""
+        if self._texts is None:
+            self._keep_texts([print_expr(e) for e, _ in self.elements])
+        return self._texts
+
+    def _keep_texts(self, texts: Iterable[str]) -> "FuzzySet":
+        """Keep texts as the elements' printed forms, and return self;
+        the one write of the slot."""
+        object.__setattr__(self, "_texts", tuple(texts))
+        return self
 
     @classmethod
     def build(
@@ -141,7 +159,7 @@ class FuzzySet:
         A caller that has found every atom of every item in the universe
         passes foreign=False, and no element is walked for its atoms.
         """
-        seen: set[str] = set()
+        seen: dict[str, None] = {}  # the texts, in element order
         out: list[tuple[SetExpr, float]] = []
         for item, mu in pairs:
             e, _, text = item
@@ -153,7 +171,7 @@ class FuzzySet:
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
             out.append((_new_element(item, universe if foreign else None, seen), mu))
-        return cls(universe, tuple(out))
+        return cls(universe, tuple(out))._keep_texts(seen)
 
     @classmethod
     def flat(cls, memberships: Iterable[tuple[str, float]]) -> "FuzzySet":
@@ -208,28 +226,28 @@ def scalar_cardinality(fs: FuzzySet) -> float:
 class _Propagation:
     """Membership propagation from one base for the span of one call.
 
-    Rule 2 looks the printed text up in a table, and only for a kind of
-    element the base lists beyond its level-0 atoms: a level-0 atom's
-    stored value is its base membership, which rule 3 gives too. A set
-    is printed, which walks its subtree, only at the depth of a listed
-    set; one post-order pass over the probe gives the depths, and sets
-    of one depth are disjoint, so each listed depth prints O(probe).
+    Rule 2 looks the printed text up in a table (the base's texts), and
+    only for an element whose structural depth is in depths: the depths
+    of the base's sets (0 for {{x}^(-1),{y}^(-1)}) and braced atoms (the
+    level), ∅ and level-0 atoms aside, since rules 1 and 3 give their
+    stored values. A set is printed, which walks its subtree, only at a
+    listed depth; one post-order pass over the probe gives the depths,
+    and sets of one depth are disjoint, so each listed depth prints
+    O(probe).
     Rule 3 reads each atom's levels from two _climb ladders of its base
     membership t (stored under the atom's name, its text), up for the
     levels from 0 and down for those below. So each level of an atom is
     computed once per call, bit for bit as level_value(t, k) computes it.
     """
 
-    __slots__ = ("table", "set_depths", "levels_listed", "up", "down")
+    __slots__ = ("table", "depths", "up", "down")
 
     def __init__(self, base: FuzzySet):
-        self.table = {print_expr(e): mu for e, mu in base.elements}
-        self.set_depths = {
-            structural_depth(e) for e, _ in base.elements if isinstance(e, SetOf)
+        self.table = dict(zip(base.texts, [mu for _, mu in base.elements]))
+        self.depths = {
+            structural_depth(e) for e, _ in base.elements
+            if isinstance(e, SetOf) or (isinstance(e, Braced) and e.level)
         }
-        self.levels_listed = any(
-            isinstance(e, Braced) and e.level != 0 for e, _ in base.elements
-        )
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
 
@@ -250,11 +268,9 @@ class _Propagation:
         """Membership of a canonical y under the rule order of the
         module docstring, evaluated with an explicit stack (members left
         to right, so errors and rounding match a recursive evaluation)."""
-        table, levels_listed, set_depths = (
-            self.table, self.levels_listed, self.set_depths
-        )
-        depth_of: dict[int, int] = {}  # id(set) -> depth, when sets are listed
-        if set_depths:
+        table, depths = self.table, self.depths
+        depth_of: dict[int, int] = {}  # id(set) -> depth, when depths are listed
+        if depths:
             _depth(y, depth_of)
         values: list[float] = []
         todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
@@ -268,40 +284,38 @@ class _Propagation:
                 values.append(product)
             elif isinstance(x, Empty):
                 values.append(1.0)
-            elif isinstance(x, Braced):
-                stored = table.get(print_expr(x)) if levels_listed else None
-                if stored is None:
-                    stored = self.level(x.atom, x.level)
-                values.append(stored)
             else:
-                listed = set_depths and depth_of[id(x)] in set_depths
-                stored = table.get(print_expr(x)) if listed else None
+                braced = isinstance(x, Braced)
+                depth = x.level if braced else depth_of.get(id(x))
+                stored = table.get(print_expr(x)) if depth in depths else None
                 if stored is not None:
                     values.append(stored)
+                elif braced:
+                    values.append(self.level(x.atom, x.level))
                 else:
                     todo.append(len(x.elements))
                     todo.extend(reversed(x.elements))
         return values[0]
 
 
-def _inside(e: SetExpr, universe: AtomUniverse) -> SetExpr:
-    """e itself, or UniverseError if it uses atoms outside the universe."""
-    if not in_superstructure(e, universe):
-        raise UniverseError(f"{print_expr(e)} uses atoms outside the universe")
-    return e
+def _inside(item: _Item, universe: AtomUniverse) -> SetExpr:
+    """The item's node, or UniverseError if it uses atoms outside the universe."""
+    if not in_superstructure(item[0], universe):
+        raise UniverseError(f"{item[2]} uses atoms outside the universe")
+    return item[0]
 
 
 def _new_element(
-    item: _Item, universe: AtomUniverse | None, seen: set[str]
+    item: _Item, universe: AtomUniverse | None, seen: dict[str, None]
 ) -> SetExpr:
     """The item's node after _inside (unless universe is None), unless
     its text is in seen (which it joins)."""
     e, _, text = item
     if universe is not None:
-        _inside(e, universe)
+        _inside(item, universe)
     if text in seen:
         raise DuplicateElementError(f"duplicate element {text}")
-    seen.add(text)
+    seen[text] = None
     return e
 
 
@@ -324,12 +338,12 @@ def construct_fuzzy_set(
     canonical form raise DuplicateElementError.
     """
     memberships = _Propagation(base)
-    seen: set[str] = set()
+    seen: dict[str, None] = {}  # the texts, in element order
     out: list[tuple[SetExpr, float]] = []
     for expr in universe_exprs:
         e = _new_element(_canonical(expr), base.universe, seen)
         out.append((e, memberships.membership(e)))
-    return FuzzySet(base.universe, tuple(out))
+    return FuzzySet(base.universe, tuple(out))._keep_texts(seen)
 
 
 def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
@@ -342,7 +356,8 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     if not (_is_number(cap, int) and cap >= 0):
         raise ConfigError(f"cap must be an integer at least 0, got {cap!r}")
     names = sorted(base.universe.atoms)
-    mu = {print_expr(e): m for e, m in base.elements}  # a level-0 atom prints its name
+    # a level-0 atom's text is its name
+    mu = dict(zip(base.texts, [m for _, m in base.elements]))
     if len(base.elements) != len(names) or mu.keys() != set(names):
         raise DomainError(
             "operation needs a flat fuzzy set: exactly the universe atoms "
@@ -384,8 +399,7 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     names. CapExceededError guards the exponential blowup for n > cap.
 
     The texts and products come from one enumeration (_power_columns),
-    and every set of two or more atoms carries its text, set here and
-    nowhere else, so printing the listing walks no set again.
+    and the listing keeps the texts, so writing it prints no set again.
     """
     names, texts, products = _power_columns(base, cap)
     n = len(names)
@@ -394,10 +408,7 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     elements: list[SetExpr] = [EMPTY]
     elements += [Braced(name, 1) for name in names]
     elements += map(SetOf, members)
-    set_text = SetOf.__dict__["text"].__set__  # text is no SetOf argument
-    for node, text in zip(elements[n + 1 :], texts[n + 1 :]):
-        set_text(node, text)
-    return FuzzySet(base.universe, tuple(zip(elements, products)))
+    return FuzzySet(base.universe, tuple(zip(elements, products)))._keep_texts(texts)
 
 
 def verify_power_cardinality(
@@ -439,11 +450,9 @@ def verify_classical_degeneracy(
     largest deviation from that indicator over all probes, and the
     tolerance is zero: pass means bit-exact classical behavior.
     """
-    for expr, mu in base.elements:
+    for text, (_, mu) in zip(base.texts, base.elements):
         if mu != 0.0 and mu != 1.0:
-            raise DomainError(
-                f"base is not classical: mu({print_expr(expr)}) = {mu!r}"
-            )
+            raise DomainError(f"base is not classical: mu({text}) = {mu!r}")
     zero_atoms = {
         expr.atom
         for expr, mu in base.elements
@@ -452,7 +461,7 @@ def verify_classical_degeneracy(
     memberships = _Propagation(base)
     worst = 0.0
     for probe in probe_exprs:
-        e = _inside(normalize(probe), base.universe)
+        e = _inside(_canonical(probe), base.universe)
         value = memberships.membership(e)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
@@ -473,7 +482,7 @@ def fuzzyset_to_json(fs: FuzzySet) -> str:
     """
     args = [",".join(map(encode_basestring_ascii, fs.universe.atoms))]
     args += chain.from_iterable(fs.elements)
-    args[1::2] = map(encode_basestring_ascii, map(print_expr, args[1::2]))
+    args[1::2] = map(encode_basestring_ascii, fs.texts)
     row = '{"expr":%s,"mu":%.17g}'
     return (
         '{"atoms":[%s],"elements":[' + ",".join([row] * len(fs.elements)) + "]}"

@@ -28,17 +28,9 @@ from the pass that canonicalizes it. No library call compares or hashes
 a node: the dataclass-generated ``==`` and ``hash`` recurse, and serve
 only the caller's own comparisons.
 
-``print_expr`` prints every tree with one walker, but a SetOf may carry
-its printed form in ``text``, which ``print_expr`` then returns without
-walking the set. No caller supplies it: only the power-set listing of
-``fuzzy_core`` sets it, joining each subset's atom names as it
-enumerates the subsets, and the constructor, ``parse_expr``,
-``normalize`` and ``dataclasses.replace`` leave it None. Kept on every
-node of a chain of depth d, the texts would hold O(d^2) characters,
-while the canonicalizer holds each text only until the parent's is formed.
-
 A level is an ``int`` (not a bool); printing or canonicalizing any
-other level raises LevelError.
+other level raises LevelError, as does printing a level of more digits
+than ``sys.get_int_max_str_digits()`` lets an int be written in.
 """
 
 from __future__ import annotations
@@ -84,15 +76,7 @@ class Braced:
 
 @dataclass(frozen=True, slots=True)
 class SetOf:
-    """A finite set of expressions.
-
-    ``text`` is what print_expr prints for this set, or None. It is no
-    constructor argument: only fuzzy_core's power-set listing sets it.
-    It takes no part in ==, hash or repr.
-    """
-
     elements: tuple["SetExpr", ...]
-    text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __str__(self) -> str:
         return print_expr(self)
@@ -206,22 +190,22 @@ def _braced_text(atom: str, level: int) -> str:
         return atom
     if level == 1:
         return "{%s}" % atom
-    return "{%s}^(%d)" % (atom, level)
+    try:
+        return "{%s}^(%d)" % (atom, level)
+    except ValueError:  # past the interpreter's int-to-text digit limit
+        raise LevelError(f"level of {atom!r} has too many digits to print") from None
 
 
 def print_expr(e: SetExpr) -> str:
     """Render a canonical expression.
 
     Levels 0 and 1 use the bare name and literal braces; every other
-    level (including negatives) uses the ^(n) notation. A set that
-    carries its text returns it; any other set is printed by the one
-    iterative walk below, a flat set of atoms included.
+    level (including negatives) uses the ^(n) notation. Every set, a
+    flat set of atoms included, is printed by the one iterative walk
+    below.
     """
     if isinstance(e, Braced) and isinstance(e.atom, str):
         return _braced_text(e.atom, e.level)
-    if isinstance(e, SetOf):
-        if e.text is not None:
-            return e.text
     parts: list[str] = []
     frames = [iter((e,))]  # the root, then one iterator per open set
     while frames:

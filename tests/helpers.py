@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import random
 import sys
 
@@ -39,3 +40,21 @@ def random_flat_set(rng: random.Random, n: int, zero_one: bool = False) -> Fuzzy
     else:
         mus = [rng.random() for _ in atoms]
     return FuzzySet.flat(zip(atoms, mus))
+
+
+def sites(source: str, is_site) -> list[tuple[str, int]]:
+    """(scope, line) of each AST node of the source that is_site accepts,
+    in order; the scope is the dotted names of the enclosing classes and
+    functions, or "<module>"."""
+    found: list[tuple[str, int]] = []
+
+    def visit(node: ast.AST, scope: list[str]) -> None:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + [node.name]
+        if is_site(node):
+            found.append((".".join(scope) or "<module>", node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found

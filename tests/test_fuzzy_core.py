@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from fuzznest import (
     VerificationReport,
     atoms_of,
     construct_fuzzy_set,
+    expand_to_fuzzy,
     fuzzy_power_set,
     fuzzyset_from_json,
     fuzzyset_to_json,
@@ -35,14 +37,16 @@ from fuzznest import (
     iterate_level,
     normalize,
     parse_expr,
+    parse_sequence,
     print_expr,
     propagate_membership,
     scalar_cardinality,
     verify_classical_degeneracy,
     verify_power_cardinality,
 )
-from fuzznest import fuzzy_core
+from fuzznest import cli, fuzzy_core
 from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, random_flat_set
+import legacy_propagate
 import oracle_mp
 from oracle_mp import CONSTRUCTION_VALUES, POWERSET_VALUES
 
@@ -205,7 +209,8 @@ def test_propagate_duplicate_members_count_once():
 
 def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
     # with {x,y} listed, rule 2 looks up by printed text only the sets of
-    # depth 1, so the prints do not grow with the depth of the probe
+    # depth 1, so the prints do not grow with the depth of the probe; the
+    # base keeps the texts build() gave it, so the one print is {x,y}'s
     u = AtomUniverse(("x", "y"))
     pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25)]
     base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
@@ -226,7 +231,33 @@ def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
         for _ in range(depth - 1):
             want = (2.0 ** 0.6 - 1.0) * (2.0 ** want - 1.0)
         assert got == want
-    assert counts[0] == counts[1] == len(pairs) + 1
+    assert counts[0] == counts[1] == 1
+
+
+def test_a_listed_set_of_depth_0_keeps_its_stored_value():
+    # {{x}^(-1),{y}^(-1)} has depth 0, the depth of a level-0 atom, and
+    # {x}^(2) has depth 2, a depth no listed set has: rule 2 must still
+    # give each its stored value, alone and as a member
+    u = AtomUniverse(("x", "y"))
+    pairs = [
+        ("x", 0.3), ("y", 0.6), ("{{x}^(-1),{y}^(-1)}", 0.25), ("{x}^(2)", 0.5)
+    ]
+    base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
+    table, sets_listed = legacy_propagate.lookup_table(base)
+    probes = [
+        parse_expr(t)
+        for t in (
+            "{{x}^(-1),{y}^(-1)}",
+            "{x,{{x}^(-1),{y}^(-1)}}",
+            "{{x}^(2),{{y}^(-1),{x}^(-1)},{y}^(-1)}",
+            "{{x}^(-1)}",
+        )
+    ]
+    constructed = construct_fuzzy_set(base, probes)
+    want = [legacy_propagate.propagate(table, sets_listed, p) for p in probes]
+    assert want[0] == 0.25
+    assert [propagate_membership(base, p) for p in probes] == want
+    assert [mu for _, mu in constructed.elements] == want
 
 
 # --------------------------------------------------------- construct sets
@@ -350,13 +381,14 @@ def test_power_set_matches_bitmask_enumeration():
 
 
 def test_a_replaced_listing_subset_prints_its_own_members():
-    # only fuzzy_power_set sets SetOf.text: a node made from a listed set
-    # by dataclasses.replace has none, and no caller can pass one
+    # the listing keeps its texts, not its nodes: a node made from a
+    # listed set by dataclasses.replace prints its own members, and a
+    # SetOf takes no argument but its elements
     power = fuzzy_power_set(FuzzySet.flat([("x", 0.2), ("y", 0.3), ("z", 0.5)]))
     xyz = power.elements[-1][0]
-    assert xyz.text == print_expr(xyz) == "{x,y,z}"
+    assert power.texts[-1] == print_expr(xyz) == "{x,y,z}"
     xy = dataclasses.replace(xyz, elements=xyz.elements[:2])
-    assert xy == parse_expr("{x,y}") and xy.text is None
+    assert xy == parse_expr("{x,y}")
     assert print_expr(xy) == str(xy) == "{x,y}"
     doc = json.loads(fuzzyset_to_json(FuzzySet(power.universe, ((xy, 0.5),))))
     assert doc["elements"] == [{"expr": "{x,y}", "mu": 0.5}]
@@ -676,6 +708,72 @@ def test_fuzzyset_json_error_offset():
     assert exc.value.offset == 10
 
 
+# ------------------------------------------------------------------ texts
+
+
+def _texts_producers():
+    """(name, fuzzy set) for each way a fuzzy set gets its elements."""
+    base = example_base_4()
+    u = base.universe
+    chain = parse_expr("{x1," * 5000 + "x2" + "}" * 5000)
+    listing = fuzzy_power_set(FuzzySet.flat([(f"x{i}", i / 13) for i in range(12)]))
+    probes = [parse_expr(t) for t in ("{∅,x1}", "{{x2},{x3}}", "{x1}^(-2)")]
+    return [
+        ("build", FuzzySet.build(u, [(Braced(Braced("x2", 1), 1), 0.4), (EMPTY, 1.0)])),
+        ("flat", base),
+        ("fuzzyset_from_json", fuzzyset_from_json(fuzzyset_to_json(listing))),
+        ("construct_fuzzy_set", construct_fuzzy_set(base, probes + [chain])),
+        ("fuzzy_power_set", listing),
+        ("expand_to_fuzzy", expand_to_fuzzy(parse_sequence("10|01"))),
+        ("trusted", FuzzySet(u, ((SetOf((Braced("x1", 0), EMPTY)), 0.3),))),
+    ]
+
+
+def test_texts_are_the_printed_elements_for_every_producer():
+    for name, fs in _texts_producers():
+        assert fs.texts == tuple(print_expr(e) for e, _ in fs.elements), name
+        assert fs.texts is fs.texts, name  # printed or kept once
+
+
+def test_texts_take_no_part_in_eq_hash_or_repr():
+    base = example_base_3()
+    trusted = FuzzySet(base.universe, base.elements)
+    assert trusted._texts is None and base._texts is not None
+    assert trusted == base and hash(trusted) == hash(base)
+    assert repr(trusted) == repr(base) and "texts" not in repr(base)
+    copy = pickle.loads(pickle.dumps(base))
+    assert copy == base and copy.texts == base.texts
+    replaced = dataclasses.replace(base, elements=base.elements[:2])
+    assert replaced._texts is None
+    assert replaced.texts == ("x1", "x2")
+    with pytest.raises(TypeError):
+        FuzzySet(base.universe, base.elements, ("x1", "x2", "x3"))
+
+
+def test_writers_print_no_element_the_maker_printed(monkeypatch, tmp_path, capsys):
+    base = example_base_4()
+    path = tmp_path / "base.json"
+    path.write_text(fuzzyset_to_json(base), encoding="utf-8")
+    made = [
+        FuzzySet.build(base.universe, [(parse_expr("{x1,{x2}}"), 0.5)]),
+        fuzzyset_from_json(path.read_text(encoding="utf-8")),
+        construct_fuzzy_set(base, [parse_expr("{x1,{x2,{x3,{x4}}}}")]),
+        fuzzy_power_set(example_base_3()),
+    ]
+    printed = []
+
+    def counted(e):
+        printed.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
+    for fs in made:
+        fuzzyset_to_json(fs)
+    assert cli.main(["propagate", str(path), "{x1,{x2}}", "{∅,x3}"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("{x1,{x2}}")
+    assert printed == []
+
+
 # ---------------------------------------------------------------- identity
 
 
@@ -747,3 +845,29 @@ def test_a_level_that_is_not_an_int_raises_level_error(level):
             print_expr(expr)
         with pytest.raises(LevelError):
             fuzzyset_to_json(FuzzySet(base.universe, ((expr, 0.5),)))
+
+
+def test_a_level_past_the_int_digit_limit_raises_level_error():
+    # a level too long to write as text, built by arithmetic since int()
+    # refuses its digits; every printing path formats it in one place
+    level = 10 ** (INT_DIGIT_LIMIT or 5000)
+    base = FuzzySet.flat([("x", 0.5)])
+    node = Braced("x", level)
+    paths = [
+        lambda: print_expr(node),
+        lambda: str(node),
+        lambda: normalize(node),
+        lambda: FuzzySet.build(base.universe, [(node, 0.5)]),
+        lambda: construct_fuzzy_set(base, [node]),
+        lambda: propagate_membership(base, node),
+        lambda: fuzzyset_to_json(FuzzySet(base.universe, ((node, 0.5),))),
+    ]
+    if not INT_DIGIT_LIMIT:  # no limit: the level prints and parses back
+        assert parse_expr(print_expr(node)) == node
+        assert print_expr(node) == "{x}^(1%s)" % ("0" * 5000)
+        for path in paths:
+            path()
+        return
+    for path in paths:
+        with pytest.raises(LevelError, match="too many digits"):
+            path()

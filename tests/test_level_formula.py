@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import sites
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzznest"
 MODULES = sorted(SRC.glob("*.py"))
 ALLOWED = {"_up", "_down", "_series", "_power_report"}
@@ -35,19 +37,7 @@ def _is_map_site(node: ast.AST) -> bool:
 
 
 def _map_sites(source: str) -> list[tuple[str, int]]:
-    """(enclosing function or "<module>", line) of each site, in order."""
-    sites: list[tuple[str, int]] = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = node.name
-        if _is_map_site(node):
-            sites.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(source), "<module>")
-    return sites
+    return sites(source, _is_map_site)
 
 
 def test_the_scan_finds_a_planted_site():
@@ -65,7 +55,8 @@ def test_the_scan_finds_a_planted_site():
         "EDGE = 2.0 ** -52\n"
     )
     assert _map_sites(source) == [
-        ("_up", 4), ("factor", 7), ("down", 10), ("down", 10), ("<module>", 11)
+        ("_up", 4), ("factor", 7), ("Ladder.down", 10), ("Ladder.down", 10),
+        ("<module>", 11),
     ]
 
 

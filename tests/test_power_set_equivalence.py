@@ -176,12 +176,11 @@ def test_listed_sets_carry_their_printed_text():
             power = fuzzy_power_set(base, cap)
         except (DomainError, CapExceededError):
             continue
-        for e, _ in power.elements:
+        for (e, _), text in zip(power.elements, power.texts):
             if not isinstance(e, SetOf):
                 continue
             fresh = SetOf(e.elements)
-            assert fresh.text is None
-            assert e.text == print_expr(fresh) == legacy_set_expr.print_expr(fresh)
+            assert text == print_expr(fresh) == legacy_set_expr.print_expr(fresh)
             assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
             checked += 1
     assert checked >= 10_000
