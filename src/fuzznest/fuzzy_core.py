@@ -11,10 +11,12 @@ elements by three rules applied in order:
    members' propagated memberships.
 
 Each call of construct_fuzzy_set, propagate_membership or
-verify_classical_degeneracy reads an atom's levels from the two ladders
-of its base membership (_kernels._climb), which it keeps for the call,
-so every level of an atom is computed once per call, with the bits
-level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
+verify_classical_degeneracy applies the rules in the one pass that
+canonicalizes an element (set_expr._canonical's hook): rule 2 looks up
+the text the pass has just made, and a braced atom reads its level from
+two ladders of its atom's base membership (_kernels._climb), kept for
+the call, so every level of an atom is computed once per call, with the
+bits level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
 
 Elements are told apart by their printed text, as set_expr's sets tell
 members apart. The pass that canonicalizes an element gives its text,
@@ -72,13 +74,11 @@ from .set_expr import (
     SetExpr,
     SetOf,
     _canonical,
-    _depth,
     _Item,
     _parse,
     atoms_of,
     in_superstructure,
     print_expr,
-    structural_depth,
 )
 
 __all__ = [
@@ -226,93 +226,89 @@ def scalar_cardinality(fs: FuzzySet) -> float:
 class _Propagation:
     """Membership propagation from one base for the span of one call.
 
-    Rule 2 looks the printed text up in a table (the base's texts), and
-    only for an element whose structural depth is in depths: the depths
-    of the base's sets (0 for {{x}^(-1),{y}^(-1)}) and braced atoms (the
-    level), ∅ and level-0 atoms aside, since rules 1 and 3 give their
-    stored values. A set is printed, which walks its subtree, only at a
-    listed depth; one post-order pass over the probe gives the depths,
-    and sets of one depth are disjoint, so each listed depth prints
-    O(probe).
-    Rule 3 reads each atom's levels from two _climb ladders of its base
-    membership t (stored under the atom's name, its text), up for the
-    levels from 0 and down for those below. So each level of an atom is
-    computed once per call, bit for bit as level_value(t, k) computes it.
+    made, the canonical pass's hook, values each item as it is made:
+    ∅ is 1, a text the table (the base's texts) holds keeps its value,
+    a braced atom reads its atom's up ladder (levels from 0) or down
+    ladder, each from the base membership stored under the atom's name,
+    and a set takes _product over its members. An atom with no base
+    membership stands in by its name, and a set with such a member by
+    the first one's, until a listed set or the root decides.
     """
 
-    __slots__ = ("table", "depths", "up", "down")
+    __slots__ = ("table", "lengths", "names", "up", "down", "values", "foreign")
 
     def __init__(self, base: FuzzySet):
         self.table = dict(zip(base.texts, [mu for _, mu in base.elements]))
-        self.depths = {
-            structural_depth(e) for e, _ in base.elements
-            if isinstance(e, SetOf) or (isinstance(e, Braced) and e.level)
-        }
+        self.lengths = set(map(len, self.table))
+        self.names = base.universe._names
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
 
-    def level(self, atom: str, k: int) -> float:
-        """level_value(t, k) for the atom's base membership t."""
-        ladders = self.up if k >= 0 else self.down
-        rungs = ladders.get(atom)
-        if rungs is None:
-            t = self.table.get(atom)
-            if t is None:
-                raise MissingMembershipError(
-                    f"atom {atom!r} has no base membership"
-                )
-            rungs = ladders[atom] = [t]
-        return _climb(rungs, k)
+    def element(
+        self, expr: SetExpr, seen: dict[str, None] | None = None
+    ) -> tuple[SetExpr, float]:
+        """expr's canonical node and membership. Raises what normalize
+        raises, then UniverseError, then DuplicateElementError (if seen
+        is given; see _new_element), then MissingMembershipError."""
+        # id(node) -> value or stand-in; each node is valued as it is made,
+        # so a freed member's id is rewritten before a live node reads it
+        self.values: dict[int, float | str] = {}
+        self.foreign = False
+        item = _canonical(expr, self.made)
+        if self.foreign:
+            raise UniverseError(f"{item[2]} uses atoms outside the universe")
+        if seen is not None:
+            _new_element(item, None, seen)
+        value = self.values[id(item[0])]
+        if type(value) is str:
+            raise MissingMembershipError(f"atom {value!r} has no base membership")
+        return item[0], value
 
-    def membership(self, y: SetExpr) -> float:
-        """Membership of a canonical y under the rule order of the
-        module docstring, evaluated with an explicit stack (members left
-        to right, so errors and rounding match a recursive evaluation)."""
-        table, depths = self.table, self.depths
-        depth_of: dict[int, int] = {}  # id(set) -> depth, when depths are listed
-        if depths:
-            _depth(y, depth_of)
-        values: list[float] = []
-        todo: list = [y]  # nodes to evaluate; an int closes a set of that many members
-        while todo:
-            x = todo.pop()
-            if type(x) is int:
-                product = 1.0
-                for value in values[len(values) - x:]:
-                    product *= _up(value)
-                del values[len(values) - x:]
-                values.append(product)
-            elif isinstance(x, Empty):
-                values.append(1.0)
-            else:
-                braced = isinstance(x, Braced)
-                depth = x.level if braced else depth_of.get(id(x))
-                stored = table.get(print_expr(x)) if depth in depths else None
-                if stored is not None:
-                    values.append(stored)
-                elif braced:
-                    values.append(self.level(x.atom, x.level))
-                else:
-                    todo.append(len(x.elements))
-                    todo.extend(reversed(x.elements))
-        return values[0]
+    def made(self, item: _Item, inner: _Item | None) -> None:
+        node, _, text = item
+        if isinstance(node, Braced) and node.atom not in self.names:
+            self.foreign = True
+        if isinstance(node, Empty):
+            value = 1.0
+        elif text in self.table:
+            value = self.table[text]
+        elif isinstance(node, Braced):
+            ladders = self.up if node.level >= 0 else self.down
+            rungs = ladders.get(node.atom)
+            if rungs is None and node.atom in self.table:
+                rungs = ladders[node.atom] = [self.table[node.atom]]
+            value = node.atom if rungs is None else _climb(rungs, node.level)
+        elif inner is None:
+            value = _product([self.values[id(m)] for m in node.elements])
+        else:
+            # k singleton wraps of inner, each a set for rules 2 and 3;
+            # a wrap's text is cut only when a listed text has its length
+            value = self.values[id(inner[0])]
+            k, n, end = item[1] - inner[1], len(inner[2]), len(text)
+            for i in range(1, k + 1):
+                wrap = text[k - i:end - k + i] if n + 2 * i in self.lengths else ""
+                value = self.table[wrap] if wrap in self.table else _product((value,))
+        self.values[id(node)] = value
 
 
-def _inside(item: _Item, universe: AtomUniverse) -> SetExpr:
-    """The item's node, or UniverseError if it uses atoms outside the universe."""
-    if not in_superstructure(item[0], universe):
-        raise UniverseError(f"{item[2]} uses atoms outside the universe")
-    return item[0]
+def _product(values: Iterable[float | str]) -> float | str:
+    """Rule 3 for a set: Π (2^mu - 1), left to right, or the first stand-in."""
+    product = 1.0
+    for value in values:
+        if type(value) is str:
+            return value
+        product *= _up(value)
+    return product
 
 
 def _new_element(
     item: _Item, universe: AtomUniverse | None, seen: dict[str, None]
 ) -> SetExpr:
-    """The item's node after _inside (unless universe is None), unless
-    its text is in seen (which it joins)."""
+    """The item's node, unless it uses atoms outside the universe (if
+    one is given) or its text is in seen (which it joins)."""
     e, _, text = item
-    if universe is not None:
-        _inside(item, universe)
+    if universe is not None and not in_superstructure(e, universe):
+        raise UniverseError(f"{text} uses atoms outside the universe")
     if text in seen:
         raise DuplicateElementError(f"duplicate element {text}")
     seen[text] = None
@@ -339,10 +335,7 @@ def construct_fuzzy_set(
     """
     memberships = _Propagation(base)
     seen: dict[str, None] = {}  # the texts, in element order
-    out: list[tuple[SetExpr, float]] = []
-    for expr in universe_exprs:
-        e = _new_element(_canonical(expr), base.universe, seen)
-        out.append((e, memberships.membership(e)))
+    out = [memberships.element(expr, seen) for expr in universe_exprs]
     return FuzzySet(base.universe, tuple(out))._keep_texts(seen)
 
 
@@ -461,8 +454,7 @@ def verify_classical_degeneracy(
     memberships = _Propagation(base)
     worst = 0.0
     for probe in probe_exprs:
-        e = _inside(_canonical(probe), base.universe)
-        value = memberships.membership(e)
+        e, value = memberships.element(probe)
         expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
         worst = max(worst, abs(value - expected))
     return VerificationReport("classical degeneracy", worst, 0.0, 0.0)

@@ -36,7 +36,7 @@ than ``sys.get_int_max_str_digits()`` lets an int be written in.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator, Union
@@ -154,11 +154,6 @@ def structural_depth(e: SetExpr) -> int:
     The depth of a level-annotated atom is its signed level, so formally
     unbraced atoms sort before bare atoms, which sort before braced ones.
     """
-    return _depth(e, None)
-
-
-def _depth(e: SetExpr, by_id: dict[int, int] | None) -> int:
-    """structural_depth(e); by_id, if given, gets each set's depth by id."""
     depths: list[int] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
@@ -175,8 +170,6 @@ def _depth(e: SetExpr, by_id: dict[int, int] | None) -> int:
                 deepest = max(depths[-n:])
                 del depths[-n:]
             depths.append(deepest + 1)
-            if by_id is not None:
-                by_id[id(x)] = deepest + 1
     return depths[0]
 
 
@@ -282,7 +275,11 @@ def _braced_over(inner: _Item, level: int) -> _Item:
         return _braced_item(node.atom, node.level + level)
     if level < 0:
         kind = "the empty set" if isinstance(node, Empty) else "a set"
-        raise LevelError(f"negative level {level} applied to {kind}")
+        try:
+            message = "negative level %d applied to %s" % (level, kind)
+        except ValueError:  # past the interpreter's int-to-text digit limit
+            message = "negative level of too many digits to print applied to " + kind
+        raise LevelError(message)
     for _ in range(level):
         node = SetOf((node,))
     return (node, depth + level, "{" * level + text + "}" * level)
@@ -301,26 +298,36 @@ def normalize(e: SetExpr) -> SetExpr:
     return _canonical(e)[0]
 
 
-def _canonical(e: SetExpr) -> _Item:
-    """The item of normalize(e): the canonical node, its depth and text."""
-    if isinstance(e, Braced) and isinstance(e.atom, str):
-        return (e, e.level, _braced_text(e.atom, e.level))
+def _canonical(
+    e: SetExpr, made: Callable[[_Item, _Item | None], None] | None = None
+) -> _Item:
+    """The item of normalize(e): the canonical node, its depth and text.
+
+    made(item, inner), if given, sees each item made, members before
+    their set; inner is the item a raw Braced wraps, else None. A set or
+    ∅ wrapped k = item[1] - inner[1] times is one item: its i-th wrap's
+    text is item[2] less k - i braces at either end."""
     items: list[_Item] = []
     for x in _post_order(e):
+        inner = None
         if isinstance(x, Braced):
             if isinstance(x.atom, str):
-                items.append((x, x.level, _braced_text(x.atom, x.level)))
+                item = (x, x.level, _braced_text(x.atom, x.level))
             else:
-                items[-1] = _braced_over(items[-1], x.level)
+                inner = items.pop()
+                item = _braced_over(inner, x.level)
         elif isinstance(x, SetOf):
             n = len(x.elements)
             members = items[len(items) - n:]
             del items[len(items) - n:]
-            items.append(_set_item(members))
+            item = _set_item(members)
         elif isinstance(x, Empty):
-            items.append(_EMPTY_ITEM)
+            item = _EMPTY_ITEM
         else:
             raise TypeError(f"not a set expression: {x!r}")
+        items.append(item)
+        if made is not None:
+            made(item, inner)
     return items[0]
 
 

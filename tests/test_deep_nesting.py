@@ -6,7 +6,8 @@ Every reference here is iterative, so it holds at any depth. Trees are
 compared with an iterative walk or by printed text, not ``==``: the
 dataclass-generated ``__eq__`` recurses and fails on two distinct trees
 this deep. The library itself tells elements apart by printed text, so
-building, reading back and propagating hold at depth 5000 too.
+building, reading back, propagating and the classical check hold at
+depth 5000 too.
 """
 
 import json
@@ -34,6 +35,7 @@ from fuzznest import (
     print_expr,
     propagate_membership,
     structural_depth,
+    verify_classical_degeneracy,
 )
 from fuzznest.cli import main
 
@@ -192,6 +194,16 @@ def test_propagate_over_a_base_listing_the_deep_set(deep):
     assert propagate_membership(listing, outer) == want
     (_, mu), = construct_fuzzy_set(listing, [outer]).elements
     assert mu == want
+
+
+def test_classical_degeneracy_at_depth_5000(deep):
+    # every atom of the chain is 1, so it propagates to exactly 1, and a
+    # 0-atom beside it at the top makes exactly 0
+    classical = FuzzySet.flat([*((name, 1.0) for name in sorted(MU)), ("zero", 0.0)])
+    probes = [deep.raw, SetOf((Braced("zero", 0), deep.e))]
+    report = verify_classical_degeneracy(classical, probes)
+    assert report.passed and report.computed == 0.0
+    assert [propagate_membership(classical, p) for p in probes] == [1.0, 0.0]
 
 
 def _fuzznest(*argv: str) -> subprocess.CompletedProcess:

@@ -44,7 +44,7 @@ from fuzznest import (
     verify_classical_degeneracy,
     verify_power_cardinality,
 )
-from fuzznest import cli, fuzzy_core
+from fuzznest import cli, fuzzy_core, set_expr
 from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, random_flat_set
 import legacy_propagate
 import oracle_mp
@@ -208,9 +208,9 @@ def test_propagate_duplicate_members_count_once():
 
 
 def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
-    # with {x,y} listed, rule 2 looks up by printed text only the sets of
-    # depth 1, so the prints do not grow with the depth of the probe; the
-    # base keeps the texts build() gave it, so the one print is {x,y}'s
+    # with {x,y} listed, rule 2 looks each set up by the text its
+    # canonicalization made, and the base keeps the texts build() gave
+    # it, so nothing is printed at any depth of the probe
     u = AtomUniverse(("x", "y"))
     pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25)]
     base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
@@ -231,7 +231,47 @@ def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
         for _ in range(depth - 1):
             want = (2.0 ** 0.6 - 1.0) * (2.0 ** want - 1.0)
         assert got == want
-    assert counts[0] == counts[1] == 1
+    assert counts[0] == counts[1] == 0
+
+
+def test_propagation_walks_each_element_once(monkeypatch):
+    # construct_fuzzy_set and propagate_membership value each element in
+    # the pass that canonicalizes it: one _post_order per element and no
+    # other walk; verify_classical_degeneracy adds one atoms_of per probe
+    u = AtomUniverse(("x", "y"))
+    pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25), ("{x}^(2)", 0.5)]
+    base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
+    classical = FuzzySet.build(u, [(parse_expr(t), 0.0) for t, _ in pairs])
+    pair = parse_expr("{x,y}")
+    exprs = [
+        Braced("x", 3), EMPTY, pair, parse_expr("{{x}^(2),{y,{x,y}}}"),
+        Braced(pair, 4), SetOf((Braced(Braced("y", 1), -2), pair, pair)),
+    ]
+    walks = {"_post_order": 0, "atoms_of": 0}
+
+    def counted(name, real):
+        def walk(e):
+            walks[name] += 1
+            return real(e)
+        return walk
+
+    def refused(*args):
+        raise AssertionError("a second walk")
+
+    post_order = counted("_post_order", set_expr._post_order)
+    monkeypatch.setattr(set_expr, "_post_order", post_order)
+    for name in ("print_expr", "in_superstructure", "structural_depth"):
+        monkeypatch.setattr(set_expr, name, refused)
+        monkeypatch.setattr(fuzzy_core, name, refused, raising=False)
+    monkeypatch.setattr(fuzzy_core, "atoms_of", refused)
+    fs = construct_fuzzy_set(base, exprs)
+    assert walks["_post_order"] == len(exprs) == len(fs.elements)
+    for e in exprs:
+        propagate_membership(base, e)
+    assert walks["_post_order"] == 2 * len(exprs)
+    monkeypatch.setattr(fuzzy_core, "atoms_of", counted("atoms_of", atoms_of))
+    assert verify_classical_degeneracy(classical, exprs).passed
+    assert walks == {"_post_order": 3 * len(exprs), "atoms_of": len(exprs)}
 
 
 def test_a_listed_set_of_depth_0_keeps_its_stored_value():
@@ -862,6 +902,21 @@ def test_a_level_past_the_int_digit_limit_raises_level_error():
         lambda: propagate_membership(base, node),
         lambda: fuzzyset_to_json(FuzzySet(base.universe, ((node, 0.5),))),
     ]
+    # a negative level over a set or ∅ is refused before anything prints;
+    # its message shows the digits when they can be written
+    pair = SetOf((Braced("x", 0), Braced("y", 0)))
+    refusing = [
+        lambda e: normalize(e),
+        lambda e: FuzzySet.build(base.universe, [(e, 0.5)]),
+        lambda e: construct_fuzzy_set(base, [e]),
+        lambda e: propagate_membership(base, e),
+    ]
+    for e in (Braced(pair, -level), Braced(EMPTY, -level)):
+        for path in refusing:
+            with pytest.raises(
+                LevelError, match="too many digits" if INT_DIGIT_LIMIT else "level -1"
+            ):
+                path(e)
     if not INT_DIGIT_LIMIT:  # no limit: the level prints and parses back
         assert parse_expr(print_expr(node)) == node
         assert print_expr(node) == "{x}^(1%s)" % ("0" * 5000)

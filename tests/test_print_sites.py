@@ -5,9 +5,7 @@ layers above set_expr read them instead of printing again. Each of
 ``fuzzy_core.py`` and ``cli.py`` is parsed with ``ast``, and every use of
 ``print_expr`` (a call, or the name passed on, as to ``map``) must lie in
 a function that ALLOWED names: ``FuzzySet.texts``, which prints the
-elements of a fuzzy set whose maker kept no texts, and
-``_Propagation.membership``, whose rule-2 lookups print the probe's
-subtrees at listed depths. Imports are no use.
+elements of a fuzzy set whose maker kept no texts. Imports are no use.
 """
 
 import ast
@@ -19,7 +17,7 @@ from helpers import sites
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzznest"
 MODULES = [SRC / "fuzzy_core.py", SRC / "cli.py"]
-ALLOWED = {"FuzzySet.texts", "_Propagation.membership"}
+ALLOWED = {"FuzzySet.texts"}
 
 
 def _is_print_site(node: ast.AST) -> bool:

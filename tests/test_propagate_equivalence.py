@@ -8,8 +8,9 @@ values of their own or lacking an atom's level-0 membership, against
 expressions with levels up to +-10^8. construct_fuzzy_set,
 propagate_membership and verify_classical_degeneracy must give the
 reference's memberships bit for bit, and fail with the reference's
-exception class and message. A step count shows that one call walks
-each atom's levels once.
+exception class and message. So must raw expressions, with braces over
+sets and repeated members, against the reference over their normalized
+form. A step count shows that one call walks each atom's levels once.
 """
 
 import math
@@ -27,6 +28,7 @@ from fuzznest import (
     atoms_of,
     construct_fuzzy_set,
     normalize,
+    parse_expr,
     propagate_membership,
     verify_classical_degeneracy,
 )
@@ -145,6 +147,88 @@ def test_classical_degeneracy_matches_reference():
             lambda: float.hex(verify_classical_degeneracy(base, probes).computed)
         )
         assert got == _outcome(reference), base
+
+
+# ------------------------------------------------------- raw expressions
+
+PAIR = SetOf((Braced("x1", 0), Braced("x2", 0)))
+
+
+def _raw(rng: random.Random, depth: int):
+    """An expression as a caller may build it: braces over subexpressions,
+    and members repeated as the same node and as equal copies."""
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return _expr(rng, 0)
+    if roll < 0.5:
+        inner = _raw(rng, depth - 1)
+        low = -3 if isinstance(normalize(inner), Braced) else 0
+        return Braced(inner, rng.randint(low, 3))
+    members = [_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    if members:
+        members += [rng.choice(members) for _ in range(rng.randint(0, 2))]
+        members += [normalize(rng.choice(members)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(members)
+    return SetOf(tuple(members))
+
+
+def _both(base: FuzzySet, raw) -> tuple:
+    """The reference's outcome for normalize(raw), and the package's for raw."""
+    table, sets_listed = legacy.lookup_table(base)
+    e = normalize(raw)
+    want = _outcome(lambda: float.hex(legacy.propagate(table, sets_listed, e)))
+    got = _outcome(lambda: float.hex(propagate_membership(base, raw)))
+    return got, want
+
+
+def test_raw_expressions_match_reference():
+    rng = random.Random(18)
+    outcomes = {"ok": 0, MissingMembershipError: 0}
+    for _ in range(200):
+        base = _base(rng)
+        for _ in range(5):
+            raw = _raw(rng, 4)
+            got, want = _both(base, raw)
+            assert got == want, (base, raw)
+            outcomes[want[0]] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize(
+    "listed",
+    [(), (("{{x1,x2}}", 0.25),)],
+    ids=["flat", "wrap-listed"],
+)
+def test_raw_braced_sets_match_reference(k, listed):
+    pairs = [(Braced("x1", 0), 0.3), (Braced("x2", 0), 0.6)]
+    pairs += [(parse_expr(text), mu) for text, mu in listed]
+    base = FuzzySet.build(AtomUniverse(ATOMS), pairs)
+    for raw in (Braced(PAIR, k), SetOf((Braced(PAIR, k), Braced("x1", 1)))):
+        got, want = _both(base, raw)
+        assert got == want and want[0] == "ok"
+    if listed and k == 1:  # the one wrap is listed: it keeps its value
+        assert propagate_membership(base, Braced(PAIR, 1)) == 0.25
+    lacking = FuzzySet.build(AtomUniverse(ATOMS), pairs[:1])
+    got, want = _both(lacking, Braced(PAIR, k))
+    assert got == want == (MissingMembershipError, "atom 'x2' has no base membership")
+
+
+def test_raw_braced_set_of_many_wraps(monkeypatch):
+    # each wrap is one singleton set: one factor per wrap, no walk per wrap
+    k = 10**5
+    base = FuzzySet.flat([("x1", 0.3), ("x2", 0.6)])
+    table, sets_listed = legacy.lookup_table(base)
+    want = legacy.propagate(table, sets_listed, normalize(Braced(PAIR, k)))
+    factors = []
+
+    def counted(v):
+        factors.append(v)
+        return 2.0 ** v - 1.0
+
+    monkeypatch.setattr(fuzzy_core, "_up", counted)
+    assert propagate_membership(base, Braced(PAIR, k)) == want
+    assert len(factors) == k + 2
 
 
 # ------------------------------------------------------------- step count
