@@ -18,15 +18,15 @@ Canonical form rules:
 
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
 equal sets compare equal with ``==``. Both canonicalize in one pass that
-carries each subtree's depth and printed form up to its parent, and
-like the printer they walk trees with explicit stacks, not recursion.
+carries each subtree's depth and printed form up to its parent. Every
+tree walk here is ``_post_order``'s explicit stack, not recursion.
 
 Distinct canonical trees print differently, so the printed form is the
 package's one identity rule: a set deduplicates its members by it, and
 ``fuzzy_core`` tells elements apart by it, taking each element's text
 from the pass that canonicalizes it. No library call compares or hashes
-a node: the dataclass-generated ``==`` and ``hash`` recurse, and serve
-only the caller's own comparisons.
+a node; ``==`` and ``hash`` keep the dataclass-generated meaning, but
+read one walk of each tree, so they hold at any depth.
 
 A level is an ``int`` (not a bool); printing or canonicalizing any
 other level raises LevelError, as does printing a level of more digits
@@ -59,27 +59,38 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Empty:
+class _Node:
+    """What the node kinds share: str is the printed form, and ``==``
+    and ``hash`` read one walk of each tree, so they hold at any depth."""
+
+    __slots__ = ()
+
     def __str__(self) -> str:
         return print_expr(self)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _shape(self) == _shape(other)
 
-@dataclass(frozen=True, slots=True)
-class Braced:
+    def __hash__(self) -> int:
+        return hash(_shape(self))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Empty(_Node):
+    """The empty set."""
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Braced(_Node):
     atom: Union[str, "SetExpr"]
     level: int
 
-    def __str__(self) -> str:
-        return print_expr(self)
 
-
-@dataclass(frozen=True, slots=True)
-class SetOf:
+@dataclass(frozen=True, slots=True, eq=False)
+class SetOf(_Node):
     elements: tuple["SetExpr", ...]
-
-    def __str__(self) -> str:
-        return print_expr(self)
 
 
 SetExpr = Union[Empty, Braced, SetOf]
@@ -148,6 +159,20 @@ def _post_order(e: SetExpr) -> list:
     return order
 
 
+def _shape(e: SetExpr) -> tuple:
+    """Each node of e in post-order as its kind and own fields, a set's
+    members as their count and a braced subexpression's atom as None."""
+    shape = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            shape.append((Braced, x.atom if isinstance(x.atom, str) else None, x.level))
+        elif isinstance(x, SetOf):
+            shape.append((SetOf, len(x.elements)))
+        else:
+            shape.append((Empty,) if isinstance(x, Empty) else x)
+    return tuple(shape)
+
+
 def structural_depth(e: SetExpr) -> int:
     """Nesting depth used for canonical ordering.
 
@@ -190,43 +215,25 @@ def _braced_text(atom: str, level: int) -> str:
 
 
 def print_expr(e: SetExpr) -> str:
-    """Render a canonical expression.
+    """Render a canonical expression, a set's members in the order given.
 
     Levels 0 and 1 use the bare name and literal braces; every other
-    level (including negatives) uses the ^(n) notation. Every set, a
-    flat set of atoms included, is printed by the one iterative walk
-    below.
+    level (including negatives) uses the ^(n) notation. Like the
+    canonical pass, one post-order walk carries each subtree's text up.
     """
-    if isinstance(e, Braced) and isinstance(e.atom, str):
-        return _braced_text(e.atom, e.level)
-    parts: list[str] = []
-    frames = [iter((e,))]  # the root, then one iterator per open set
-    while frames:
-        for x in frames[-1]:
-            if isinstance(x, Braced):
-                if not isinstance(x.atom, str):
-                    raise InvariantError(
-                        "cannot print a non-canonical braced expression"
-                    )
-                parts.append(_braced_text(x.atom, x.level))
-            elif isinstance(x, Empty):
-                parts.append("∅")
-            else:
-                parts.append("{")
-                frames.append(iter(x.elements))
-                break
-            parts.append(",")
+    texts: list[str] = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            if not isinstance(x.atom, str):
+                raise InvariantError("cannot print a non-canonical braced expression")
+            texts.append(_braced_text(x.atom, x.level))
+        elif isinstance(x, Empty):
+            texts.append("∅")
         else:
-            frames.pop()
-            if frames:
-                # the closing brace takes the place of the last comma
-                if parts[-1] == ",":
-                    parts[-1] = "}"
-                else:
-                    parts.append("}")
-                parts.append(",")
-    parts.pop()
-    return "".join(parts)
+            # the set's text takes the place of its members' texts
+            n = len(texts) - len(x.elements)
+            texts[n:] = ["{%s}" % ",".join(texts[n:])]
+    return texts[0]
 
 
 # ------------------------------------------------------------- normalizing
@@ -490,17 +497,10 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
 
 
 def atoms_of(e: SetExpr) -> Iterator[str]:
-    """Yield every atom name occurring in the expression (with repeats)."""
-    todo = [e]
-    while todo:
-        x = todo.pop()
-        if isinstance(x, Braced):
-            if isinstance(x.atom, str):
-                yield x.atom
-            else:
-                todo.append(x.atom)
-        elif isinstance(x, SetOf):
-            todo.extend(reversed(x.elements))
+    """Every atom name occurring in the expression, left to right, with
+    repeats: the braced atoms of its post-order walk."""
+    nodes = _post_order(e)
+    return (x.atom for x in nodes if isinstance(x, Braced) and isinstance(x.atom, str))
 
 
 def in_superstructure(e: SetExpr, universe: AtomUniverse) -> bool:

@@ -1,13 +1,16 @@
 """Expressions nested 400 and 5000 sets deep: past what the recursive
 parser, normalize and printer could take under the default recursion
-limit, and past the recursion of the nodes' ``==`` and ``hash``.
+limit, and past what the dataclass-generated, recursive ``==`` and
+``hash`` of the nodes could take.
 
 Every reference here is iterative, so it holds at any depth. Trees are
-compared with an iterative walk or by printed text, not ``==``: the
-dataclass-generated ``__eq__`` recurses and fails on two distinct trees
-this deep. The library itself tells elements apart by printed text, so
-building, reading back, propagating and the classical check hold at
-depth 5000 too.
+compared with ``_same_tree``, an iterative walk that never calls a
+node's own ``==``, or by printed text. ``_same_tree`` is also the
+reference for the nodes' ``==`` and ``hash``, which read one post-order
+walk of each tree: on seeded raw pairs, and at depth 5000 with
+``FuzzySet.membership_table()``. The library itself tells elements apart
+by printed text, so building, reading back, propagating and the
+classical check hold at depth 5000 too.
 """
 
 import json
@@ -20,8 +23,10 @@ from types import SimpleNamespace
 import pytest
 
 from fuzznest import (
+    EMPTY,
     Braced,
     DuplicateElementError,
+    Empty,
     FuzzySet,
     SetOf,
     atoms_of,
@@ -51,6 +56,8 @@ FRACTIONAL = 12
 
 
 def _same_tree(a, b) -> bool:
+    """a == b as the dataclass-generated ``==`` meant it, the same kinds
+    with fields equal by ``==``, without calling a node's own ``==``."""
     todo = [(a, b)]
     while todo:
         x, y = todo.pop()
@@ -60,7 +67,11 @@ def _same_tree(a, b) -> bool:
             if len(x.elements) != len(y.elements):
                 return False
             todo.extend(zip(x.elements, y.elements))
-        elif x != y:  # leaves: Empty or Braced over an atom name
+        elif isinstance(x, Braced):
+            if x.level != y.level:
+                return False
+            todo.append((x.atom, y.atom))  # an atom name or a subexpression
+        elif not isinstance(x, Empty) and x != y:  # atom names
             return False
     return True
 
@@ -153,6 +164,98 @@ def test_cli_parse_json_at_depth_400(chain, capsys):
     assert doc["canonical"] == print_expr(parse_expr(text))
 
 
+# --------------------------------------------------------- node == and hash
+
+# 1, 1.0 and True are one level to ==, and hash alike
+_LEVELS = (0, 1, 2, -1, -3, 1.0, True)
+
+
+def _raw(rng: random.Random, depth: int):
+    """A small raw tree: braced atoms, ∅, sets and braced subexpressions."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return EMPTY if roll < 0.05 else Braced(rng.choice("xy"), rng.choice(_LEVELS))
+    if roll < 0.45:
+        return Braced(_raw(rng, depth - 1), rng.choice(_LEVELS))
+    return SetOf(tuple(_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+
+
+def _copy(e, change):
+    """A tree built anew from e, each new node passed through change."""
+    if isinstance(e, SetOf):
+        e = SetOf(tuple(_copy(x, change) for x in e.elements))
+    elif isinstance(e, Braced):
+        atom = e.atom if isinstance(e.atom, str) else _copy(e.atom, change)
+        e = Braced(atom, e.level)
+    else:
+        e = Empty()
+    return change(e)
+
+
+def _edit_node(at: int, shift: int):
+    """A change for _copy that edits only the at-th node it is given: a
+    braced node gets another level, a set loses its last member or gains
+    ∅, and ∅ becomes an atom."""
+    seen = []
+
+    def change(node):
+        seen.append(node)
+        if len(seen) != at:
+            return node
+        if isinstance(node, Braced):
+            return Braced(node.atom, node.level + shift)
+        if isinstance(node, SetOf):
+            return SetOf(node.elements[:-1] if node.elements else (EMPTY,))
+        return Braced("x", 0)
+
+    return change, seen
+
+
+def test_eq_and_hash_match_an_independent_walk():
+    rng = random.Random(1919)
+    equal = unequal = 0
+    for _ in range(2000):
+        a = _raw(rng, rng.randint(1, 4))
+        counting, seen = _edit_node(0, 0)  # edits no node, counts them
+        twin = _copy(a, counting)
+        edit, _ = _edit_node(rng.randint(1, len(seen)), rng.choice((1, -1)))
+        edited = _copy(a, edit)
+        assert _same_tree(a, twin) and not _same_tree(a, edited)
+        for b in (twin, edited, _raw(rng, rng.randint(0, 2))):
+            same = _same_tree(a, b)
+            assert (a == b, a != b, b == a) == (same, not same, same)
+            if same:
+                assert hash(a) == hash(b)
+                equal += 1
+            else:
+                unequal += 1
+    # twins are equal and edits unequal; the independent pairs match by
+    # chance now and then
+    assert equal > 2000 and unequal > 3500
+
+
+def test_eq_keeps_the_generated_meaning_across_kinds():
+    # another kind is NotImplemented, so == falls back to identity
+    assert Braced("x", 1).__eq__(SetOf((Braced("x", 0),))) is NotImplemented
+    assert EMPTY != SetOf(()) and Braced("x", 0) != "x"
+    assert hash(Braced("x", 1)) == hash(Braced("x", 1.0)) == hash(Braced("x", True))
+    assert Braced(EMPTY, 2) == Braced(Empty(), 2) != Braced(Braced("x", 0), 2)
+
+
+def test_eq_tells_apart_the_same_nodes_nested_differently():
+    # each pair walks the same kinds of node in the same order; only the
+    # member counts, or which nodes take a member, tell them apart
+    x, hollow = Braced("x", 0), SetOf(())
+    pairs = [
+        (SetOf((x, hollow)), SetOf((SetOf((x,)),))),
+        (SetOf((Braced(hollow, 0), EMPTY)), SetOf((hollow, Braced(EMPTY, 0)))),
+        (SetOf((Braced(x, 1), EMPTY)), SetOf((x, Braced(EMPTY, 1)))),
+    ]
+    for a, b in pairs:
+        assert not _same_tree(a, b)
+        assert a != b and not a == b
+
+
 # ------------------------------------------------------------ depth 5000
 
 
@@ -204,6 +307,37 @@ def test_classical_degeneracy_at_depth_5000(deep):
     report = verify_classical_degeneracy(classical, probes)
     assert report.passed and report.computed == 0.0
     assert [propagate_membership(classical, p) for p in probes] == [1.0, 0.0]
+
+
+def _innermost_level_raised(chain):
+    """The chain built anew, but for one more brace on its innermost atom."""
+    spine = []
+    while isinstance(chain, SetOf):
+        spine.append(chain.elements[0])
+        chain = chain.elements[1]
+    chain = Braced(chain.atom, chain.level + 1)
+    for atom in reversed(spine):
+        chain = SetOf((atom, chain))
+    return chain
+
+
+def test_eq_and_hash_at_depth_5000(deep):
+    twin = _chain(DEEP, 5000)[1]
+    changed = _innermost_level_raised(deep.raw)
+    assert twin is not deep.raw and twin == deep.raw and not twin != deep.raw
+    assert changed != deep.raw and not changed == deep.raw
+    assert hash(twin) == hash(deep.raw)
+    assert _same_tree(twin, deep.raw) and not _same_tree(changed, deep.raw)
+    assert normalize(deep.raw) == deep.e
+
+
+def test_membership_table_at_depth_5000(deep):
+    base = _base()
+    fs = FuzzySet.build(base.universe, [*base.elements, (deep.raw, 0.25)])
+    table = fs.membership_table()
+    assert len(table) == len(fs.elements)
+    assert table[parse_expr(deep.printed)] == 0.25
+    assert table[Braced("x1", 0)] == MU["x1"]
 
 
 def _fuzznest(*argv: str) -> subprocess.CompletedProcess:

@@ -237,7 +237,8 @@ def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
 def test_propagation_walks_each_element_once(monkeypatch):
     # construct_fuzzy_set and propagate_membership value each element in
     # the pass that canonicalizes it: one _post_order per element and no
-    # other walk; verify_classical_degeneracy adds one atoms_of per probe
+    # other walk; verify_classical_degeneracy adds one atoms_of per probe,
+    # itself one _post_order
     u = AtomUniverse(("x", "y"))
     pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25), ("{x}^(2)", 0.5)]
     base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
@@ -271,7 +272,7 @@ def test_propagation_walks_each_element_once(monkeypatch):
     assert walks["_post_order"] == 2 * len(exprs)
     monkeypatch.setattr(fuzzy_core, "atoms_of", counted("atoms_of", atoms_of))
     assert verify_classical_degeneracy(classical, exprs).passed
-    assert walks == {"_post_order": 3 * len(exprs), "atoms_of": len(exprs)}
+    assert walks == {"_post_order": 4 * len(exprs), "atoms_of": len(exprs)}
 
 
 def test_a_listed_set_of_depth_0_keeps_its_stored_value():

@@ -1,6 +1,8 @@
 """Expression parsing, printing, normalization, and the atom universe."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -152,6 +154,22 @@ def test_str_uses_print():
     assert str(parse_expr("{x1,{x2}}")) == "{x1,{x2}}"
 
 
+def test_str_of_each_node_kind():
+    assert str(EMPTY) == str(Empty()) == "∅"
+    assert str(Braced("x", 0)) == "x" and str(Braced("x", -2)) == "{x}^(-2)"
+    # a raw set prints its members in the order given
+    assert str(SetOf((Braced("y", 1), EMPTY, Braced("x", 0)))) == "{{y},∅,x}"
+
+
+def test_print_meets_a_fault_inside_a_braced_subexpression_first():
+    # the printer walks a braced subexpression before the brace around it,
+    # and a set's members left to right
+    with pytest.raises(LevelError, match="level must be an integer, got 2.5"):
+        print_expr(Braced(SetOf((Braced("x", 2.5),)), 1))
+    with pytest.raises(InvariantError, match="non-canonical braced expression"):
+        print_expr(SetOf((Braced(Braced("x", 1), 1), Braced("y", 2.5))))
+
+
 # -------------------------------------------------------------- normalize
 
 
@@ -225,6 +243,13 @@ def test_structural_depth():
     assert structural_depth(SetOf((EMPTY,))) == 1
 
 
+def test_structural_depth_of_a_braced_subexpression():
+    # its level adds to the depth of what it wraps
+    pair = SetOf((Braced("x", 0), Braced("y", 0)))
+    assert structural_depth(Braced(pair, 3)) == 4
+    assert structural_depth(Braced(Braced("x", 1), -2)) == -1
+
+
 # --------------------------------------------------------------- universe
 
 
@@ -294,6 +319,65 @@ def test_atoms_of():
     ]
     assert list(atoms_of(EMPTY)) == []
     assert list(atoms_of(Braced("x", -4))) == ["x"]
+
+
+def test_atoms_of_raw_trees_left_to_right_with_repeats():
+    x, y = Braced("x", 0), Braced("y", 2)
+    assert list(atoms_of(SetOf((x, y, x)))) == ["x", "y", "x"]
+    assert list(atoms_of(Braced(SetOf((x, Braced(y, -1))), 2))) == ["x", "y"]
+    raw = SetOf((
+        Braced(SetOf((y, x)), 1),
+        EMPTY,
+        x,
+        SetOf((Braced(Braced("z", 1), 3), SetOf(()), y)),
+    ))
+    assert list(atoms_of(raw)) == ["y", "x", "x", "z", "y"]
+
+
+# ------------------------------------------------------------------ walks
+
+
+def test_each_question_about_a_tree_is_one_walk(monkeypatch):
+    walks = []
+    post_order = set_expr._post_order
+    monkeypatch.setattr(
+        set_expr, "_post_order", lambda e: walks.append(e) or post_order(e)
+    )
+
+    def walks_of(call, *args):
+        walks.clear()
+        call(*args)
+        return len(walks)
+
+    raw = SetOf((Braced(parse_expr("{x1,{x2,{x3}}}"), 2), EMPTY, Braced("x1", -1)))
+    canonical = normalize(raw)
+    for e in (raw, canonical, EMPTY, Braced("x", 3)):
+        twin = normalize(e) if e is raw else parse_expr(print_expr(e))
+        assert walks_of(atoms_of, e) == walks_of(structural_depth, e) == 1
+        assert walks_of(normalize, e) == walks_of(hash, e) == 1
+        assert walks_of(lambda: e == twin) == 2
+    for e in (canonical, EMPTY, Braced("x", 3)):
+        assert walks_of(print_expr, e) == 1
+
+
+def test_only_post_order_reads_a_sets_members():
+    # no other function can walk a tree: outside _post_order, a set's
+    # members are only ever counted
+    tree = ast.parse(Path(set_expr.__file__).read_text(encoding="utf-8"))
+    readers = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        counted = {
+            id(call.args[0]) for call in ast.walk(func)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+        }
+        readers.update(
+            func.name for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == "elements"
+            and id(node) not in counted
+        )
+    assert readers == {"_post_order"}
 
 
 # ------------------------------------------------------------- properties
