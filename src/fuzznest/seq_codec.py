@@ -7,7 +7,8 @@ indices -2, 0, 2. A sequence selects the universe {x}^(k) for its 1-bits,
 and its cardinality series G(t) = sum of u_k(t) over 1-bits is strictly
 increasing with G(0) = 0, so G(t) = 1 has exactly one root in (0, 1].
 A sequence's text is read as tokens of one regular expression: a run of
-bits with any separators inside it, "...", or any other character.
+bits with any separators inside or after it, matched as one character
+class, "...", or any other character.
 
 decode finds that root by safeguarded Newton: Newton steps kept inside
 a shrinking bracket, which otherwise bisects, in exponent while it spans
@@ -21,8 +22,11 @@ below 1, until the residual drops under tol_residual or max_terms bits
 are spent (the truncated flag records which).
 
 Outside the series kernel, per-bit work is one C-level call each:
-tuple.count validates the bits, bytes.translate prints them and
-itertools.compress lists the indices of the 1-bits.
+bytes() converts the bits, bytes.translate checks that each is 0 or 1
+and prints them, and itertools.compress lists the indices of the 1-bits
+and picks their levels. expand_to_fuzzy walks each of w's two ladders
+once, to the lowest and the highest 1-bit, and reads the levels off
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, repeat
 
 from ._kernels import _climb, _series, greedy_encode, level_value, series_root
 from .errors import ConfigError, InvariantError, ParseError, RangeError
@@ -56,8 +60,9 @@ __all__ = [
 ]
 
 _ELLIPSIS = "…"
-# after any separators: a run of bits, "...", or any other character
-_SEQ_TOKEN = re.compile(r"[ \t\r\n,]*([01](?:[ \t\r\n,]*[01])*|\.\.\.|[^ \t\r\n,])")
+# after any separators: a run of bits with the separators inside and after
+# it, "...", or any other character
+_SEQ_TOKEN = re.compile(r"[ \t\r\n,]*([01][01 \t\r\n,]*|\.\.\.|[^ \t\r\n,])")
 _BITS = str.maketrans("01", "\0\1", " \t\r\n,")  # bits to bytes 0, 1; no separators
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bytes 0, 1 back to bits
 
@@ -87,20 +92,20 @@ class BinarySequence:
 
     def __post_init__(self):
         try:
-            bits = tuple(map(operator.index, self.bits))
+            raw = _bit_bytes(self.bits)
         except TypeError:
             raise InvariantError("bits must be 0 or 1") from None
-        object.__setattr__(self, "bits", bits)
         if not _is_number(self.m_star, int):
             raise InvariantError("m_star must be an integer")
         if not isinstance(self.truncated, bool):
             raise InvariantError("truncated must be a boolean")
         if self.m_star > 0:
             raise InvariantError("m_star must be <= 0")
-        if not bits:
-            raise InvariantError("bits must be non-empty")
-        if bits.count(0) + bits.count(1) != len(bits):
+        if raw is None or raw.translate(None, b"\0\1"):  # empty bits pass, named next
             raise InvariantError("bits must be 0 or 1")
+        if not raw:
+            raise InvariantError("bits must be non-empty")
+        object.__setattr__(self, "bits", tuple(raw))
         if self.last_index < 0:
             raise InvariantError("bits must cover index 0")
         if self.bits[-self.m_star] != 1:
@@ -129,6 +134,18 @@ class BinarySequence:
 
     def __str__(self) -> str:
         return print_sequence(self)
+
+
+def _bit_bytes(bits) -> bytes | None:
+    """The bits as bytes in one C-level conversion, or None when one is an
+    int outside 0..255. A bit that operator.index refuses raises
+    TypeError wherever it stands, so a second pass looks for one past
+    such an int."""
+    try:
+        return bytes(iter(bits))  # iter: neither an int nor a buffer is bits
+    except ValueError:
+        tuple(map(operator.index, bits))
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,7 +235,7 @@ def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
     m_star, bits, truncated, _ = greedy_encode(
         float(w), cfg.tol_residual, cfg.max_terms, cfg.max_index
     )
-    return BinarySequence(m_star, tuple(bits), truncated)
+    return BinarySequence(m_star, bits, truncated)
 
 
 def expand_to_fuzzy(
@@ -233,12 +250,17 @@ def expand_to_fuzzy(
     """
     universe = AtomUniverse((atom,))  # validates the name before solving
     w = decode(a, cfg)
-    up, down = [w], [w]  # w's two ladders, so each level is one step
-    pairs = tuple(
-        (Braced(atom, k), _climb(up if k >= 0 else down, k))
-        for k in a.nonzero_indices
-    )
-    return FuzzySet(universe, pairs)
+    ks = a.nonzero_indices
+    # w's two ladders, each walked once: down to the lowest 1-bit (m_star)
+    # and up to the highest; a ladder that stalled is padded with its last
+    # rung, which stands for every higher level
+    down, up = [w], [w]
+    _climb(down, ks[0])
+    _climb(up, ks[-1])
+    down += [down[-1]] * (1 - ks[0] - len(down))
+    up += [up[-1]] * (1 + ks[-1] - len(up))
+    levels = compress(down[:0:-1] + up, a.bits)  # u_k(w) for k = m_star ..
+    return FuzzySet(universe, tuple(zip(map(Braced, repeat(atom), ks), levels)))
 
 
 # ------------------------------------------------------------------ text
@@ -290,8 +312,7 @@ def parse_sequence(text: str) -> BinarySequence:
     left, right = runs
     if left[:1] == "\0":
         raise InvariantError("the leftmost bit of the left part must be 1")
-    bits = tuple((left + "\1" + right).encode())
-    return BinarySequence(-len(left), bits, truncated)
+    return BinarySequence(-len(left), (left + "\1" + right).encode(), truncated)
 
 
 def _sequence_error(text: str, token: int, message: str) -> ParseError:
@@ -338,4 +359,4 @@ def sequence_from_json(text: str) -> BinarySequence:
         raise ParseError('"bits" must be a list of integers', 0)
     if not isinstance(truncated, bool):
         raise ParseError('"truncated" must be a boolean', 0)
-    return BinarySequence(m_star, tuple(bits), truncated)
+    return BinarySequence(m_star, bits, truncated)

@@ -25,8 +25,10 @@ Distinct canonical trees print differently, so the printed form is the
 package's one identity rule: a set deduplicates its members by it, and
 ``fuzzy_core`` tells elements apart by it, taking each element's text
 from the pass that canonicalizes it. No library call compares or hashes
-a node; ``==`` and ``hash`` keep the dataclass-generated meaning, but
-read one walk of each tree, so they hold at any depth.
+a node; ``==``, ``hash`` and ``repr`` keep the dataclass-generated
+meaning, but read one walk of each tree, as pickling and ``copy`` do, so
+they hold at any depth. A leaf that is not a node raises TypeError from
+every question but ``==`` and ``hash``.
 
 A level is an ``int`` (not a bool); printing or canonicalizing any
 other level raises LevelError, as does printing a level of more digits
@@ -60,13 +62,17 @@ __all__ = [
 
 
 class _Node:
-    """What the node kinds share: str is the printed form, and ``==``
-    and ``hash`` read one walk of each tree, so they hold at any depth."""
+    """What the node kinds share: str is the printed form, and ``==``,
+    ``hash``, ``repr``, pickling and ``copy`` read one walk of each
+    tree, so they hold at any depth."""
 
     __slots__ = ()
 
     def __str__(self) -> str:
         return print_expr(self)
+
+    def __repr__(self) -> str:
+        return _repr(self)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,19 +82,22 @@ class _Node:
     def __hash__(self) -> int:
         return hash(_shape(self))
 
+    def __reduce__(self):
+        return (_from_shape, (_shape(self),))
 
-@dataclass(frozen=True, slots=True, eq=False)
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Empty(_Node):
     """The empty set."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Braced(_Node):
     atom: Union[str, "SetExpr"]
     level: int
 
 
-@dataclass(frozen=True, slots=True, eq=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SetOf(_Node):
     elements: tuple["SetExpr", ...]
 
@@ -159,9 +168,14 @@ def _post_order(e: SetExpr) -> list:
     return order
 
 
+def _not_a_node(x) -> TypeError:
+    return TypeError(f"not a set expression: {x!r}")
+
+
 def _shape(e: SetExpr) -> tuple:
     """Each node of e in post-order as its kind and own fields, a set's
-    members as their count and a braced subexpression's atom as None."""
+    members as their count and a braced subexpression's atom as None;
+    a leaf that is no node is (None, leaf)."""
     shape = []
     for x in _post_order(e):
         if isinstance(x, Braced):
@@ -169,8 +183,41 @@ def _shape(e: SetExpr) -> tuple:
         elif isinstance(x, SetOf):
             shape.append((SetOf, len(x.elements)))
         else:
-            shape.append((Empty,) if isinstance(x, Empty) else x)
+            shape.append((Empty,) if isinstance(x, Empty) else (None, x))
     return tuple(shape)
+
+
+def _from_shape(shape: tuple) -> SetExpr:
+    """The tree whose _shape is shape; pickle and copy rebuild nodes with
+    it. A set's members come back as a tuple."""
+    stack: list = []
+    for kind, *fields in shape:
+        if kind is Braced:
+            atom, level = fields
+            stack.append(Braced(stack.pop() if atom is None else atom, level))
+        elif kind is SetOf:
+            n = len(stack) - fields[0]
+            stack[n:] = [SetOf(tuple(stack[n:]))]
+        else:
+            stack.append(EMPTY if kind is Empty else fields[0])
+    return stack[0]
+
+
+def _repr(e: SetExpr) -> str:
+    """The dataclass-generated repr of e, a set's members written as a
+    tuple, carried up one post-order walk as print_expr carries text."""
+    texts: list[str] = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            atom = repr(x.atom) if isinstance(x.atom, str) else texts.pop()
+            texts.append(f"Braced(atom={atom}, level={x.level!r})")
+        elif isinstance(x, SetOf):
+            n = len(texts) - len(x.elements)
+            members = ", ".join(texts[n:]) + ("," if len(x.elements) == 1 else "")
+            texts[n:] = [f"SetOf(elements=({members}))"]
+        else:
+            texts.append("Empty()" if isinstance(x, Empty) else repr(x))
+    return texts[0]
 
 
 def structural_depth(e: SetExpr) -> int:
@@ -188,13 +235,15 @@ def structural_depth(e: SetExpr) -> int:
                 depths[-1] += x.level
         elif isinstance(x, Empty):
             depths.append(0)
-        else:
+        elif isinstance(x, SetOf):
             n = len(x.elements)
             deepest = 0
             if n:
                 deepest = max(depths[-n:])
                 del depths[-n:]
             depths.append(deepest + 1)
+        else:
+            raise _not_a_node(x)
     return depths[0]
 
 
@@ -229,10 +278,12 @@ def print_expr(e: SetExpr) -> str:
             texts.append(_braced_text(x.atom, x.level))
         elif isinstance(x, Empty):
             texts.append("∅")
-        else:
+        elif isinstance(x, SetOf):
             # the set's text takes the place of its members' texts
             n = len(texts) - len(x.elements)
             texts[n:] = ["{%s}" % ",".join(texts[n:])]
+        else:
+            raise _not_a_node(x)
     return texts[0]
 
 
@@ -331,7 +382,7 @@ def _canonical(
         elif isinstance(x, Empty):
             item = _EMPTY_ITEM
         else:
-            raise TypeError(f"not a set expression: {x!r}")
+            raise _not_a_node(x)
         items.append(item)
         if made is not None:
             made(item, inner)
@@ -499,8 +550,14 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
 def atoms_of(e: SetExpr) -> Iterator[str]:
     """Every atom name occurring in the expression, left to right, with
     repeats: the braced atoms of its post-order walk."""
-    nodes = _post_order(e)
-    return (x.atom for x in nodes if isinstance(x, Braced) and isinstance(x.atom, str))
+    atoms = []
+    for x in _post_order(e):
+        if isinstance(x, Braced):
+            if isinstance(x.atom, str):
+                atoms.append(x.atom)
+        elif not isinstance(x, (SetOf, Empty)):
+            raise _not_a_node(x)
+    return iter(atoms)
 
 
 def in_superstructure(e: SetExpr, universe: AtomUniverse) -> bool:

@@ -17,6 +17,7 @@ import pytest
 from fuzznest import (
     BinarySequence,
     IndexCapExceededError,
+    InvariantError,
     SolverConfig,
     encode,
     parse_sequence,
@@ -222,3 +223,90 @@ def test_print_and_indices_match_per_bit_loops():
         assert legacy.check_sequence(seq.m_star, bits, seq.truncated) == bits
         count += 1
     assert count > 2000
+
+
+# long bit runs with separators before, inside and after them, around the
+# grammar's other tokens; a few texts get one character of ALPHABET
+_SEPARATORS = [" ", ",", "\t", "\r", "\n", ", ", ",,", " \n "]
+
+
+def _separated(rng: random.Random, run: str) -> str:
+    parts = [rng.choice(_SEPARATORS) if rng.random() < 0.5 else ""]
+    for bit in run:
+        parts.append(bit)
+        if rng.random() < 0.3:
+            parts.append(rng.choice(_SEPARATORS))
+    return "".join(parts)
+
+
+def _long_run_text(rng: random.Random) -> str:
+    left = "".join(rng.choice("01") for _ in range(rng.randint(0, 150)))
+    right = "".join(rng.choice("01") for _ in range(rng.randint(0, 150)))
+    if left and rng.random() < 0.8:
+        left = "1" + left[1:]
+    text = _separated(rng, left) + "|" + _separated(rng, right)
+    text += rng.choice(["", "", "...", "…", " ...", "1", "|", ". .", "x"])
+    if rng.random() < 0.3:
+        text = rng.choice(["(", "( ", ",("]) + text + rng.choice([")", " )", ""])
+    if rng.random() < 0.2:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(ALPHABET) + text[at:]
+    return text
+
+
+def test_parse_sequence_matches_character_loop_on_long_runs():
+    rng = random.Random(20261019)
+    kinds = {"ok": 0, "ParseError": 0, "InvariantError": 0}
+    longest = 0
+    for _ in range(4000):
+        text = _long_run_text(rng)
+        want = _outcome(legacy.parse_sequence, text)
+        assert _outcome(parse_sequence, text) == want, text
+        kinds["ok" if want[0] == "ok" else want[0].__name__] += 1
+        if want[0] == "ok":
+            longest = max(longest, len(want[1].bits))
+    assert all(count > 100 for count in kinds.values()), kinds
+    assert longest > 250
+
+
+# an int out of the byte range, or past any fixed-width int, among bits
+# that may hold a value operator.index refuses before or after it
+@pytest.mark.parametrize("bad", [-1, 256, 2**70])
+def test_out_of_range_bits_report_where_the_per_bit_loop_did(bad):
+    bit_rows = [
+        (bad,), (1, bad), (bad, 1, 1), (1, 0, bad, 1), (1, bad, 0),
+        (1, bad, "x"), ("x", bad), (bad, 0.5, 1), (1, bad, None, bad),
+    ]
+    cases = 0
+    for bits in bit_rows:
+        for m_star in (0, -1, -2, 1, 3, 0.0, -1.0):
+            for truncated in (False, True):
+                case = (m_star, bits, truncated)
+                want = _outcome(legacy.check_sequence, *case)
+                assert _outcome(_checked_bits, *case) == want, case
+                # a one-shot iterator is read on from where bytes() stopped
+                once = (m_star, iter(bits), truncated)
+                assert _outcome(_checked_bits, *once) == want, case
+                cases += 1
+    assert cases == 9 * 7 * 2
+
+
+@pytest.mark.parametrize(
+    "m_star, bits, truncated, message",
+    [
+        (0, (1, 256), "yes", "truncated must be a boolean"),
+        (2, (-1,), None, "truncated must be a boolean"),
+        (0, (1, 2**70, 0), 1, "truncated must be a boolean"),
+        (1.5, (1, 256), "yes", "m_star must be an integer"),
+        (True, (-1, 1), False, "m_star must be an integer"),
+        (0, (256, "x"), 1, "bits must be 0 or 1"),
+        (1.5, (1, -1, 1.0), "yes", "bits must be 0 or 1"),
+        (3, (1, 256), False, "m_star must be <= 0"),
+    ],
+)
+def test_out_of_range_bits_keep_the_check_order(m_star, bits, truncated, message):
+    # legacy's loop checks neither bool m_star nor truncated's type; the
+    # sequence checks them after the bits' types, before their range
+    with pytest.raises(InvariantError) as exc:
+        BinarySequence(m_star, bits, truncated)
+    assert str(exc.value) == message

@@ -13,8 +13,10 @@ by printed text, so building, reading back, propagating and the
 classical check hold at depth 5000 too.
 """
 
+import copy
 import json
 import math
+import pickle
 import random
 import subprocess
 import sys
@@ -338,6 +340,30 @@ def test_membership_table_at_depth_5000(deep):
     assert len(table) == len(fs.elements)
     assert table[parse_expr(deep.printed)] == 0.25
     assert table[Braced("x1", 0)] == MU["x1"]
+
+
+def _chain_repr(raw) -> str:
+    """The generated repr of a _chain tree, written level by level."""
+    heads, x = [], raw
+    while isinstance(x, SetOf):
+        atom, x = x.elements
+        heads.append("SetOf(elements=(%r, " % atom)  # a shallow Braced
+    return "".join(heads) + repr(x) + "))" * len(heads)
+
+
+def test_repr_pickle_and_copy_at_depth_5000(deep):
+    assert sys.getrecursionlimit() < DEEP
+    assert repr(deep.raw) == _chain_repr(deep.raw)
+    wrapped = Braced(deep.raw, 2)
+    assert repr(wrapped) == "Braced(atom=%s, level=2)" % _chain_repr(deep.raw)
+    for e in (deep.raw, deep.e, wrapped):
+        for back in (
+            pickle.loads(pickle.dumps(e)),
+            pickle.loads(pickle.dumps(e, protocol=0)),
+            copy.deepcopy(e),
+        ):
+            assert back is not e and back == e and _same_tree(back, e)
+    assert print_expr(pickle.loads(pickle.dumps(deep.e))) == deep.printed
 
 
 def _fuzznest(*argv: str) -> subprocess.CompletedProcess:

@@ -604,6 +604,40 @@ def test_expand_steps_once_per_level(monkeypatch):
         assert float.hex(mu) == float.hex(level_value(w, k)), k
 
 
+def _far_bits(low: int, high: int, truncated: bool = False) -> BinarySequence:
+    # 1-bits at low, 0 and high, and 40 zeros past high when truncated
+    bits = [0] * (high - low + 1 + 40 * truncated)
+    bits[0] = bits[-low] = bits[high - low] = 1
+    return BinarySequence(low, tuple(bits), truncated)
+
+
+@pytest.mark.parametrize(
+    "low, high, truncated",
+    [(-150, 150, False), (-200, 150, False), (-300, 300, False),
+     (-300, 300, True), (0, 150, True), (0, 0, True)],
+)
+def test_expand_reads_levels_past_both_stalls(low, high, truncated, monkeypatch):
+    a = _far_bits(low, high, truncated)
+    w = decode(a)
+    steps = []
+    for name in ("_up", "_down"):
+        step = getattr(_kernels, name)
+        monkeypatch.setattr(_kernels, name, lambda v, step=step: steps.append(v) or step(v))
+    fs = expand_to_fuzzy(a)
+    monkeypatch.undo()
+    ks = a.nonzero_indices
+    assert [e for e, _ in fs.elements] == [Braced("x", k) for k in ks]
+    for (_, mu), k in zip(fs.elements, ks):
+        assert float.hex(mu) == float.hex(level_value(w, k)), k
+    # each ladder is walked once, and no further than where it stalls
+    assert len(steps) <= -ks[0] + ks[-1]
+    if ks[-1] == 300:
+        # both ladders stalled before their last 1-bit
+        assert level_value(w, 299) == level_value(w, 300)
+        assert level_value(w, -299) == level_value(w, -300)
+        assert len(steps) < 400
+
+
 def test_expand_checks_the_atom_before_solving(monkeypatch):
     calls = []
     monkeypatch.setattr(seq_codec, "series_root", lambda *args: calls.append(args))

@@ -1,6 +1,9 @@
 """Expression parsing, printing, normalization, and the atom universe."""
 
 import ast
+import copy
+import dataclasses
+import pickle
 import random
 from pathlib import Path
 
@@ -378,6 +381,85 @@ def test_only_post_order_reads_a_sets_members():
             and id(node) not in counted
         )
     assert readers == {"_post_order"}
+
+
+@pytest.mark.parametrize(
+    "e, leaf", [(7, "7"), (SetOf(("x1",)), "'x1'"), (Braced(7, 1), "7")], ids=repr
+)
+@pytest.mark.parametrize(
+    "question",
+    [print_expr, structural_depth, atoms_of, normalize,
+     lambda e: in_superstructure(e, AtomUniverse(("x1",)))],
+    ids=["print_expr", "structural_depth", "atoms_of", "normalize", "in_superstructure"],
+)
+def test_a_leaf_that_is_no_node_raises_one_type_error(e, leaf, question):
+    with pytest.raises(TypeError) as exc:
+        question(e)  # atoms_of raises before its first atom is read
+    assert str(exc.value) == f"not a set expression: {leaf}"
+
+
+def test_eq_and_hash_still_take_leaves_that_are_no_nodes():
+    assert SetOf(("x1",)) == SetOf(("x1",)) and SetOf(("x1",)) != SetOf(("x2",))
+    assert hash(Braced(7, 1)) == hash(Braced(7, 1)) and Braced(7, 1) != Braced(8, 1)
+    # a leaf is never taken for a node that prints alike
+    assert SetOf(((Empty,),)) != SetOf((EMPTY,))
+
+
+# the dataclass-generated repr, from classes of the same names and fields
+_GENERATED = {
+    kind: dataclasses.make_dataclass(
+        kind.__name__, [f.name for f in dataclasses.fields(kind)], frozen=True
+    )
+    for kind in (Empty, Braced, SetOf)
+}
+
+
+def _generated(x):
+    """x with each node replaced by its generated twin (recursive: small
+    trees only)."""
+    if isinstance(x, SetOf):
+        return _GENERATED[SetOf](tuple(_generated(m) for m in x.elements))
+    if isinstance(x, Braced):
+        return _GENERATED[Braced](_generated(x.atom), x.level)
+    return _GENERATED[Empty]() if isinstance(x, Empty) else x
+
+
+def _raw_tree(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.2:
+        return rng.choice([EMPTY, Braced(rng.choice(ATOM_POOL), rng.randint(-3, 3))])
+    if roll < 0.3:
+        return Braced(_raw_tree(rng, depth - 1), rng.choice([0, 1, 2, True, 2.0, -1]))
+    if roll < 0.35:
+        return rng.choice(["x1", 7, None, (1, "a"), 0.5])  # no node
+    return SetOf(tuple(_raw_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))))
+
+
+def test_repr_is_the_generated_repr_on_small_trees():
+    rng = random.Random(1019)
+    trees = [_raw_tree(rng, rng.randint(0, 5)) for _ in range(3000)]
+    trees += [random_expr(rng) for _ in range(500)]
+    trees += [EMPTY, SetOf(()), SetOf((EMPTY,)), Braced("x", -(10**20)), Braced("x", "2")]
+    for e in trees:
+        if isinstance(e, (Empty, Braced, SetOf)):
+            assert repr(e) == repr(_generated(e))
+
+
+def test_pickle_and_copy_rebuild_equal_trees():
+    rng = random.Random(1020)
+    for _ in range(500):
+        e = SetOf(tuple(_raw_tree(rng, 4) for _ in range(3)))
+        for back in (
+            pickle.loads(pickle.dumps(e)),
+            pickle.loads(pickle.dumps(e, protocol=0)),
+            copy.deepcopy(e),
+            copy.copy(e),
+        ):
+            assert type(back) is SetOf and back == e and repr(back) == repr(e)
+    # a leaf that is no node is copied deeply too
+    leaf = ["a"]
+    back = copy.deepcopy(SetOf((leaf, EMPTY)))
+    assert back == SetOf((leaf, EMPTY)) and back.elements[0] is not leaf
 
 
 # ------------------------------------------------------------- properties
