@@ -182,6 +182,9 @@ def greedy_encode(
     A first index below 0 comes from _initial_index's walk down, which
     raises IndexCapExceededError where it stalls; every other index from
     one upward search from the previous index (or 0), up to max_index.
+    The upward search raises the same error where an _up step returns
+    its input without keeping s <= 0, since neither s nor the level can
+    change after that, so its work is bounded whatever max_index is.
 
     Returns (m_star, bits, truncated, residual).
     """
@@ -196,9 +199,14 @@ def greedy_encode(
                 if k > max_index:
                     search = "index" if chosen else "initial index"
                     raise IndexCapExceededError(f"{search} search passed {max_index}")
-                v = _up(v)
-                if k != 0 and s + v <= 0.0:
-                    break
+                nxt = _up(v)
+                if k != 0:
+                    if s + nxt <= 0.0:
+                        v = nxt
+                        break
+                    if nxt == v:
+                        k = max_index  # a stall: the next step raises as the cap does
+                v = nxt
         chosen.append(k)
         s += v
     indices = [0, *chosen]  # chosen ascends and never holds 0

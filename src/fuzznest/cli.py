@@ -120,11 +120,11 @@ def _read_sequence(text: str) -> BinarySequence:
 
 
 def _element_rows(fs: FuzzySet, precision: int) -> list[tuple[str, str]]:
-    return [(t, _fmt(mu, precision)) for t, (_, mu) in zip(fs.texts, fs.elements)]
+    return [(t, _fmt(mu, precision)) for t, mu in zip(fs.texts, fs.memberships)]
 
 
 def _element_json(fs: FuzzySet) -> list[dict]:
-    return [{"expr": t, "mu": mu} for t, (_, mu) in zip(fs.texts, fs.elements)]
+    return [{"expr": t, "mu": mu} for t, mu in zip(fs.texts, fs.memberships)]
 
 
 def _base_row(base: FuzzySet, precision: int) -> tuple[str, str]:
@@ -194,7 +194,7 @@ def cmd_powerset(args) -> int:
     finite floats, which json prints with float.__repr__, and one %
     formats every row from the flat list text, product, text, ..."""
     base = _read_fuzzyset(args.fuzzyset)
-    _, texts, products = _power_columns(base, args.cap)
+    texts, products = _power_columns(base, args.cap)
     report = None
     if args.verify:
         report = _power_report(base, products, args.tol)

@@ -20,8 +20,9 @@ bits level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
 
 Elements are told apart by their printed text, as set_expr's sets tell
 members apart. The pass that canonicalizes an element gives its text,
-and the fuzzy set keeps it in ``FuzzySet.texts``, which every writer
-reads. No call here compares or hashes a node.
+and the fuzzy set keeps it in ``FuzzySet.texts``. Every reader here and
+in the CLI reads the texts and ``FuzzySet.memberships``, never a node it
+would then drop, and no call here compares or hashes a node.
 
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
@@ -31,9 +32,10 @@ products, without building the listing of 2^n expressions.
 
 The listing itself is enumerated once, by itertools.combinations over
 the sorted atom names and their factors, as columns of printed texts
-and products. fuzzy_power_set pairs the products with the subsets of
-level-0 atoms in the same order and keeps the texts, and ``fuzznest
-powerset`` prints the texts and products without building any node.
+and products. fuzzy_power_set keeps those two columns as the fuzzy
+set's texts and memberships, and ``fuzznest powerset`` prints them:
+neither builds a node. The listing's elements are parsed from its
+texts only if they are read.
 
 fuzzyset_to_json writes the whole document with one % over a flat list
 of arguments (escaped text, membership, escaped text, ...), so no
@@ -51,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
@@ -67,12 +69,10 @@ from .errors import (
     UniverseError,
 )
 from .set_expr import (
-    EMPTY,
     AtomUniverse,
     Braced,
     Empty,
     SetExpr,
-    SetOf,
     _canonical,
     _Item,
     _parse,
@@ -100,7 +100,21 @@ POWER_SET_CAP = 20
 
 @dataclass(frozen=True, slots=True)
 class FuzzySet:
-    """Finite fuzzy set: (expression, membership) pairs over an atom universe.
+    """Finite fuzzy set over an atom universe: the elements, (expression,
+    membership) pairs, with their printed texts and their memberships,
+    each a tuple in element order.
+
+    ``texts`` and ``memberships`` are what the library reads; ``==``,
+    ``hash``, ``repr`` and pickling read the universe and the elements. A
+    maker keeps what it has: the plain constructor the elements, build,
+    flat, fuzzyset_from_json and construct_fuzzy_set the elements and
+    their texts, fuzzy_power_set the texts and memberships. A field its
+    maker left unwritten is made at its first read and kept: the texts
+    printed, the memberships read off the elements, or the elements
+    parsed from the texts with one table of atom tokens, as
+    fuzzyset_from_json parses them (parse_expr(print_expr(e)) == e for
+    every canonical e). So the power-set listing builds no node until
+    its elements are read.
 
     The plain constructor trusts its arguments (internal fast paths rely
     on that); use build() for validated construction from outside input.
@@ -108,24 +122,29 @@ class FuzzySet:
 
     universe: AtomUniverse
     elements: tuple[tuple[SetExpr, float], ...]
-    _texts: tuple[str, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    memberships: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def texts(self) -> tuple[str, ...]:
-        """The elements' printed forms, in element order: the texts their
-        maker kept (build, flat, fuzzyset_from_json, construct_fuzzy_set,
-        fuzzy_power_set), else printed once, at the first read."""
-        if self._texts is None:
-            self._keep_texts([print_expr(e) for e, _ in self.elements])
-        return self._texts
-
-    def _keep_texts(self, texts: Iterable[str]) -> "FuzzySet":
-        """Keep texts as the elements' printed forms, and return self;
-        the one write of the slot."""
-        object.__setattr__(self, "_texts", tuple(texts))
+    def _keep(self, **fields) -> "FuzzySet":
+        """Write the given fields and return self; the one write of a field."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         return self
+
+    def __getattr__(self, name: str):
+        # a field its maker left unwritten: made at its first read, and kept
+        if name == "texts":
+            value = tuple([print_expr(e) for e, _ in self.elements])
+        elif name == "memberships":
+            value = tuple([mu for _, mu in self.elements])
+        elif name == "elements":
+            leaves: dict[str, _Item] = {}  # one node per distinct atom token
+            nodes = [_parse(text, leaves)[0] for text in self.texts]
+            value = tuple(zip(nodes, self.memberships))
+        else:
+            raise AttributeError(f"'FuzzySet' object has no attribute {name!r}")
+        self._keep(**{name: value})
+        return value
 
     @classmethod
     def build(
@@ -171,7 +190,7 @@ class FuzzySet:
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
             out.append((_new_element(item, universe if foreign else None, seen), mu))
-        return cls(universe, tuple(out))._keep_texts(seen)
+        return cls(universe, tuple(out))._keep(texts=tuple(seen))
 
     @classmethod
     def flat(cls, memberships: Iterable[tuple[str, float]]) -> "FuzzySet":
@@ -220,7 +239,7 @@ class VerificationReport:
 
 def scalar_cardinality(fs: FuzzySet) -> float:
     """Sum of all membership degrees (the sigma count)."""
-    return math.fsum(mu for _, mu in fs.elements)
+    return math.fsum(fs.memberships)
 
 
 class _Propagation:
@@ -238,7 +257,7 @@ class _Propagation:
     __slots__ = ("table", "lengths", "names", "up", "down", "values", "foreign")
 
     def __init__(self, base: FuzzySet):
-        self.table = dict(zip(base.texts, [mu for _, mu in base.elements]))
+        self.table = dict(zip(base.texts, base.memberships))
         self.lengths = set(map(len, self.table))
         self.names = base.universe._names
         self.up: dict[str, list[float]] = {}
@@ -322,7 +341,7 @@ def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     module docstring for the rule order. This is construct_fuzzy_set
     over the one expression y.
     """
-    return construct_fuzzy_set(base, (y,)).elements[0][1]
+    return construct_fuzzy_set(base, (y,)).memberships[0]
 
 
 def construct_fuzzy_set(
@@ -336,7 +355,7 @@ def construct_fuzzy_set(
     memberships = _Propagation(base)
     seen: dict[str, None] = {}  # the texts, in element order
     out = [memberships.element(expr, seen) for expr in universe_exprs]
-    return FuzzySet(base.universe, tuple(out))._keep_texts(seen)
+    return FuzzySet(base.universe, tuple(out))._keep(texts=tuple(seen))
 
 
 def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
@@ -350,8 +369,8 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
         raise ConfigError(f"cap must be an integer at least 0, got {cap!r}")
     names = sorted(base.universe.atoms)
     # a level-0 atom's text is its name
-    mu = dict(zip(base.texts, [m for _, m in base.elements]))
-    if len(base.elements) != len(names) or mu.keys() != set(names):
+    mu = dict(zip(base.texts, base.memberships))
+    if len(base.memberships) != len(names) or mu.keys() != set(names):
         raise DomainError(
             "operation needs a flat fuzzy set: exactly the universe atoms "
             "at level 0, nothing else"
@@ -364,15 +383,13 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     return names, [_up(mu[name]) for name in names]
 
 
-def _power_columns(
-    base: FuzzySet, cap: int
-) -> tuple[list[str], list[str], list[float]]:
-    """The power set of a flat base in listing order: the sorted atom
-    names, then each subset's printed text ("∅", "{a}", "{a,b,...}", as
-    print_expr gives it) and its product of (2^mu - 1), by math.prod
-    left to right. The order, by size and then lexicographic by name, is
-    the one itertools.combinations gives over the sorted names. Raises
-    as _power_factors does.
+def _power_columns(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
+    """The power set of a flat base in listing order: each subset's
+    printed text ("∅", "{a}", "{a,b,...}", as print_expr gives it) and
+    its product of (2^mu - 1), by math.prod left to right. The order,
+    by size and then lexicographic by name, is the one
+    itertools.combinations gives over the sorted names. Raises as
+    _power_factors does.
     """
     names, factors = _power_factors(base, cap)
     texts = ["∅"]
@@ -380,7 +397,7 @@ def _power_columns(
     for size in range(1, len(names) + 1):
         texts += ["{" + t + "}" for t in map(",".join, combinations(names, size))]
         products += map(math.prod, combinations(factors, size))
-    return names, texts, products
+    return texts, products
 
 
 def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
@@ -391,17 +408,14 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     Elements are ordered by subset size, then lexicographically by atom
     names. CapExceededError guards the exponential blowup for n > cap.
 
-    The texts and products come from one enumeration (_power_columns),
-    and the listing keeps the texts, so writing it prints no set again.
+    The listing is the texts and products of one enumeration
+    (_power_columns): no node is built until its elements are read.
     """
-    names, texts, products = _power_columns(base, cap)
-    n = len(names)
-    level0 = [Braced(name, 0) for name in names]
-    members = chain.from_iterable(combinations(level0, s) for s in range(2, n + 1))
-    elements: list[SetExpr] = [EMPTY]
-    elements += [Braced(name, 1) for name in names]
-    elements += map(SetOf, members)
-    return FuzzySet(base.universe, tuple(zip(elements, products)))._keep_texts(texts)
+    texts, products = _power_columns(base, cap)
+    listing = FuzzySet.__new__(FuzzySet)
+    return listing._keep(
+        universe=base.universe, texts=tuple(texts), memberships=tuple(products)
+    )
 
 
 def verify_power_cardinality(
@@ -443,14 +457,12 @@ def verify_classical_degeneracy(
     largest deviation from that indicator over all probes, and the
     tolerance is zero: pass means bit-exact classical behavior.
     """
-    for text, (_, mu) in zip(base.texts, base.elements):
+    pairs = list(zip(base.texts, base.memberships))
+    for text, mu in pairs:
         if mu != 0.0 and mu != 1.0:
             raise DomainError(f"base is not classical: mu({text}) = {mu!r}")
-    zero_atoms = {
-        expr.atom
-        for expr, mu in base.elements
-        if isinstance(expr, Braced) and expr.level == 0 and mu == 0.0
-    }
+    # a level-0 atom's text is its name, and no other text is a name
+    zero_atoms = {text for text, mu in pairs if mu == 0.0}
     memberships = _Propagation(base)
     worst = 0.0
     for probe in probe_exprs:
@@ -472,13 +484,13 @@ def fuzzyset_to_json(fs: FuzzySet) -> str:
     text, ...), writing each membership by %.17g, the bytes of
     format(mu, ".17g").
     """
-    args = [",".join(map(encode_basestring_ascii, fs.universe.atoms))]
-    args += chain.from_iterable(fs.elements)
+    n = len(fs.memberships)
+    # the atoms, then text, membership, text, ... over 2n more slots
+    args = [",".join(map(encode_basestring_ascii, fs.universe.atoms))] * (2 * n + 1)
     args[1::2] = map(encode_basestring_ascii, fs.texts)
+    args[2::2] = fs.memberships
     row = '{"expr":%s,"mu":%.17g}'
-    return (
-        '{"atoms":[%s],"elements":[' + ",".join([row] * len(fs.elements)) + "]}"
-    ) % tuple(args)
+    return ('{"atoms":[%s],"elements":[' + ",".join([row] * n) + "]}") % tuple(args)
 
 
 def _is_number(value, kinds) -> bool:

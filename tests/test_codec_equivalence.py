@@ -6,7 +6,8 @@ their per-bit loops (all frozen in legacy_codec.py).
 Seeded random texts and encoder inputs: results must be equal with
 ``==``, and failures must raise the same exception class with the same
 message (and, for ParseError, the same byte offset). The encoder's walk
-down must also stop at a fixed point, which the frozen copy does not.
+down and its upward search must also stop where a step returns its input,
+which the frozen copy does not.
 """
 
 import math
@@ -168,6 +169,30 @@ def test_cli_encode_walk_down_stops_at_a_fixed_point(capsys, monkeypatch):
     assert captured.err == (
         "error: initial index search passed -1000000000000000000\n"
     )
+
+
+def test_cli_encode_upward_search_stops_at_a_stall(capsys, monkeypatch):
+    # _up stalls at 2^-52 with the residual between -2^-52 and -tol, where
+    # s + v <= 0 can never hold again: the search must raise there, not
+    # step on to max_index; past 1000 calls the stub fails instead of
+    # letting such a walk hang
+    calls = []
+    up = _kernels._up
+
+    def counted(v):
+        calls.append(v)
+        if len(calls) >= 1000:
+            raise RuntimeError("_up called 1000 times")
+        return up(v)
+
+    monkeypatch.setattr(_kernels, "_up", counted)
+    cap = 10**18
+    argv = ["encode", "0.01826899859912764", "--tol", "1e-16", "--max-terms", "400"]
+    code = main(argv + ["--max-index", str(cap)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: index search passed {cap}\n"
+    assert 0 < len(calls) < 1000
 
 
 # each character of a random text stands for one candidate bit: mostly

@@ -46,6 +46,7 @@ from fuzznest import (
 )
 from fuzznest import cli, fuzzy_core, set_expr
 from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, random_flat_set
+import legacy_power_set
 import legacy_propagate
 import oracle_mp
 from oracle_mp import CONSTRUCTION_VALUES, POWERSET_VALUES
@@ -759,36 +760,107 @@ def _texts_producers():
     chain = parse_expr("{x1," * 5000 + "x2" + "}" * 5000)
     listing = fuzzy_power_set(FuzzySet.flat([(f"x{i}", i / 13) for i in range(12)]))
     probes = [parse_expr(t) for t in ("{∅,x1}", "{{x2},{x3}}", "{x1}^(-2)")]
+    deep = construct_fuzzy_set(base, probes + [chain])
+    # a set kept as texts and memberships alone, as the listing is, at depth 5000
+    texts_only = FuzzySet.__new__(FuzzySet)._keep(
+        universe=u, texts=deep.texts, memberships=deep.memberships
+    )
     return [
         ("build", FuzzySet.build(u, [(Braced(Braced("x2", 1), 1), 0.4), (EMPTY, 1.0)])),
         ("flat", base),
         ("fuzzyset_from_json", fuzzyset_from_json(fuzzyset_to_json(listing))),
-        ("construct_fuzzy_set", construct_fuzzy_set(base, probes + [chain])),
+        ("construct_fuzzy_set", deep),
         ("fuzzy_power_set", listing),
+        ("texts only", texts_only),
         ("expand_to_fuzzy", expand_to_fuzzy(parse_sequence("10|01"))),
         ("trusted", FuzzySet(u, ((SetOf((Braced("x1", 0), EMPTY)), 0.3),))),
     ]
 
 
 def test_texts_are_the_printed_elements_for_every_producer():
-    for name, fs in _texts_producers():
+    producers = dict(_texts_producers())
+    for name, fs in producers.items():
         assert fs.texts == tuple(print_expr(e) for e, _ in fs.elements), name
         assert fs.texts is fs.texts, name  # printed or kept once
+        assert fs.elements is fs.elements, name  # parsed or kept once
+        # the memberships are the elements' own objects, so the same bits
+        assert len(fs.memberships) == len(fs.elements), name
+        assert all(a is b for a, (_, b) in zip(fs.memberships, fs.elements)), name
+    # parsed at the first read, the texts give the nodes the maker had
+    deep = producers["construct_fuzzy_set"]
+    assert producers["texts only"].elements == deep.elements
 
 
-def test_texts_take_no_part_in_eq_hash_or_repr():
+def test_texts_take_no_part_in_eq_hash_or_repr(monkeypatch):
     base = example_base_3()
+    printed = []
+
+    def counted(e):
+        printed.append(e)
+        return print_expr(e)
+
+    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
+    # the trusted constructor keeps no texts: they are printed at the first
+    # read, once; build kept the texts it made
     trusted = FuzzySet(base.universe, base.elements)
-    assert trusted._texts is None and base._texts is not None
+    assert trusted.texts == trusted.texts == base.texts == ("x1", "x2", "x3")
+    assert printed == [e for e, _ in base.elements]
     assert trusted == base and hash(trusted) == hash(base)
     assert repr(trusted) == repr(base) and "texts" not in repr(base)
     copy = pickle.loads(pickle.dumps(base))
     assert copy == base and copy.texts == base.texts
     replaced = dataclasses.replace(base, elements=base.elements[:2])
-    assert replaced._texts is None
+    assert replaced == FuzzySet.build(base.universe, base.elements[:2])
     assert replaced.texts == ("x1", "x2")
     with pytest.raises(TypeError):
         FuzzySet(base.universe, base.elements, ("x1", "x2", "x3"))
+
+
+def test_listing_nodes_made_at_the_first_read_are_the_eager_ones():
+    rng = random.Random(2110)
+    for n in range(9):
+        base = random_flat_set(rng, n)
+        want = legacy_power_set.fuzzy_power_set(base)
+        power = fuzzy_power_set(base)
+        elements = power.elements
+        assert [e for e, _ in elements] == [e for e, _ in want.elements]
+        assert [mu.hex() for _, mu in elements] == [mu.hex() for _, mu in want.elements]
+        assert [mu.hex() for mu in power.memberships] == [
+            mu.hex() for _, mu in want.elements
+        ]
+        assert power.elements is elements  # kept, not made again
+        # a listing whose nodes were never read answers as one whose were
+        for ask in (hash, repr, pickle.dumps, want.__eq__):
+            assert ask(fuzzy_power_set(base)) == ask(power), (n, ask)
+
+
+def test_the_listing_path_makes_no_node(monkeypatch):
+    base = random_flat_set(random.Random(10), 10)
+    made = []
+    for kind in (Braced, SetOf):
+
+        def counted(self, *args, _init=kind.__init__, **kwargs):
+            made.append(type(self))
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(kind, "__init__", counted)
+    parse = fuzzy_core._parse
+
+    def parsed(*args):
+        made.append("_parse")
+        return parse(*args)
+
+    monkeypatch.setattr(fuzzy_core, "_parse", parsed)
+    power = fuzzy_power_set(base)
+    doc = json.loads(fuzzyset_to_json(power))
+    assert len(doc["elements"]) == 2**10
+    assert scalar_cardinality(power) == math.fsum(power.memberships)
+    assert verify_power_cardinality(base).passed
+    assert len(cli._element_rows(power, 6)) == 2**10
+    assert made == []
+    # the counters see the nodes the first read of the elements makes
+    power.elements
+    assert made.count("_parse") == 2**10 and made.count(SetOf) > 0
 
 
 def test_writers_print_no_element_the_maker_printed(monkeypatch, tmp_path, capsys):
