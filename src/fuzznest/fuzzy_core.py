@@ -12,17 +12,25 @@ elements by three rules applied in order:
 
 Each call of construct_fuzzy_set, propagate_membership or
 verify_classical_degeneracy applies the rules in the one pass that
-canonicalizes an element (set_expr._canonical's hook): rule 2 looks up
-the text the pass has just made, and a braced atom reads its level from
-two ladders of its atom's base membership (_kernels._climb), kept for
-the call, so every level of an atom is computed once per call, with the
-bits level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
+canonicalizes an element. The pass's hook (_Propagation.made) applies
+rules 1–3 and nothing else: rule 2 looks up the text the pass has just
+made, and a braced atom reads its level from two ladders of its atom's
+base membership (_kernels._climb), kept for the call, so every level of
+an atom is computed once per call, with the bits level_value gives. A
+set's factor 2^mu - 1 is the up step u_1(mu). Only an element whose
+value is still a stand-in at the root (it needs an atom the base does
+not list) is walked once more, to tell a foreign atom from an unlisted
+one.
 
-Elements are told apart by their printed text, as set_expr's sets tell
-members apart. The pass that canonicalizes an element gives its text,
-and the fuzzy set keeps it in ``FuzzySet.texts``. Every reader here and
-in the CLI reads the texts and ``FuzzySet.memberships``, never a node it
-would then drop, and no call here compares or hashes a node.
+One validated maker, FuzzySet._from_canonical, turns canonical items and
+memberships into a fuzzy set: build, fuzzyset_from_json and
+construct_fuzzy_set all go through it, so the membership, universe and
+duplicate checks are written once. Elements are told apart by their
+printed text, as set_expr's sets tell members apart. The pass that
+canonicalizes an element gives its text, and the fuzzy set keeps it in
+``FuzzySet.texts``. Every reader here and in the CLI reads the texts and
+``FuzzySet.memberships``, never a node it would then drop, and no call
+here compares or hashes a node.
 
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
@@ -118,6 +126,11 @@ class FuzzySet:
 
     The plain constructor trusts its arguments (internal fast paths rely
     on that); use build() for validated construction from outside input.
+    Propagation takes its base as build makes it: texts over its
+    universe only, with memberships that are numbers in [0,1]. From a
+    trusted base that breaks this, a listed foreign atom propagates its
+    listed value, and a propagated value outside [0,1] or a bool raises
+    InvariantError.
     """
 
     universe: AtomUniverse
@@ -170,8 +183,10 @@ class FuzzySet:
         pairs: Iterable[tuple[_Item, float]],
         foreign: bool = True,
     ) -> "FuzzySet":
-        """build() for the canonical items (node, depth, text) the
-        canonicalizer gives.
+        """The one validated maker: the fuzzy set of the canonical items
+        (node, depth, text) the canonicalizer gives, with their
+        memberships. build, fuzzyset_from_json and construct_fuzzy_set
+        build through it, in the order their pairs come.
 
         Checks each element's membership (a number in [0,1], and 1 for
         the empty set), then its universe, then that its text is new.
@@ -189,7 +204,12 @@ class FuzzySet:
             mu = float(mu)
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
-            out.append((_new_element(item, universe if foreign else None, seen), mu))
+            if foreign and not in_superstructure(e, universe):
+                raise UniverseError(f"{text} uses atoms outside the universe")
+            if text in seen:
+                raise DuplicateElementError(f"duplicate element {text}")
+            seen[text] = None
+            out.append((e, mu))
         return cls(universe, tuple(out))._keep(texts=tuple(seen))
 
     @classmethod
@@ -245,48 +265,48 @@ def scalar_cardinality(fs: FuzzySet) -> float:
 class _Propagation:
     """Membership propagation from one base for the span of one call.
 
-    made, the canonical pass's hook, values each item as it is made:
-    ∅ is 1, a text the table (the base's texts) holds keeps its value,
-    a braced atom reads its atom's up ladder (levels from 0) or down
-    ladder, each from the base membership stored under the atom's name,
-    and a set takes _product over its members. An atom with no base
-    membership stands in by its name, and a set with such a member by
-    the first one's, until a listed set or the root decides.
+    made, the canonical pass's hook, applies rules 1–3 to each item as it
+    is made, and does nothing else: ∅ is 1, a text the table (the base's
+    texts) holds keeps its value, a braced atom reads its atom's up
+    ladder (levels from 0) or down ladder, each from the base membership
+    stored under the atom's name, and a set takes _product over its
+    members. An atom with no base membership stands in by its name, and
+    a set with such a member by the first one's, until a listed set or
+    the root decides. Only a root that stays a stand-in is walked again,
+    by element, to tell a foreign atom from an unlisted one.
+
+    The base is taken as build makes it: it lists only texts over its
+    universe, with memberships in [0,1]. So a foreign atom has no listed
+    text and no ladder, and its stand-in reaches the root.
     """
 
-    __slots__ = ("table", "lengths", "names", "up", "down", "values", "foreign")
+    __slots__ = ("universe", "table", "lengths", "up", "down", "values")
 
     def __init__(self, base: FuzzySet):
+        self.universe = base.universe
         self.table = dict(zip(base.texts, base.memberships))
         self.lengths = set(map(len, self.table))
-        self.names = base.universe._names
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
 
-    def element(
-        self, expr: SetExpr, seen: dict[str, None] | None = None
-    ) -> tuple[SetExpr, float]:
-        """expr's canonical node and membership. Raises what normalize
-        raises, then UniverseError, then DuplicateElementError (if seen
-        is given; see _new_element), then MissingMembershipError."""
+    def element(self, expr: SetExpr) -> tuple[_Item, float]:
+        """expr's canonical item and membership. Raises what normalize
+        raises, then UniverseError if the value needs an atom outside the
+        universe, else MissingMembershipError if it needs an unlisted
+        one."""
         # id(node) -> value or stand-in; each node is valued as it is made,
         # so a freed member's id is rewritten before a live node reads it
         self.values: dict[int, float | str] = {}
-        self.foreign = False
         item = _canonical(expr, self.made)
-        if self.foreign:
-            raise UniverseError(f"{item[2]} uses atoms outside the universe")
-        if seen is not None:
-            _new_element(item, None, seen)
         value = self.values[id(item[0])]
         if type(value) is str:
+            if not in_superstructure(item[0], self.universe):
+                raise UniverseError(f"{item[2]} uses atoms outside the universe")
             raise MissingMembershipError(f"atom {value!r} has no base membership")
-        return item[0], value
+        return item, value
 
     def made(self, item: _Item, inner: _Item | None) -> None:
         node, _, text = item
-        if isinstance(node, Braced) and node.atom not in self.names:
-            self.foreign = True
         if isinstance(node, Empty):
             value = 1.0
         elif text in self.table:
@@ -320,20 +340,6 @@ def _product(values: Iterable[float | str]) -> float | str:
     return product
 
 
-def _new_element(
-    item: _Item, universe: AtomUniverse | None, seen: dict[str, None]
-) -> SetExpr:
-    """The item's node, unless it uses atoms outside the universe (if
-    one is given) or its text is in seen (which it joins)."""
-    e, _, text = item
-    if universe is not None and not in_superstructure(e, universe):
-        raise UniverseError(f"{text} uses atoms outside the universe")
-    if text in seen:
-        raise DuplicateElementError(f"duplicate element {text}")
-    seen[text] = None
-    return e
-
-
 def propagate_membership(base: FuzzySet, y: SetExpr) -> float:
     """Membership of y derived from the base fuzzy set.
 
@@ -352,10 +358,9 @@ def construct_fuzzy_set(
     Input order is preserved; expressions that normalize to the same
     canonical form raise DuplicateElementError.
     """
-    memberships = _Propagation(base)
-    seen: dict[str, None] = {}  # the texts, in element order
-    out = [memberships.element(expr, seen) for expr in universe_exprs]
-    return FuzzySet(base.universe, tuple(out))._keep(texts=tuple(seen))
+    return FuzzySet._from_canonical(
+        base.universe, map(_Propagation(base).element, universe_exprs), foreign=False
+    )
 
 
 def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
@@ -466,8 +471,8 @@ def verify_classical_degeneracy(
     memberships = _Propagation(base)
     worst = 0.0
     for probe in probe_exprs:
-        e, value = memberships.element(probe)
-        expected = 0.0 if any(a in zero_atoms for a in atoms_of(e)) else 1.0
+        item, value = memberships.element(probe)
+        expected = 0.0 if any(a in zero_atoms for a in atoms_of(item[0])) else 1.0
         worst = max(worst, abs(value - expected))
     return VerificationReport("classical degeneracy", worst, 0.0, 0.0)
 

@@ -245,6 +245,9 @@ def test_propagation_walks_each_element_once(monkeypatch):
     base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
     classical = FuzzySet.build(u, [(parse_expr(t), 0.0) for t, _ in pairs])
     pair = parse_expr("{x,y}")
+    wider = AtomUniverse(("x", "y", "w"))
+    partial = FuzzySet.build(wider, [(parse_expr(t), mu) for t, mu in pairs])
+    partial_01 = FuzzySet.build(wider, [(parse_expr(t), 1.0) for t, _ in pairs])
     exprs = [
         Braced("x", 3), EMPTY, pair, parse_expr("{{x}^(2),{y,{x,y}}}"),
         Braced(pair, 4), SetOf((Braced(Braced("y", 1), -2), pair, pair)),
@@ -252,9 +255,9 @@ def test_propagation_walks_each_element_once(monkeypatch):
     walks = {"_post_order": 0, "atoms_of": 0}
 
     def counted(name, real):
-        def walk(e):
+        def walk(*args):
             walks[name] += 1
-            return real(e)
+            return real(*args)
         return walk
 
     def refused(*args):
@@ -274,6 +277,53 @@ def test_propagation_walks_each_element_once(monkeypatch):
     monkeypatch.setattr(fuzzy_core, "atoms_of", counted("atoms_of", atoms_of))
     assert verify_classical_degeneracy(classical, exprs).passed
     assert walks == {"_post_order": 4 * len(exprs), "atoms_of": len(exprs)}
+    # an element that raises UniverseError or MissingMembershipError takes
+    # the pass's one _post_order, then one in_superstructure, which walks
+    # once more; w is in the universe but not listed, z is foreign
+    monkeypatch.setattr(
+        fuzzy_core, "in_superstructure", counted("in_superstructure", in_superstructure)
+    )
+    faulty = [
+        (Braced("z", 2), UniverseError),
+        (SetOf((Braced("w", 0), Braced("z", 0))), UniverseError),
+        (Braced("w", -1), MissingMembershipError),
+        (Braced(SetOf((Braced("w", 0), pair)), 2), MissingMembershipError),
+    ]
+    for e, error in faulty:
+        for call in (
+            lambda: construct_fuzzy_set(partial, [e]),
+            lambda: propagate_membership(partial, e),
+            lambda: verify_classical_degeneracy(partial_01, [e]),
+        ):
+            walks.update(_post_order=0, atoms_of=0, in_superstructure=0)
+            with pytest.raises(error):
+                call()
+            assert walks == {"_post_order": 2, "atoms_of": 0, "in_superstructure": 1}
+
+
+def test_propagation_takes_a_trusted_base_as_build_would_make_it():
+    # propagation values items only, and construct_fuzzy_set builds
+    # through the validated maker: from a trusted base that lists a
+    # foreign atom, the atom propagates its listed value; a value outside
+    # [0,1] or a bool is refused as an element's membership; an int
+    # comes back as a float
+    u = AtomUniverse(("x",))
+    foreign = FuzzySet(u, ((Braced("z", 0), 0.5),))
+    assert propagate_membership(foreign, Braced("z", 0)) == 0.5
+    assert construct_fuzzy_set(foreign, [Braced("z", 0)]).texts == ("z",)
+    refused = [
+        (1.5, "x", "membership 1.5 for x is outside [0,1]"),
+        (1.5, "{x}", "membership 1.8284271247461903 for {x} is outside [0,1]"),
+        (True, "x", "membership True for x is not a number"),
+        (True, "{x}", "membership True for {x} is not a number"),
+    ]
+    for mu, text, message in refused:
+        trusted = FuzzySet(u, ((Braced("x", 0), mu),))
+        with pytest.raises(InvariantError) as info:
+            propagate_membership(trusted, parse_expr(text))
+        assert str(info.value) == message
+    one = propagate_membership(FuzzySet(u, ((Braced("x", 0), 1),)), Braced("x", 0))
+    assert type(one) is float and one == 1.0
 
 
 def test_a_listed_set_of_depth_0_keeps_its_stored_value():
