@@ -23,7 +23,6 @@ from .fuzzy_core import (
     POWER_SET_CAP,
     FuzzySet,
     VerificationReport,
-    _power_columns,
     _power_report,
     construct_fuzzy_set,
     fuzzy_power_set,
@@ -187,14 +186,15 @@ def cmd_card(args) -> int:
 
 
 def cmd_powerset(args) -> int:
-    """Lists the power set from the enumeration's columns of texts and
-    products, building no node and no per-row dict, and checks the law
-    on those products. The JSON is what json.dumps writes for
+    """Lists the power set from fuzzy_power_set's texts and products,
+    building no node and no per-row dict, and checks the law on those
+    products. The JSON is what json.dumps writes for
     {"elements": [{"expr": ..., "mu": ...}, ...]}: the products are
     finite floats, which json prints with float.__repr__, and one %
     formats every row from the flat list text, product, text, ..."""
     base = _read_fuzzyset(args.fuzzyset)
-    texts, products = _power_columns(base, args.cap)
+    listing = fuzzy_power_set(base, args.cap)
+    texts, products = listing.texts, listing.memberships
     report = None
     if args.verify:
         report = _power_report(base, products, args.tol)
@@ -329,7 +329,7 @@ def _example_membership_construction(precision: int) -> tuple[str, bool]:
 def _example_power_cardinality(precision: int) -> tuple[str, bool]:
     base = FuzzySet.flat([("x1", 0.2), ("x2", 0.3), ("x3", 0.5)])
     power = fuzzy_power_set(base)
-    report = verify_power_cardinality(base, tol=1e-12)
+    report = _power_report(base, power.memberships, tol=1e-12)
     rows = [_base_row(base, precision)] + _element_rows(power, precision)
     rows += _report_rows(report, precision)
     text = _table(rows) + "\n" + _verdict(report.passed, report.tolerance)

@@ -1,6 +1,8 @@
 """Fuzzy sets over set expressions.
 
 A FuzzySet pairs canonical expressions with membership degrees in [0,1].
+It stores each expression as its printed text, and parses the
+expressions back only when its ``elements`` are read.
 Membership propagates from base atoms to arbitrary superstructure
 elements by three rules applied in order:
 
@@ -27,10 +29,10 @@ memberships into a fuzzy set: build, fuzzyset_from_json and
 construct_fuzzy_set all go through it, so the membership, universe and
 duplicate checks are written once. Elements are told apart by their
 printed text, as set_expr's sets tell members apart. The pass that
-canonicalizes an element gives its text, and the fuzzy set keeps it in
-``FuzzySet.texts``. Every reader here and in the CLI reads the texts and
-``FuzzySet.memberships``, never a node it would then drop, and no call
-here compares or hashes a node.
+canonicalizes an element gives its text, and the fuzzy set keeps that
+text, not the node, in ``FuzzySet.texts``. Every reader here and in the
+CLI reads the texts and ``FuzzySet.memberships``, and no call here
+compares or hashes a node.
 
 Because 2^v - 1 maps [0,1] onto [0,1], every propagated value stays a
 valid membership. The power set of a flat fuzzy set then has scalar
@@ -40,10 +42,11 @@ products, without building the listing of 2^n expressions.
 
 The listing itself is enumerated once, by itertools.combinations over
 the sorted atom names and their factors, as columns of printed texts
-and products. fuzzy_power_set keeps those two columns as the fuzzy
-set's texts and memberships, and ``fuzznest powerset`` prints them:
-neither builds a node. The listing's elements are parsed from its
-texts only if they are read.
+and products. fuzzy_power_set makes those two columns the fuzzy set's
+texts and memberships, and ``fuzznest powerset`` prints them and checks
+the law on the products: neither builds a node. The listing's elements
+are parsed from its texts only if they are read; comparing, hashing,
+copying or pickling a listing parses nothing.
 
 fuzzyset_to_json writes the whole document with one % over a flat list
 of arguments (escaped text, membership, escaped text, ...), so no
@@ -86,7 +89,6 @@ from .set_expr import (
     _parse,
     atoms_of,
     in_superstructure,
-    print_expr,
 )
 
 __all__ = [
@@ -108,24 +110,25 @@ POWER_SET_CAP = 20
 
 @dataclass(frozen=True, slots=True)
 class FuzzySet:
-    """Finite fuzzy set over an atom universe: the elements, (expression,
-    membership) pairs, with their printed texts and their memberships,
-    each a tuple in element order.
+    """Finite fuzzy set over an atom universe: its elements' printed texts
+    and their memberships, each a tuple in element order.
 
-    ``texts`` and ``memberships`` are what the library reads; ``==``,
-    ``hash``, ``repr`` and pickling read the universe and the elements. A
-    maker keeps what it has: the plain constructor the elements, build,
-    flat, fuzzyset_from_json and construct_fuzzy_set the elements and
-    their texts, fuzzy_power_set the texts and memberships. A field its
-    maker left unwritten is made at its first read and kept: the texts
-    printed, the memberships read off the elements, or the elements
-    parsed from the texts with one table of atom tokens, as
-    fuzzyset_from_json parses them (parse_expr(print_expr(e)) == e for
-    every canonical e). So the power-set listing builds no node until
-    its elements are read.
+    The universe, texts and memberships are the one stored form: what
+    the constructor takes, what ``==``, ``hash``, ``repr`` and pickling
+    read, and what the library reads. ``elements``, the (expression,
+    membership) pairs, is the one derived view. No maker writes it: it
+    is parsed from the texts at its first read, with one table of atom
+    tokens, as fuzzyset_from_json parses them (a canonical expression's
+    printed text parses back to it), and kept. So a fuzzy set holds no
+    node until its elements are read, and a copy or a pickle of a
+    power-set listing parses nothing.
 
     The plain constructor trusts its arguments (internal fast paths rely
-    on that); use build() for validated construction from outside input.
+    on that): texts that are canonical printed forms, and memberships,
+    one per text. The older form FuzzySet(universe, pairs), whose
+    (expression, membership) pairs hold canonical nodes, still works:
+    it stores each node's printed text and its membership, and keeps no
+    node. Use build() for validated construction from outside input.
     Propagation takes its base as build makes it: texts over its
     universe only, with memberships that are numbers in [0,1]. From a
     trusted base that breaks this, a listed foreign atom propagates its
@@ -134,30 +137,30 @@ class FuzzySet:
     """
 
     universe: AtomUniverse
-    elements: tuple[tuple[SetExpr, float], ...]
-    texts: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    memberships: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def _keep(self, **fields) -> "FuzzySet":
-        """Write the given fields and return self; the one write of a field."""
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        return self
+    texts: tuple[str, ...]
+    memberships: tuple[float, ...] = None  # None: texts holds the pairs
+    elements: tuple[tuple[SetExpr, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __getattr__(self, name: str):
-        # a field its maker left unwritten: made at its first read, and kept
-        if name == "texts":
-            value = tuple([print_expr(e) for e, _ in self.elements])
-        elif name == "memberships":
-            value = tuple([mu for _, mu in self.elements])
-        elif name == "elements":
-            leaves: dict[str, _Item] = {}  # one node per distinct atom token
-            nodes = [_parse(text, leaves)[0] for text in self.texts]
-            value = tuple(zip(nodes, self.memberships))
-        else:
+        # the elements, parsed at their first read and kept
+        if name != "elements":
             raise AttributeError(f"'FuzzySet' object has no attribute {name!r}")
-        self._keep(**{name: value})
+        leaves: dict[str, _Item] = {}  # one node per distinct atom token
+        nodes = [_parse(text, leaves)[0] for text in self.texts]
+        value = tuple(zip(nodes, self.memberships))
+        object.__setattr__(self, "elements", value)
         return value
+
+    def __post_init__(self):
+        if self.memberships is None:  # FuzzySet(universe, pairs)
+            pairs = tuple(self.texts)
+            object.__setattr__(self, "texts", tuple(str(e) for e, _ in pairs))
+            object.__setattr__(self, "memberships", tuple(mu for _, mu in pairs))
+
+    def __reduce__(self):
+        return (type(self), (self.universe, self.texts, self.memberships))
 
     @classmethod
     def build(
@@ -186,7 +189,8 @@ class FuzzySet:
         """The one validated maker: the fuzzy set of the canonical items
         (node, depth, text) the canonicalizer gives, with their
         memberships. build, fuzzyset_from_json and construct_fuzzy_set
-        build through it, in the order their pairs come.
+        build through it, in the order their pairs come. It keeps each
+        item's text, not its node.
 
         Checks each element's membership (a number in [0,1], and 1 for
         the empty set), then its universe, then that its text is new.
@@ -194,7 +198,7 @@ class FuzzySet:
         passes foreign=False, and no element is walked for its atoms.
         """
         seen: dict[str, None] = {}  # the texts, in element order
-        out: list[tuple[SetExpr, float]] = []
+        mus: list[float] = []
         for item, mu in pairs:
             e, _, text = item
             if not _is_number(mu, (int, float)):
@@ -209,8 +213,8 @@ class FuzzySet:
             if text in seen:
                 raise DuplicateElementError(f"duplicate element {text}")
             seen[text] = None
-            out.append((e, mu))
-        return cls(universe, tuple(out))._keep(texts=tuple(seen))
+            mus.append(mu)
+        return cls(universe, tuple(seen), tuple(mus))
 
     @classmethod
     def flat(cls, memberships: Iterable[tuple[str, float]]) -> "FuzzySet":
@@ -388,13 +392,19 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     return names, [_up(mu[name]) for name in names]
 
 
-def _power_columns(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
-    """The power set of a flat base in listing order: each subset's
-    printed text ("∅", "{a}", "{a,b,...}", as print_expr gives it) and
-    its product of (2^mu - 1), by math.prod left to right. The order,
-    by size and then lexicographic by name, is the one
-    itertools.combinations gives over the sorted names. Raises as
-    _power_factors does.
+def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
+    """Fuzzy set over all 2^n subsets of a flat base's universe.
+
+    Each subset's membership is the product of (2^mu - 1) over its
+    atoms, by math.prod left to right in name order; the empty subset
+    gets 1. Elements are ordered by subset size, then lexicographically
+    by atom names, the order itertools.combinations gives over the
+    sorted names. CapExceededError guards the exponential blowup for
+    n > cap; raises as _power_factors does.
+
+    The listing is the printed texts ("∅", "{a}", "{a,b,...}", as
+    set_expr prints them) and products of one enumeration: no node is
+    built until its elements are read.
     """
     names, factors = _power_factors(base, cap)
     texts = ["∅"]
@@ -402,25 +412,7 @@ def _power_columns(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
     for size in range(1, len(names) + 1):
         texts += ["{" + t + "}" for t in map(",".join, combinations(names, size))]
         products += map(math.prod, combinations(factors, size))
-    return texts, products
-
-
-def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
-    """Fuzzy set over all 2^n subsets of a flat base's universe.
-
-    Each subset's membership is the product of (2^mu - 1) over its
-    atoms, taken left to right in name order; the empty subset gets 1.
-    Elements are ordered by subset size, then lexicographically by atom
-    names. CapExceededError guards the exponential blowup for n > cap.
-
-    The listing is the texts and products of one enumeration
-    (_power_columns): no node is built until its elements are read.
-    """
-    texts, products = _power_columns(base, cap)
-    listing = FuzzySet.__new__(FuzzySet)
-    return listing._keep(
-        universe=base.universe, texts=tuple(texts), memberships=tuple(products)
-    )
+    return FuzzySet(base.universe, tuple(texts), tuple(products))
 
 
 def verify_power_cardinality(
@@ -443,7 +435,7 @@ def verify_power_cardinality(
 
 
 def _power_report(
-    base: FuzzySet, products: list[float], tol: float
+    base: FuzzySet, products: Iterable[float], tol: float
 ) -> VerificationReport:
     """The power-set law's report from the 2^n subset products of a flat
     base, in any order."""

@@ -41,7 +41,7 @@ from itertools import compress, repeat
 from ._kernels import _climb, _series, greedy_encode, level_value, series_root
 from .errors import ConfigError, InvariantError, ParseError, RangeError
 from .fuzzy_core import FuzzySet, _is_number, _load_object
-from .set_expr import AtomUniverse, Braced, SetExpr, _byte_offset
+from .set_expr import AtomUniverse, Braced, SetExpr, _braced_text, _byte_offset
 
 __all__ = [
     "BinarySequence",
@@ -260,7 +260,8 @@ def expand_to_fuzzy(
     down += [down[-1]] * (1 - ks[0] - len(down))
     up += [up[-1]] * (1 + ks[-1] - len(up))
     levels = compress(down[:0:-1] + up, a.bits)  # u_k(w) for k = m_star ..
-    return FuzzySet(universe, tuple(zip(map(Braced, repeat(atom), ks), levels)))
+    texts = tuple(map(_braced_text, repeat(atom), ks))
+    return FuzzySet(universe, texts, tuple(levels))
 
 
 # ------------------------------------------------------------------ text

@@ -6,7 +6,16 @@ import ast
 import random
 import sys
 
-from fuzznest import Braced, Empty, FuzzySet, SetExpr, SetOf, normalize
+from fuzznest import (
+    AtomUniverse,
+    Braced,
+    Empty,
+    FuzzySet,
+    SetExpr,
+    SetOf,
+    normalize,
+    print_expr,
+)
 
 ATOM_POOL = ("x1", "x2", "x3", "x4", "y", "z0")
 
@@ -40,6 +49,16 @@ def random_flat_set(rng: random.Random, n: int, zero_one: bool = False) -> Fuzzy
     else:
         mus = [rng.random() for _ in atoms]
     return FuzzySet.flat(zip(atoms, mus))
+
+
+def trusted_fuzzy_set(
+    universe: AtomUniverse, pairs: tuple[tuple[SetExpr, float], ...]
+) -> FuzzySet:
+    """The fuzzy set the trusting constructor makes of (canonical node,
+    membership) pairs: the nodes' printed texts and the memberships, in
+    pair order, unchecked."""
+    texts = tuple(print_expr(e) for e, _ in pairs)
+    return FuzzySet(universe, texts, tuple(mu for _, mu in pairs))
 
 
 def sites(source: str, is_site) -> list[tuple[str, int]]:

@@ -88,4 +88,4 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
             raise DuplicateElementError(f"duplicate element {text}")
         seen.add(text)
         out.append((e, mu))
-    return FuzzySet(universe, tuple(out))
+    return __import__("helpers").trusted_fuzzy_set(universe, tuple(out))

