@@ -42,9 +42,11 @@ class ParseError(FuzznestError, ValueError):
 class LevelError(FuzznestError, ValueError):
     """A level annotation applied where it cannot mean anything.
 
-    Raised for ^(n) attached to a non-atom in source text, for a
-    negative level attached to a set or the empty set during
-    normalization, and for a level that is not an int.
+    A level belongs to an atom. Raised for ^(n) attached to a non-atom
+    in source text, for a nonzero level on a set or the empty set (a
+    raw Braced over one, when canonicalized), for a level that is not an
+    int, and for a level past the interpreter's int-to-text digit limit
+    where it must be printed.
     """
 
 

@@ -146,7 +146,9 @@ class FuzzySet:
     def __getattr__(self, name: str):
         # the elements, parsed at their first read and kept
         if name != "elements":
-            raise AttributeError(f"'FuzzySet' object has no attribute {name!r}")
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
         leaves: dict[str, _Item] = {}  # one node per distinct atom token
         nodes = [_parse(text, leaves)[0] for text in self.texts]
         value = tuple(zip(nodes, self.memberships))
@@ -274,22 +276,23 @@ class _Propagation:
     texts) holds keeps its value, a braced atom reads its atom's up
     ladder (levels from 0) or down ladder, each from the base membership
     stored under the atom's name, and a set takes _product over its
-    members. An atom with no base membership stands in by its name, and
-    a set with such a member by the first one's, until a listed set or
-    the root decides. Only a root that stays a stand-in is walked again,
-    by element, to tell a foreign atom from an unlisted one.
+    members. The pass makes no other item: it refuses a raw Braced over
+    a set or ∅ at a nonzero level. An atom with no base membership
+    stands in by its name, and a set with such a member by the first
+    one's, until a listed set or the root decides. Only a root that
+    stays a stand-in is walked again, by element, to tell a foreign atom
+    from an unlisted one.
 
     The base is taken as build makes it: it lists only texts over its
     universe, with memberships in [0,1]. So a foreign atom has no listed
     text and no ladder, and its stand-in reaches the root.
     """
 
-    __slots__ = ("universe", "table", "lengths", "up", "down", "values")
+    __slots__ = ("universe", "table", "up", "down", "values")
 
     def __init__(self, base: FuzzySet):
         self.universe = base.universe
         self.table = dict(zip(base.texts, base.memberships))
-        self.lengths = set(map(len, self.table))
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
 
@@ -309,7 +312,7 @@ class _Propagation:
             raise MissingMembershipError(f"atom {value!r} has no base membership")
         return item, value
 
-    def made(self, item: _Item, inner: _Item | None) -> None:
+    def made(self, item: _Item) -> None:
         node, _, text = item
         if isinstance(node, Empty):
             value = 1.0
@@ -321,16 +324,8 @@ class _Propagation:
             if rungs is None and node.atom in self.table:
                 rungs = ladders[node.atom] = [self.table[node.atom]]
             value = node.atom if rungs is None else _climb(rungs, node.level)
-        elif inner is None:
-            value = _product([self.values[id(m)] for m in node.elements])
         else:
-            # k singleton wraps of inner, each a set for rules 2 and 3;
-            # a wrap's text is cut only when a listed text has its length
-            value = self.values[id(inner[0])]
-            k, n, end = item[1] - inner[1], len(inner[2]), len(text)
-            for i in range(1, k + 1):
-                wrap = text[k - i:end - k + i] if n + 2 * i in self.lengths else ""
-                value = self.table[wrap] if wrap in self.table else _product((value,))
+            value = _product([self.values[id(m)] for m in node.elements])
         self.values[id(node)] = value
 
 

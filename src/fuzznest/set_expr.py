@@ -13,8 +13,10 @@ Canonical form rules:
   singleton is folded into the Braced level),
 * SetOf elements are pairwise distinct and sorted by (structural depth,
   printed form),
-* Braced.atom is an atom name; Braced over a subexpression only appears
-  as normalize() input.
+* Braced.atom is an atom name. Braced over a subexpression only appears
+  as normalize() input, where it adds its level to a braced atom's and
+  takes only level 0 on a set or ∅: a level belongs to an atom, as in
+  the text grammar, and a set is wrapped by nesting SetOf nodes.
 
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
 equal sets compare equal with ``==``. Both canonicalize in one pass that
@@ -325,22 +327,22 @@ def _set_item(items: list[_Item]) -> _Item:
 
 
 def _braced_over(inner: _Item, level: int) -> _Item:
-    """The canonical item of `level` braces around a canonical item."""
+    """The canonical item of `level` braces around a canonical item: a
+    braced atom's level grows by it, and a set or ∅ takes only level 0."""
     if type(level) is not int:
         raise LevelError(f"level must be an integer, got {level!r}")
-    node, depth, text = inner
+    node = inner[0]
     if isinstance(node, Braced):
         return _braced_item(node.atom, node.level + level)
-    if level < 0:
-        kind = "the empty set" if isinstance(node, Empty) else "a set"
-        try:
-            message = "negative level %d applied to %s" % (level, kind)
-        except ValueError:  # past the interpreter's int-to-text digit limit
-            message = "negative level of too many digits to print applied to " + kind
-        raise LevelError(message)
-    for _ in range(level):
-        node = SetOf((node,))
-    return (node, depth + level, "{" * level + text + "}" * level)
+    if level == 0:
+        return inner
+    sign = "negative" if level < 0 else "positive"
+    kind = "the empty set" if isinstance(node, Empty) else "a set"
+    try:
+        message = "%s level %d applied to %s" % (sign, level, kind)
+    except ValueError:  # past the interpreter's int-to-text digit limit
+        message = "%s level of too many digits to print applied to %s" % (sign, kind)
+    raise LevelError(message)
 
 
 def normalize(e: SetExpr) -> SetExpr:
@@ -348,32 +350,27 @@ def normalize(e: SetExpr) -> SetExpr:
 
     Collapses Braced-over-Braced by adding levels, folds a singleton set
     of a Braced node into the level, deduplicates and sorts set elements.
-    Raises LevelError when a negative level is attached to a set or to
-    the empty set, since those cannot denote anything, and for a level
-    that is not an int. One iterative post-order pass builds each
-    subtree's depth and printed form once, from those of its members.
+    A level belongs to an atom: Braced over a set or the empty set is
+    that set at level 0, and a nonzero level there raises LevelError
+    (nest SetOf nodes to wrap a set), as does a level that is not an
+    int. One iterative post-order pass builds each subtree's depth and
+    printed form once, from those of its members.
     """
     return _canonical(e)[0]
 
 
-def _canonical(
-    e: SetExpr, made: Callable[[_Item, _Item | None], None] | None = None
-) -> _Item:
+def _canonical(e: SetExpr, made: Callable[[_Item], None] | None = None) -> _Item:
     """The item of normalize(e): the canonical node, its depth and text.
 
-    made(item, inner), if given, sees each item made, members before
-    their set; inner is the item a raw Braced wraps, else None. A set or
-    ∅ wrapped k = item[1] - inner[1] times is one item: its i-th wrap's
-    text is item[2] less k - i braces at either end."""
+    made(item), if given, sees each item made, members before their set.
+    """
     items: list[_Item] = []
     for x in _post_order(e):
-        inner = None
         if isinstance(x, Braced):
             if isinstance(x.atom, str):
                 item = (x, x.level, _braced_text(x.atom, x.level))
             else:
-                inner = items.pop()
-                item = _braced_over(inner, x.level)
+                item = _braced_over(items.pop(), x.level)
         elif isinstance(x, SetOf):
             n = len(x.elements)
             members = items[len(items) - n:]
@@ -385,7 +382,7 @@ def _canonical(
             raise _not_a_node(x)
         items.append(item)
         if made is not None:
-            made(item, inner)
+            made(item)
     return items[0]
 
 

@@ -68,8 +68,8 @@ CASES = {
     ),
     "raw Braced over missing and foreign": (
         [Braced(SetOf((Y, Z)), 2)],
-        _foreign("{{{y,z}}}"),
-        _foreign("{{{y,z}}}"),
+        (LevelError, "positive level 2 applied to a set"),
+        (LevelError, "positive level 2 applied to a set"),
     ),
     "foreign, then its duplicate": ([Z, Z], _foreign("z"), _foreign("z")),
     "duplicate, then foreign": (

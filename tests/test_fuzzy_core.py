@@ -259,7 +259,8 @@ def test_propagation_walks_each_element_once(monkeypatch):
     partial_01 = FuzzySet.build(wider, [(parse_expr(t), 1.0) for t, _ in pairs])
     exprs = [
         Braced("x", 3), EMPTY, pair, parse_expr("{{x}^(2),{y,{x,y}}}"),
-        Braced(pair, 4), SetOf((Braced(Braced("y", 1), -2), pair, pair)),
+        SetOf((SetOf((SetOf((SetOf((pair,)),)),)),)),
+        SetOf((Braced(Braced("y", 1), -2), pair, pair)),
     ]
     walks = {"_post_order": 0, "atoms_of": 0}
 
@@ -296,7 +297,7 @@ def test_propagation_walks_each_element_once(monkeypatch):
         (Braced("z", 2), UniverseError),
         (SetOf((Braced("w", 0), Braced("z", 0))), UniverseError),
         (Braced("w", -1), MissingMembershipError),
-        (Braced(SetOf((Braced("w", 0), pair)), 2), MissingMembershipError),
+        (SetOf((SetOf((SetOf((Braced("w", 0), pair)),)),)), MissingMembershipError),
     ]
     for e, error in faulty:
         for call in (
@@ -915,6 +916,17 @@ def test_a_subclass_keeps_its_type_through_pickle_and_deepcopy():
         assert type(twin) is Tagged and twin == fs
 
 
+def test_a_missing_attribute_names_the_subclass():
+    # as for any object: the message names the instance's own class
+    for fs, name in (
+        (Tagged(example_base_3().universe, ("x1",), (0.2,)), "Tagged"),
+        (FuzzySet.flat([("x", 0.5)]), "FuzzySet"),
+    ):
+        with pytest.raises(AttributeError) as info:
+            fs.colour
+        assert str(info.value) == f"'{name}' object has no attribute 'colour'"
+
+
 def test_listing_nodes_made_at_the_first_read_are_the_eager_ones():
     rng = random.Random(2110)
     for n in range(9):
@@ -1100,3 +1112,37 @@ def test_a_level_past_the_int_digit_limit_raises_level_error():
     for path in paths:
         with pytest.raises(LevelError, match="too many digits"):
             path()
+
+
+def test_a_positive_level_over_a_set_is_refused_in_bounded_work(monkeypatch):
+    # a level belongs to an atom: k braces over a set or ∅ raise
+    # LevelError for k > 0 as for k < 0, and build none of the k wraps;
+    # the one SetOf built is the canonical copy of the input's own set
+    base = FuzzySet.flat([("x", 0.5), ("y", 0.25)])
+    pair = SetOf((Braced("x", 0), Braced("y", 0)))
+    huge = 10 ** (INT_DIGIT_LIMIT or 5000)
+    huge_words = "of too many digits to print" if INT_DIGIT_LIMIT else "%d" % huge
+    paths = [
+        normalize,
+        lambda e: propagate_membership(base, e),
+        lambda e: construct_fuzzy_set(base, [e]),
+        lambda e: FuzzySet.build(base.universe, [(e, 0.5)]),
+    ]
+    built = []
+    init = SetOf.__init__
+
+    def counted(self, elements):
+        built.append(elements)
+        init(self, elements)
+
+    monkeypatch.setattr(SetOf, "__init__", counted)
+    for inner, kind in ((pair, "a set"), (EMPTY, "the empty set")):
+        for level, words in ((10**9, "1000000000"), (huge, huge_words)):
+            e = Braced(inner, level)
+            for path in paths:
+                built.clear()
+                with pytest.raises(LevelError) as info:
+                    path(e)
+                assert type(info.value) is LevelError
+                assert str(info.value) == f"positive level {words} applied to {kind}"
+                assert len(built) == (inner is pair)

@@ -91,7 +91,7 @@ def test_the_scan_finds_a_planted_use():
         '        """in_superstructure and cls(...) in a docstring are no use."""\n'
         "        return cls(None, tuple(pairs))\n"
         "class _Propagation:\n"
-        "    def made(self, item, inner):\n"
+        "    def made(self, item):\n"
         "        return set_expr.in_superstructure(item[0], self.universe)\n"
         "    def element(self, expr):\n"
         "        return in_superstructure(expr, self.universe)\n"

@@ -9,8 +9,10 @@ expressions with levels up to +-10^8. construct_fuzzy_set,
 propagate_membership and verify_classical_degeneracy must give the
 reference's memberships bit for bit, and fail with the reference's
 exception class and message. So must raw expressions, with braces over
-sets and repeated members, against the reference over their normalized
-form. A step count shows that one call walks each atom's levels once.
+braced atoms, level 0 over sets and repeated members, against the
+reference over their normalized form; braces over a set at a nonzero
+level are refused. A step count shows that one call walks each atom's
+levels once.
 """
 
 import math
@@ -23,6 +25,7 @@ from fuzznest import (
     AtomUniverse,
     Braced,
     FuzzySet,
+    LevelError,
     MissingMembershipError,
     SetOf,
     atoms_of,
@@ -162,8 +165,10 @@ def _raw(rng: random.Random, depth: int):
         return _expr(rng, 0)
     if roll < 0.5:
         inner = _raw(rng, depth - 1)
-        low = -3 if isinstance(normalize(inner), Braced) else 0
-        return Braced(inner, rng.randint(low, 3))
+        braced = isinstance(normalize(inner), Braced)
+        level = rng.randint(-3 if braced else 0, 3)
+        # a level on a set or ∅ may only be 0
+        return Braced(inner, level if braced else 0)
     members = [_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))]
     if members:
         members += [rng.choice(members) for _ in range(rng.randint(0, 2))]
@@ -201,25 +206,35 @@ def test_raw_expressions_match_reference():
     ids=["flat", "wrap-listed"],
 )
 def test_raw_braced_sets_match_reference(k, listed):
+    # a level belongs to an atom: k braces over a set are refused, before
+    # any membership is looked up, and its k wraps are written as sets
     pairs = [(Braced("x1", 0), 0.3), (Braced("x2", 0), 0.6)]
     pairs += [(parse_expr(text), mu) for text, mu in listed]
     base = FuzzySet.build(AtomUniverse(ATOMS), pairs)
+    lacking = FuzzySet.build(AtomUniverse(ATOMS), pairs[:1])
+    refusal = (LevelError, f"positive level {k} applied to a set")
     for raw in (Braced(PAIR, k), SetOf((Braced(PAIR, k), Braced("x1", 1)))):
+        for b in (base, lacking):
+            with pytest.raises(LevelError) as info:
+                propagate_membership(b, raw)
+            assert (type(info.value), str(info.value)) == refusal
+    wrapped = PAIR
+    for _ in range(k):
+        wrapped = SetOf((wrapped,))
+    for raw in (wrapped, SetOf((wrapped, Braced("x1", 1)))):
         got, want = _both(base, raw)
         assert got == want and want[0] == "ok"
     if listed and k == 1:  # the one wrap is listed: it keeps its value
-        assert propagate_membership(base, Braced(PAIR, 1)) == 0.25
-    lacking = FuzzySet.build(AtomUniverse(ATOMS), pairs[:1])
-    got, want = _both(lacking, Braced(PAIR, k))
+        assert propagate_membership(base, SetOf((PAIR,))) == 0.25
+    got, want = _both(lacking, wrapped)
     assert got == want == (MissingMembershipError, "atom 'x2' has no base membership")
 
 
 def test_raw_braced_set_of_many_wraps(monkeypatch):
-    # each wrap is one singleton set: one factor per wrap, no walk per wrap
+    # many braces over a set are refused: the set's own two factors are
+    # the only ones computed, and no wrap is valued
     k = 10**5
     base = FuzzySet.flat([("x1", 0.3), ("x2", 0.6)])
-    table, sets_listed = legacy.lookup_table(base)
-    want = legacy.propagate(table, sets_listed, normalize(Braced(PAIR, k)))
     factors = []
 
     def counted(v):
@@ -227,8 +242,11 @@ def test_raw_braced_set_of_many_wraps(monkeypatch):
         return 2.0 ** v - 1.0
 
     monkeypatch.setattr(fuzzy_core, "_up", counted)
-    assert propagate_membership(base, Braced(PAIR, k)) == want
-    assert len(factors) == k + 2
+    with pytest.raises(LevelError) as info:
+        propagate_membership(base, Braced(PAIR, k))
+    assert type(info.value) is LevelError
+    assert str(info.value) == f"positive level {k} applied to a set"
+    assert factors == [0.3, 0.6]
 
 
 # ------------------------------------------------------------- step count

@@ -1,13 +1,18 @@
-"""The README's library tour runs, and gives the values its comments state.
+"""The README's library tour and CLI session run, and give what they show.
 
 The tour is the first ``python`` block after the "## Library tour"
 heading. Its statements run in order in one namespace, and the value of
-each expression statement is kept under its source text.
+each expression statement is kept under its source text. The session is
+the first ``text`` block after "A session:": each ``$ fuzznest`` line
+runs through ``cli.main`` and must print the lines below it.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
+
+from fuzznest import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,3 +49,19 @@ def test_the_library_tour_gives_what_its_comments_state():
     assert [str(e) for e, _ in expansion] == ["{x}^(-2)", "x", "{x}^(2)"]
     assert abs(sum(mu for _, mu in expansion) - 1.0) <= 1e-9
     assert values["encode(0.3).nonzero_indices"][:5] == (-4, 0, 5, 15, 20)
+
+
+def _session() -> list[tuple[str, str]]:
+    """Each command of the README's CLI session and the output it shows."""
+    section = README.read_text(encoding="utf-8").split("A session:", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    runs = re.findall(r"^\$ fuzznest (.*)\n((?:.+\n)*)", block, re.M)
+    assert len(runs) == block.count("$ fuzznest") > 0
+    return runs
+
+
+def test_the_cli_session_prints_what_it_shows(capsys):
+    for command, shown in _session():
+        capsys.readouterr()
+        assert cli.main(shlex.split(command)) == 0, command
+        assert capsys.readouterr().out == shown, command

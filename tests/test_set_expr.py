@@ -197,8 +197,13 @@ def test_normalize_empty_set_literal():
 
 
 def test_normalize_braced_empty_positive_level():
-    assert normalize(Braced(EMPTY, 1)) == SetOf((EMPTY,))
-    assert normalize(Braced(EMPTY, 2)) == SetOf((SetOf((EMPTY,)),))
+    # a level belongs to an atom: {∅} is written as a set, not as a level
+    for level in (1, 2):
+        with pytest.raises(LevelError) as info:
+            normalize(Braced(EMPTY, level))
+        assert str(info.value) == f"positive level {level} applied to the empty set"
+    assert normalize(Braced(EMPTY, 0)) == EMPTY
+    assert normalize(SetOf((SetOf((EMPTY,)),))) == SetOf((SetOf((EMPTY,)),))
 
 
 def test_normalize_rejects_negative_level_on_sets():
@@ -352,7 +357,8 @@ def test_each_question_about_a_tree_is_one_walk(monkeypatch):
         call(*args)
         return len(walks)
 
-    raw = SetOf((Braced(parse_expr("{x1,{x2,{x3}}}"), 2), EMPTY, Braced("x1", -1)))
+    wrapped = SetOf((SetOf((parse_expr("{x1,{x2,{x3}}}"),)),))
+    raw = SetOf((wrapped, EMPTY, Braced("x1", -1)))
     canonical = normalize(raw)
     for e in (raw, canonical, EMPTY, Braced("x", 3)):
         twin = normalize(e) if e is raw else parse_expr(print_expr(e))

@@ -31,7 +31,7 @@ ATOMS = ("x1", "x2", "y", "z0")
 
 def _raw_tree(rng: random.Random, depth: int):
     """A raw (not canonical) tree: duplicates, Braced over subexpressions,
-    singleton sets, negative levels on sets and ∅, shuffled members and,
+    singleton sets, nonpositive levels on sets and ∅, shuffled members and,
     rarely, a value that is not a node at all."""
     roll = rng.random()
     if depth <= 0 or roll < 0.25:
@@ -42,8 +42,14 @@ def _raw_tree(rng: random.Random, depth: int):
             return Braced(rng.choice(ATOMS), rng.randint(-3, 3))
         return rng.choice((7, "x1", None))
     if roll < 0.45:
-        # Braced over a subexpression; negative levels on sets and ∅ fail
-        return Braced(_raw_tree(rng, depth - 1), rng.randint(-3, 3))
+        # Braced over a subexpression; nonzero levels on sets and ∅ fail.
+        # The reference builds wraps for a positive one there, so that
+        # level is redrawn from the ones both sides agree on
+        inner = _raw_tree(rng, depth - 1)
+        level = rng.randint(-3, 3)
+        if level > 0 and _set_or_empty(inner):
+            level = rng.randint(-3, 0)
+        return Braced(inner, level)
     n = rng.choice((0, 1, 1, 2, 3, 4, 5))
     members = [_raw_tree(rng, depth - 1) for _ in range(n)]
     if members and rng.random() < 0.4:
@@ -52,6 +58,14 @@ def _raw_tree(rng: random.Random, depth: int):
         members.append(twin if rng.random() < 0.5 else _copy(twin))
     rng.shuffle(members)
     return SetOf(tuple(members))
+
+
+def _set_or_empty(tree) -> bool:
+    """Whether the reference canonicalizes the tree to a set or ∅."""
+    try:
+        return not isinstance(legacy.normalize(tree), Braced)
+    except (ValueError, TypeError):
+        return False
 
 
 def _copy(e):
