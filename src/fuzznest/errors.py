@@ -43,10 +43,11 @@ class LevelError(FuzznestError, ValueError):
     """A level annotation applied where it cannot mean anything.
 
     A level belongs to an atom. Raised for ^(n) attached to a non-atom
-    in source text, for a nonzero level on a set or the empty set (a
-    raw Braced over one, when canonicalized), for a level that is not an
-    int, and for a level past the interpreter's int-to-text digit limit
-    where it must be printed.
+    in source text, for a Braced node built over a set or the empty set
+    (at any level), for a level that is not an int (when a Braced over a
+    Braced is built, or a level is printed or canonicalized), and for a
+    level past the interpreter's int-to-text digit limit where it must
+    be printed.
     """
 
 

@@ -172,11 +172,16 @@ class FuzzySet:
     ) -> "FuzzySet":
         """Validate, canonicalize, and construct.
 
-        Raises InvariantError for memberships that are not numbers in
-        [0,1] or a non-unit empty set, UniverseError for foreign atoms,
-        and DuplicateElementError when two expressions share one
-        canonical form.
+        Raises InvariantError when pairs is not (expression, membership)
+        pairs, or for memberships that are not numbers in [0,1] or a
+        non-unit empty set, UniverseError for foreign atoms, and
+        DuplicateElementError when two expressions share one canonical
+        form.
         """
+        try:
+            pairs = [(expr, mu) for expr, mu in pairs]
+        except (TypeError, ValueError):
+            raise InvariantError("build() takes (expression, membership) pairs") from None
         return cls._from_canonical(
             universe, ((_canonical(expr), mu) for expr, mu in pairs)
         )
@@ -276,12 +281,12 @@ class _Propagation:
     texts) holds keeps its value, a braced atom reads its atom's up
     ladder (levels from 0) or down ladder, each from the base membership
     stored under the atom's name, and a set takes _product over its
-    members. The pass makes no other item: it refuses a raw Braced over
-    a set or ∅ at a nonzero level. An atom with no base membership
-    stands in by its name, and a set with such a member by the first
-    one's, until a listed set or the root decides. Only a root that
-    stays a stand-in is walked again, by element, to tell a foreign atom
-    from an unlisted one.
+    members. The pass makes no other item: every Braced holds an atom
+    name, as Braced refuses one over a set or ∅. An atom with no base
+    membership stands in by its name, and a set with such a member by
+    the first one's, until a listed set or the root decides. Only a root
+    that stays a stand-in is walked again, by element, to tell a foreign
+    atom from an unlisted one.
 
     The base is taken as build makes it: it lists only texts over its
     universe, with memberships in [0,1]. So a foreign atom has no listed

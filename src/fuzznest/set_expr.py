@@ -3,8 +3,9 @@
 An expression is one of three immutable node kinds:
 
 * ``Empty()``            the empty set
-* ``Braced(atom, n)``    the atom wrapped in n braces; n may be negative
-                         (formal unbracing), n = 0 is the bare atom
+* ``Braced(atom, n)``    the atom name wrapped in n braces; n may be
+                         negative (formal unbracing), n = 0 is the bare
+                         atom
 * ``SetOf(elements)``    a finite set of expressions
 
 Canonical form rules:
@@ -13,10 +14,11 @@ Canonical form rules:
   singleton is folded into the Braced level),
 * SetOf elements are pairwise distinct and sorted by (structural depth,
   printed form),
-* Braced.atom is an atom name. Braced over a subexpression only appears
-  as normalize() input, where it adds its level to a braced atom's and
-  takes only level 0 on a set or ∅: a level belongs to an atom, as in
-  the text grammar, and a set is wrapped by nesting SetOf nodes.
+* Braced.atom is an atom name: a level belongs to an atom, as in the
+  text grammar, and a set is wrapped by nesting SetOf nodes. Braced
+  makes this so when it is built, the one place that asks what a Braced
+  wraps: over a Braced it folds, adding the levels, and over a set or ∅
+  it raises LevelError at every level, 0 included.
 
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
 equal sets compare equal with ``==``. Both canonicalize in one pass that
@@ -29,12 +31,13 @@ package's one identity rule: a set deduplicates its members by it, and
 from the pass that canonicalizes it. No library call compares or hashes
 a node; ``==``, ``hash`` and ``repr`` keep the dataclass-generated
 meaning, but read one walk of each tree, as pickling and ``copy`` do, so
-they hold at any depth. A leaf that is not a node raises TypeError from
-every question but ``==`` and ``hash``.
+they hold at any depth. A set's leaf that is not a node raises TypeError
+from every question but ``==`` and ``hash``; Braced refuses one with
+TypeError when it is built.
 
-A level is an ``int`` (not a bool); printing or canonicalizing any
-other level raises LevelError, as does printing a level of more digits
-than ``sys.get_int_max_str_digits()`` lets an int be written in.
+A level is an ``int`` (not a bool); folding, printing or canonicalizing
+any other level raises LevelError, as does printing a level of more
+digits than ``sys.get_int_max_str_digits()`` lets an int be written in.
 """
 
 from __future__ import annotations
@@ -95,8 +98,32 @@ class Empty(_Node):
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Braced(_Node):
-    atom: Union[str, "SetExpr"]
+    """The atom wrapped in level braces: a level belongs to an atom.
+
+    Built over a Braced node, it folds into that node's atom, the levels
+    added (the inner level checked first, then the outer): so
+    Braced(Braced(a, m), n) is Braced(a, m + n), and every Braced holds
+    a str atom. Built over a set or ∅, at any level, it raises
+    LevelError (nest SetOf nodes to wrap a set); over anything else,
+    TypeError.
+    """
+
+    atom: str
     level: int
+
+    def __post_init__(self):
+        if isinstance(self.atom, str):
+            return
+        if isinstance(self.atom, Braced):
+            _check_level(self.atom.level)
+            _check_level(self.level)
+            object.__setattr__(self, "level", self.atom.level + self.level)
+            object.__setattr__(self, "atom", self.atom.atom)
+        elif isinstance(self.atom, (SetOf, Empty)):
+            kind = "the empty set" if isinstance(self.atom, Empty) else "a set"
+            raise LevelError(f"a level belongs to an atom, not to {kind}")
+        else:
+            raise _not_a_node(self.atom)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -152,8 +179,8 @@ def _post_order(e: SetExpr) -> list:
     """Every node of e, children before their parent, left before right.
 
     Iterative, so nesting depth is bounded by memory, not by the
-    interpreter's recursion limit. Braced-over-subexpression nodes are
-    walked into; anything that is not a node is returned as a leaf.
+    interpreter's recursion limit. A set's members are walked into;
+    anything that is not a node is returned as a leaf.
     """
     # visiting children right to left and reversing the visit order
     # gives left-to-right post-order
@@ -164,8 +191,6 @@ def _post_order(e: SetExpr) -> list:
         order.append(x)
         if isinstance(x, SetOf):
             todo.extend(x.elements)
-        elif isinstance(x, Braced) and not isinstance(x.atom, str):
-            todo.append(x.atom)
     order.reverse()
     return order
 
@@ -176,12 +201,11 @@ def _not_a_node(x) -> TypeError:
 
 def _shape(e: SetExpr) -> tuple:
     """Each node of e in post-order as its kind and own fields, a set's
-    members as their count and a braced subexpression's atom as None;
-    a leaf that is no node is (None, leaf)."""
+    members as their count; a leaf that is no node is (None, leaf)."""
     shape = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            shape.append((Braced, x.atom if isinstance(x.atom, str) else None, x.level))
+            shape.append((Braced, x.atom, x.level))
         elif isinstance(x, SetOf):
             shape.append((SetOf, len(x.elements)))
         else:
@@ -195,8 +219,7 @@ def _from_shape(shape: tuple) -> SetExpr:
     stack: list = []
     for kind, *fields in shape:
         if kind is Braced:
-            atom, level = fields
-            stack.append(Braced(stack.pop() if atom is None else atom, level))
+            stack.append(Braced(*fields))
         elif kind is SetOf:
             n = len(stack) - fields[0]
             stack[n:] = [SetOf(tuple(stack[n:]))]
@@ -211,8 +234,7 @@ def _repr(e: SetExpr) -> str:
     texts: list[str] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            atom = repr(x.atom) if isinstance(x.atom, str) else texts.pop()
-            texts.append(f"Braced(atom={atom}, level={x.level!r})")
+            texts.append(f"Braced(atom={x.atom!r}, level={x.level!r})")
         elif isinstance(x, SetOf):
             n = len(texts) - len(x.elements)
             members = ", ".join(texts[n:]) + ("," if len(x.elements) == 1 else "")
@@ -231,10 +253,7 @@ def structural_depth(e: SetExpr) -> int:
     depths: list[int] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            if isinstance(x.atom, str):
-                depths.append(x.level)
-            else:
-                depths[-1] += x.level
+            depths.append(x.level)
         elif isinstance(x, Empty):
             depths.append(0)
         elif isinstance(x, SetOf):
@@ -252,9 +271,13 @@ def structural_depth(e: SetExpr) -> int:
 # ---------------------------------------------------------------- printing
 
 
-def _braced_text(atom: str, level: int) -> str:
+def _check_level(level) -> None:
     if type(level) is not int:
         raise LevelError(f"level must be an integer, got {level!r}")
+
+
+def _braced_text(atom: str, level: int) -> str:
+    _check_level(level)
     if level == 0:
         return atom
     if level == 1:
@@ -275,8 +298,6 @@ def print_expr(e: SetExpr) -> str:
     texts: list[str] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            if not isinstance(x.atom, str):
-                raise InvariantError("cannot print a non-canonical braced expression")
             texts.append(_braced_text(x.atom, x.level))
         elif isinstance(x, Empty):
             texts.append("∅")
@@ -326,35 +347,15 @@ def _set_item(items: list[_Item]) -> _Item:
     )
 
 
-def _braced_over(inner: _Item, level: int) -> _Item:
-    """The canonical item of `level` braces around a canonical item: a
-    braced atom's level grows by it, and a set or ∅ takes only level 0."""
-    if type(level) is not int:
-        raise LevelError(f"level must be an integer, got {level!r}")
-    node = inner[0]
-    if isinstance(node, Braced):
-        return _braced_item(node.atom, node.level + level)
-    if level == 0:
-        return inner
-    sign = "negative" if level < 0 else "positive"
-    kind = "the empty set" if isinstance(node, Empty) else "a set"
-    try:
-        message = "%s level %d applied to %s" % (sign, level, kind)
-    except ValueError:  # past the interpreter's int-to-text digit limit
-        message = "%s level of too many digits to print applied to %s" % (sign, kind)
-    raise LevelError(message)
-
-
 def normalize(e: SetExpr) -> SetExpr:
     """Canonicalize an expression; idempotent.
 
-    Collapses Braced-over-Braced by adding levels, folds a singleton set
-    of a Braced node into the level, deduplicates and sorts set elements.
-    A level belongs to an atom: Braced over a set or the empty set is
-    that set at level 0, and a nonzero level there raises LevelError
-    (nest SetOf nodes to wrap a set), as does a level that is not an
-    int. One iterative post-order pass builds each subtree's depth and
-    printed form once, from those of its members.
+    Folds a singleton set of a Braced node into the level, deduplicates
+    and sorts set elements; a Braced node is canonical as built (Braced
+    folds one over a Braced and refuses one over a set). Raises
+    LevelError for a level that is not an int. One iterative post-order
+    pass builds each subtree's depth and printed form once, from those
+    of its members.
     """
     return _canonical(e)[0]
 
@@ -362,15 +363,13 @@ def normalize(e: SetExpr) -> SetExpr:
 def _canonical(e: SetExpr, made: Callable[[_Item], None] | None = None) -> _Item:
     """The item of normalize(e): the canonical node, its depth and text.
 
+    A Braced node is its own canonical node, and its level its depth.
     made(item), if given, sees each item made, members before their set.
     """
     items: list[_Item] = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            if isinstance(x.atom, str):
-                item = (x, x.level, _braced_text(x.atom, x.level))
-            else:
-                item = _braced_over(items.pop(), x.level)
+            item = (x, x.level, _braced_text(x.atom, x.level))
         elif isinstance(x, SetOf):
             n = len(x.elements)
             members = items[len(items) - n:]
@@ -550,8 +549,7 @@ def atoms_of(e: SetExpr) -> Iterator[str]:
     atoms = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            if isinstance(x.atom, str):
-                atoms.append(x.atom)
+            atoms.append(x.atom)
         elif not isinstance(x, (SetOf, Empty)):
             raise _not_a_node(x)
     return iter(atoms)

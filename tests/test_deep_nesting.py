@@ -30,6 +30,7 @@ from fuzznest import (
     DuplicateElementError,
     Empty,
     FuzzySet,
+    LevelError,
     SetOf,
     atoms_of,
     construct_fuzzy_set,
@@ -72,7 +73,7 @@ def _same_tree(a, b) -> bool:
         elif isinstance(x, Braced):
             if x.level != y.level:
                 return False
-            todo.append((x.atom, y.atom))  # an atom name or a subexpression
+            todo.append((x.atom, y.atom))
         elif not isinstance(x, Empty) and x != y:  # atom names
             return False
     return True
@@ -170,15 +171,19 @@ def test_cli_parse_json_at_depth_400(chain, capsys):
 
 # 1, 1.0 and True are one level to ==, and hash alike
 _LEVELS = (0, 1, 2, -1, -3, 1.0, True)
+# the levels a Braced over a braced atom adds when it is built
+_INT_LEVELS = (0, 1, 2, -1, -3)
 
 
 def _raw(rng: random.Random, depth: int):
-    """A small raw tree: braced atoms, ∅, sets and braced subexpressions."""
+    """A small raw tree: braced atoms, ∅, sets and Braced nodes over a
+    braced atom, which fold into a braced atom when they are built."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         return EMPTY if roll < 0.05 else Braced(rng.choice("xy"), rng.choice(_LEVELS))
     if roll < 0.45:
-        return Braced(_raw(rng, depth - 1), rng.choice(_LEVELS))
+        inner = Braced(rng.choice("xy"), rng.choice(_INT_LEVELS))
+        return Braced(inner, rng.choice(_INT_LEVELS))
     return SetOf(tuple(_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))))
 
 
@@ -187,8 +192,7 @@ def _copy(e, change):
     if isinstance(e, SetOf):
         e = SetOf(tuple(_copy(x, change) for x in e.elements))
     elif isinstance(e, Braced):
-        atom = e.atom if isinstance(e.atom, str) else _copy(e.atom, change)
-        e = Braced(atom, e.level)
+        e = Braced(e.atom, e.level)
     else:
         e = Empty()
     return change(e)
@@ -241,7 +245,11 @@ def test_eq_keeps_the_generated_meaning_across_kinds():
     assert Braced("x", 1).__eq__(SetOf((Braced("x", 0),))) is NotImplemented
     assert EMPTY != SetOf(()) and Braced("x", 0) != "x"
     assert hash(Braced("x", 1)) == hash(Braced("x", 1.0)) == hash(Braced("x", True))
-    assert Braced(EMPTY, 2) == Braced(Empty(), 2) != Braced(Braced("x", 0), 2)
+    # a Braced over a braced atom is the folded node; over ∅ it is refused
+    assert Braced(Braced("x", 0), 2) == Braced("x", 2)
+    for empty in (EMPTY, Empty()):
+        with pytest.raises(LevelError, match="not to the empty set$"):
+            Braced(empty, 2)
 
 
 def test_eq_tells_apart_the_same_nodes_nested_differently():
@@ -250,9 +258,14 @@ def test_eq_tells_apart_the_same_nodes_nested_differently():
     x, hollow = Braced("x", 0), SetOf(())
     pairs = [
         (SetOf((x, hollow)), SetOf((SetOf((x,)),))),
-        (SetOf((Braced(hollow, 0), EMPTY)), SetOf((hollow, Braced(EMPTY, 0)))),
-        (SetOf((Braced(x, 1), EMPTY)), SetOf((x, Braced(EMPTY, 1)))),
+        (SetOf((SetOf((x, EMPTY)),)), SetOf((x, SetOf((EMPTY,))))),
+        (SetOf((SetOf((x,)), SetOf((EMPTY,)))), SetOf((SetOf((x, SetOf((EMPTY,)))),))),
     ]
+    # a Braced takes no set or ∅ to nest: it is refused when it is built
+    for inner in (hollow, EMPTY):
+        with pytest.raises(LevelError, match="^a level belongs to an atom"):
+            Braced(inner, 0)
+    assert Braced(x, 1) == Braced("x", 1)
     for a, b in pairs:
         assert not _same_tree(a, b)
         assert a != b and not a == b
@@ -354,8 +367,10 @@ def _chain_repr(raw) -> str:
 def test_repr_pickle_and_copy_at_depth_5000(deep):
     assert sys.getrecursionlimit() < DEEP
     assert repr(deep.raw) == _chain_repr(deep.raw)
-    wrapped = Braced(deep.raw, 2)
-    assert repr(wrapped) == "Braced(atom=%s, level=2)" % _chain_repr(deep.raw)
+    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
+        Braced(deep.raw, 2)
+    wrapped = SetOf((deep.raw,))
+    assert repr(wrapped) == "SetOf(elements=(%s,))" % _chain_repr(deep.raw)
     for e in (deep.raw, deep.e, wrapped):
         for back in (
             pickle.loads(pickle.dumps(e)),

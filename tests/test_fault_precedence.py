@@ -5,7 +5,8 @@ unlisted (its propagation misses a membership) and z is foreign. Each
 case below combines two faults; the table says, by hand, which error
 each entry point raises and with which message:
 
-- normalize's errors come first (a negative level over a set);
+- a level over a set comes first: its Braced node is refused with
+  LevelError when it is built, before any entry point reads it;
 - then an element with a foreign atom raises UniverseError, whatever
   else it holds;
 - then an element whose value needs an unlisted atom raises
@@ -57,31 +58,34 @@ def _foreign(text):
 
 MISSING_Y = MissingMembershipError, "atom 'y' has no base membership"
 
-# (elements, construct_fuzzy_set's error, the first error one by one)
+LEVEL_ON_A_SET = LevelError, "a level belongs to an atom, not to a set"
+
+# (the elements, built by each entry point's call, construct_fuzzy_set's
+# error, the first error one by one)
 CASES = {
-    "foreign and missing": ([SetOf((Y, Z))], _foreign("{y,z}"), _foreign("{y,z}")),
-    "missing and foreign": ([SetOf((Z, Y))], _foreign("{y,z}"), _foreign("{y,z}")),
+    "foreign and missing": (
+        lambda: [SetOf((Y, Z))], _foreign("{y,z}"), _foreign("{y,z}")
+    ),
+    "missing and foreign": (
+        lambda: [SetOf((Z, Y))], _foreign("{y,z}"), _foreign("{y,z}")
+    ),
     "foreign beside a listed set": (
-        [SetOf((Z, parse_expr("{x,y}")))],
+        lambda: [SetOf((Z, parse_expr("{x,y}")))],
         _foreign("{z,{x,y}}"),
         _foreign("{z,{x,y}}"),
     ),
     "raw Braced over missing and foreign": (
-        [Braced(SetOf((Y, Z)), 2)],
-        (LevelError, "positive level 2 applied to a set"),
-        (LevelError, "positive level 2 applied to a set"),
+        lambda: [Braced(SetOf((Y, Z)), 2)], LEVEL_ON_A_SET, LEVEL_ON_A_SET
     ),
-    "foreign, then its duplicate": ([Z, Z], _foreign("z"), _foreign("z")),
+    "foreign, then its duplicate": (lambda: [Z, Z], _foreign("z"), _foreign("z")),
     "duplicate, then foreign": (
-        [X, X, Z],
+        lambda: [X, X, Z],
         (DuplicateElementError, "duplicate element x"),
         _foreign("z"),
     ),
-    "missing, repeated": ([Y, parse_expr("y")], MISSING_Y, MISSING_Y),
+    "missing, repeated": (lambda: [Y, parse_expr("y")], MISSING_Y, MISSING_Y),
     "negative level over a set with a foreign atom": (
-        [Braced(SetOf((X, Z)), -1)],
-        (LevelError, "negative level -1 applied to a set"),
-        (LevelError, "negative level -1 applied to a set"),
+        lambda: [Braced(SetOf((X, Z)), -1)], LEVEL_ON_A_SET, LEVEL_ON_A_SET
     ),
 }
 
@@ -94,7 +98,7 @@ def _raised(call):
 
 def _first_raised(call, exprs):
     def each():
-        for e in exprs:
+        for e in exprs():
             call(e)
 
     return _raised(each)
@@ -102,9 +106,9 @@ def _first_raised(call, exprs):
 
 @pytest.mark.parametrize("exprs, together, alone", CASES.values(), ids=list(CASES))
 def test_a_two_fault_element_raises_by_the_table(exprs, together, alone):
-    assert _raised(lambda: construct_fuzzy_set(BASE, exprs)) == together
+    assert _raised(lambda: construct_fuzzy_set(BASE, exprs())) == together
     assert _first_raised(lambda e: propagate_membership(BASE, e), exprs) == alone
     assert _first_raised(
         lambda e: verify_classical_degeneracy(CLASSICAL, [e]), exprs
     ) == alone
-    assert _raised(lambda: verify_classical_degeneracy(CLASSICAL, exprs)) == alone
+    assert _raised(lambda: verify_classical_degeneracy(CLASSICAL, exprs())) == alone

@@ -107,6 +107,27 @@ def test_flat_needs_name_membership_pairs(memberships):
         FuzzySet.flat(memberships)
 
 
+_NOT_PAIRS = InvariantError, "build() takes (expression, membership) pairs"
+
+
+@pytest.mark.parametrize(
+    "pairs, refusal",
+    [
+        (7, _NOT_PAIRS),
+        ([5], _NOT_PAIRS),
+        ([(Braced("x", 0),)], _NOT_PAIRS),
+        ([(Braced("x", 0), 0.5, 1)], _NOT_PAIRS),
+        # a pair whose expression is not a node reaches the canonical pass
+        ([(5, 0.5)], (TypeError, "not a set expression: 5")),
+    ],
+    ids=["int", "int-item", "single", "triple", "not-a-node"],
+)
+def test_build_needs_expression_membership_pairs(pairs, refusal):
+    with pytest.raises(Exception) as info:
+        FuzzySet.build(AtomUniverse(("x",)), pairs)
+    assert (type(info.value), str(info.value)) == refusal
+
+
 def test_build_canonicalizes():
     u = AtomUniverse(("x",))
     fs = FuzzySet.build(u, [(Braced(Braced("x", 2), -1), 0.4)])
@@ -1051,27 +1072,35 @@ def test_no_library_call_compares_or_hashes_a_node(nodes_refuse_eq_and_hash):
 
 @pytest.mark.parametrize("level", [2.5, 2.0, 0.5, True, False, "2", None])
 def test_a_level_that_is_not_an_int_raises_level_error(level):
+    # a Braced over a Braced checks its level, and one over a set is
+    # refused at any level, when it is built: each tree is built by the
+    # call that meets its fault
     base = FuzzySet.flat([("x", 0.5), ("y", 0.25)])
     braced = Braced("x", level)
     exprs = [
-        braced,
-        Braced(Braced("x", 1), level),
-        Braced(SetOf((Braced("x", 0), Braced("y", 0))), level),
-        SetOf((braced, Braced("x", 2))),
-        SetOf((SetOf((braced, EMPTY)), Braced("y", 0))),
+        lambda: braced,
+        lambda: Braced(Braced("x", 1), level),
+        lambda: Braced(SetOf((Braced("x", 0), Braced("y", 0))), level),
+        lambda: SetOf((braced, Braced("x", 2))),
+        lambda: SetOf((SetOf((braced, EMPTY)), Braced("y", 0))),
     ]
-    for expr in exprs:
+    for make in exprs:
         with pytest.raises(LevelError):
-            normalize(expr)
+            normalize(make())
         with pytest.raises(LevelError):
-            FuzzySet.build(base.universe, [(expr, 0.5)])
+            FuzzySet.build(base.universe, [(make(), 0.5)])
         with pytest.raises(LevelError):
-            construct_fuzzy_set(base, [expr])
+            construct_fuzzy_set(base, [make()])
         with pytest.raises(LevelError):
-            propagate_membership(base, expr)
-    for expr in (braced, exprs[3], exprs[4]):  # the trees print_expr walks
+            propagate_membership(base, make())
         with pytest.raises(LevelError):
-            print_expr(expr)
+            print_expr(make())
+    with pytest.raises(LevelError) as info:
+        exprs[1]()
+    assert str(info.value) == f"level must be an integer, got {level!r}"
+    with pytest.raises(LevelError) as info:
+        exprs[2]()
+    assert str(info.value) == "a level belongs to an atom, not to a set"
 
 
 def test_a_level_past_the_int_digit_limit_raises_level_error():
@@ -1088,21 +1117,13 @@ def test_a_level_past_the_int_digit_limit_raises_level_error():
         lambda: construct_fuzzy_set(base, [node]),
         lambda: propagate_membership(base, node),
     ]
-    # a negative level over a set or ∅ is refused before anything prints;
-    # its message shows the digits when they can be written
+    # a negative level over a set or ∅ is refused when its node is built,
+    # before anything prints; the message names no level
     pair = SetOf((Braced("x", 0), Braced("y", 0)))
-    refusing = [
-        lambda e: normalize(e),
-        lambda e: FuzzySet.build(base.universe, [(e, 0.5)]),
-        lambda e: construct_fuzzy_set(base, [e]),
-        lambda e: propagate_membership(base, e),
-    ]
-    for e in (Braced(pair, -level), Braced(EMPTY, -level)):
-        for path in refusing:
-            with pytest.raises(
-                LevelError, match="too many digits" if INT_DIGIT_LIMIT else "level -1"
-            ):
-                path(e)
+    for inner, kind in ((pair, "a set"), (EMPTY, "the empty set")):
+        with pytest.raises(LevelError) as info:
+            Braced(inner, -level)
+        assert str(info.value) == f"a level belongs to an atom, not to {kind}"
     if not INT_DIGIT_LIMIT:  # no limit: the level prints and parses back
         assert parse_expr(print_expr(node)) == node
         assert print_expr(node) == "{x}^(1%s)" % ("0" * 5000)
@@ -1115,19 +1136,9 @@ def test_a_level_past_the_int_digit_limit_raises_level_error():
 
 
 def test_a_positive_level_over_a_set_is_refused_in_bounded_work(monkeypatch):
-    # a level belongs to an atom: k braces over a set or ∅ raise
-    # LevelError for k > 0 as for k < 0, and build none of the k wraps;
-    # the one SetOf built is the canonical copy of the input's own set
-    base = FuzzySet.flat([("x", 0.5), ("y", 0.25)])
+    # a level belongs to an atom: a Braced over a set or ∅ is refused
+    # when it is built, at any level, 0 included, and builds no set
     pair = SetOf((Braced("x", 0), Braced("y", 0)))
-    huge = 10 ** (INT_DIGIT_LIMIT or 5000)
-    huge_words = "of too many digits to print" if INT_DIGIT_LIMIT else "%d" % huge
-    paths = [
-        normalize,
-        lambda e: propagate_membership(base, e),
-        lambda e: construct_fuzzy_set(base, [e]),
-        lambda e: FuzzySet.build(base.universe, [(e, 0.5)]),
-    ]
     built = []
     init = SetOf.__init__
 
@@ -1137,12 +1148,19 @@ def test_a_positive_level_over_a_set_is_refused_in_bounded_work(monkeypatch):
 
     monkeypatch.setattr(SetOf, "__init__", counted)
     for inner, kind in ((pair, "a set"), (EMPTY, "the empty set")):
-        for level, words in ((10**9, "1000000000"), (huge, huge_words)):
-            e = Braced(inner, level)
-            for path in paths:
-                built.clear()
-                with pytest.raises(LevelError) as info:
-                    path(e)
-                assert type(info.value) is LevelError
-                assert str(info.value) == f"positive level {words} applied to {kind}"
-                assert len(built) == (inner is pair)
+        for level in (10**9, 10 ** (INT_DIGIT_LIMIT or 5000), 0):
+            with pytest.raises(LevelError) as info:
+                Braced(inner, level)
+            assert type(info.value) is LevelError
+            assert str(info.value) == f"a level belongs to an atom, not to {kind}"
+    assert built == []
+    # a Braced over a braced atom folds when it is built, so a chain of
+    # them built bottom up is one node
+    rng = random.Random(16)
+    e, total = Braced("x", 0), 0
+    for _ in range(10**5):
+        step = rng.choice((1, -1))
+        e, total = Braced(e, step), total + step
+    assert len(set_expr._post_order(e)) == 1
+    assert e == Braced("x", total) and e.level == total
+    assert pickle.loads(pickle.dumps(e)) == e

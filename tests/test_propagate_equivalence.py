@@ -9,10 +9,10 @@ expressions with levels up to +-10^8. construct_fuzzy_set,
 propagate_membership and verify_classical_degeneracy must give the
 reference's memberships bit for bit, and fail with the reference's
 exception class and message. So must raw expressions, with braces over
-braced atoms, level 0 over sets and repeated members, against the
-reference over their normalized form; braces over a set at a nonzero
-level are refused. A step count shows that one call walks each atom's
-levels once.
+braced atoms (folded when they are built) and repeated members, against
+the reference over their normalized form; braces over a set are refused
+when they are built, at every level. A step count shows that one call
+walks each atom's levels once.
 """
 
 import math
@@ -158,17 +158,21 @@ PAIR = SetOf((Braced("x1", 0), Braced("x2", 0)))
 
 
 def _raw(rng: random.Random, depth: int):
-    """An expression as a caller may build it: braces over subexpressions,
+    """An expression as a caller may build it: braces over braced atoms,
     and members repeated as the same node and as equal copies."""
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
         return _expr(rng, 0)
     if roll < 0.5:
         inner = _raw(rng, depth - 1)
-        braced = isinstance(normalize(inner), Braced)
-        level = rng.randint(-3 if braced else 0, 3)
-        # a level on a set or ∅ may only be 0
-        return Braced(inner, level if braced else 0)
+        level = rng.randint(-3, 3)
+        if isinstance(inner, Braced):
+            return Braced(inner, level)  # folded when it is built
+        # a level belongs to an atom: a Braced over a set or ∅ is refused
+        # when it is built, at level 0 too, so the set stands alone
+        with pytest.raises(LevelError, match="^a level belongs to an atom, not to "):
+            Braced(inner, 0)
+        return inner
     members = [_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))]
     if members:
         members += [rng.choice(members) for _ in range(rng.randint(0, 2))]
@@ -206,17 +210,21 @@ def test_raw_expressions_match_reference():
     ids=["flat", "wrap-listed"],
 )
 def test_raw_braced_sets_match_reference(k, listed):
-    # a level belongs to an atom: k braces over a set are refused, before
-    # any membership is looked up, and its k wraps are written as sets
+    # a level belongs to an atom: k braces over a set are refused when
+    # they are built, before any membership is looked up, and its k wraps
+    # are written as sets
     pairs = [(Braced("x1", 0), 0.3), (Braced("x2", 0), 0.6)]
     pairs += [(parse_expr(text), mu) for text, mu in listed]
     base = FuzzySet.build(AtomUniverse(ATOMS), pairs)
     lacking = FuzzySet.build(AtomUniverse(ATOMS), pairs[:1])
-    refusal = (LevelError, f"positive level {k} applied to a set")
-    for raw in (Braced(PAIR, k), SetOf((Braced(PAIR, k), Braced("x1", 1)))):
+    refusal = (LevelError, "a level belongs to an atom, not to a set")
+    for raw in (
+        lambda: Braced(PAIR, k),
+        lambda: SetOf((Braced(PAIR, k), Braced("x1", 1))),
+    ):
         for b in (base, lacking):
             with pytest.raises(LevelError) as info:
-                propagate_membership(b, raw)
+                propagate_membership(b, raw())
             assert (type(info.value), str(info.value)) == refusal
     wrapped = PAIR
     for _ in range(k):
@@ -231,8 +239,8 @@ def test_raw_braced_sets_match_reference(k, listed):
 
 
 def test_raw_braced_set_of_many_wraps(monkeypatch):
-    # many braces over a set are refused: the set's own two factors are
-    # the only ones computed, and no wrap is valued
+    # many braces over a set are refused when they are built: no factor
+    # is computed, the set's own or a wrap's
     k = 10**5
     base = FuzzySet.flat([("x1", 0.3), ("x2", 0.6)])
     factors = []
@@ -245,8 +253,8 @@ def test_raw_braced_set_of_many_wraps(monkeypatch):
     with pytest.raises(LevelError) as info:
         propagate_membership(base, Braced(PAIR, k))
     assert type(info.value) is LevelError
-    assert str(info.value) == f"positive level {k} applied to a set"
-    assert factors == [0.3, 0.6]
+    assert str(info.value) == "a level belongs to an atom, not to a set"
+    assert factors == []
 
 
 # ------------------------------------------------------------- step count

@@ -149,8 +149,11 @@ def test_print_forms():
 
 
 def test_print_rejects_non_canonical_braced():
-    with pytest.raises(InvariantError):
-        print_expr(Braced(Braced("x", 1), 1))
+    # no non-canonical Braced reaches the printer: one over a Braced is
+    # folded when it is built, and one over a set is refused then
+    assert print_expr(Braced(Braced("x", 1), 1)) == "{x}^(2)"
+    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
+        print_expr(Braced(SetOf((Braced("x", 0), Braced("y", 0))), 1))
 
 
 def test_str_uses_print():
@@ -165,11 +168,14 @@ def test_str_of_each_node_kind():
 
 
 def test_print_meets_a_fault_inside_a_braced_subexpression_first():
-    # the printer walks a braced subexpression before the brace around it,
-    # and a set's members left to right
+    # a Braced over a Braced checks the inner level before the outer one
+    # when it is built; a Braced over a set is refused then, whatever its
+    # members hold; the printer reads a set's members left to right
     with pytest.raises(LevelError, match="level must be an integer, got 2.5"):
+        print_expr(Braced(Braced("x", 2.5), 1.5))
+    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
         print_expr(Braced(SetOf((Braced("x", 2.5),)), 1))
-    with pytest.raises(InvariantError, match="non-canonical braced expression"):
+    with pytest.raises(LevelError, match="level must be an integer, got 2.5"):
         print_expr(SetOf((Braced(Braced("x", 1), 1), Braced("y", 2.5))))
 
 
@@ -197,12 +203,12 @@ def test_normalize_empty_set_literal():
 
 
 def test_normalize_braced_empty_positive_level():
-    # a level belongs to an atom: {∅} is written as a set, not as a level
-    for level in (1, 2):
+    # a level belongs to an atom: {∅} is written as a set, not as a level,
+    # and a Braced over ∅ is refused when it is built, at level 0 too
+    for level in (1, 2, 0):
         with pytest.raises(LevelError) as info:
             normalize(Braced(EMPTY, level))
-        assert str(info.value) == f"positive level {level} applied to the empty set"
-    assert normalize(Braced(EMPTY, 0)) == EMPTY
+        assert str(info.value) == "a level belongs to an atom, not to the empty set"
     assert normalize(SetOf((SetOf((EMPTY,)),))) == SetOf((SetOf((EMPTY,)),))
 
 
@@ -252,9 +258,11 @@ def test_structural_depth():
 
 
 def test_structural_depth_of_a_braced_subexpression():
-    # its level adds to the depth of what it wraps
+    # a Braced over a braced atom adds its level to the atom's; one over
+    # a set is refused when it is built
     pair = SetOf((Braced("x", 0), Braced("y", 0)))
-    assert structural_depth(Braced(pair, 3)) == 4
+    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
+        structural_depth(Braced(pair, 3))
     assert structural_depth(Braced(Braced("x", 1), -2)) == -1
 
 
@@ -332,9 +340,14 @@ def test_atoms_of():
 def test_atoms_of_raw_trees_left_to_right_with_repeats():
     x, y = Braced("x", 0), Braced("y", 2)
     assert list(atoms_of(SetOf((x, y, x)))) == ["x", "y", "x"]
-    assert list(atoms_of(Braced(SetOf((x, Braced(y, -1))), 2))) == ["x", "y"]
+    # a Braced over a set is refused when it is built; a set is wrapped
+    # by nesting SetOf nodes
+    for wrapped in (SetOf((x, Braced(y, -1))), SetOf((y, x))):
+        with pytest.raises(LevelError, match="not to a set$"):
+            Braced(wrapped, 1)
+    assert list(atoms_of(SetOf((SetOf((x, Braced(y, -1))),)))) == ["x", "y"]
     raw = SetOf((
-        Braced(SetOf((y, x)), 1),
+        SetOf((SetOf((y, x)),)),
         EMPTY,
         x,
         SetOf((Braced(Braced("z", 1), 3), SetOf(()), y)),
@@ -390,7 +403,13 @@ def test_only_post_order_reads_a_sets_members():
 
 
 @pytest.mark.parametrize(
-    "e, leaf", [(7, "7"), (SetOf(("x1",)), "'x1'"), (Braced(7, 1), "7")], ids=repr
+    "make, leaf",
+    [
+        pytest.param(lambda: 7, "7", id="7-'7'"),
+        pytest.param(lambda: SetOf(("x1",)), "'x1'", id="SetOf(elements=('x1',))-\"'x1'\""),
+        # a Braced over a leaf is refused when it is built
+        pytest.param(lambda: Braced(7, 1), "7", id="Braced(atom=7, level=1)-'7'"),
+    ],
 )
 @pytest.mark.parametrize(
     "question",
@@ -398,15 +417,17 @@ def test_only_post_order_reads_a_sets_members():
      lambda e: in_superstructure(e, AtomUniverse(("x1",)))],
     ids=["print_expr", "structural_depth", "atoms_of", "normalize", "in_superstructure"],
 )
-def test_a_leaf_that_is_no_node_raises_one_type_error(e, leaf, question):
+def test_a_leaf_that_is_no_node_raises_one_type_error(make, leaf, question):
     with pytest.raises(TypeError) as exc:
-        question(e)  # atoms_of raises before its first atom is read
+        question(make())  # atoms_of raises before its first atom is read
     assert str(exc.value) == f"not a set expression: {leaf}"
 
 
 def test_eq_and_hash_still_take_leaves_that_are_no_nodes():
     assert SetOf(("x1",)) == SetOf(("x1",)) and SetOf(("x1",)) != SetOf(("x2",))
-    assert hash(Braced(7, 1)) == hash(Braced(7, 1)) and Braced(7, 1) != Braced(8, 1)
+    # a Braced takes no such leaf: it is refused when built
+    with pytest.raises(TypeError, match="^not a set expression: 7$"):
+        Braced(7, 1)
     # a leaf is never taken for a node that prints alike
     assert SetOf(((Empty,),)) != SetOf((EMPTY,))
 
@@ -426,7 +447,7 @@ def _generated(x):
     if isinstance(x, SetOf):
         return _GENERATED[SetOf](tuple(_generated(m) for m in x.elements))
     if isinstance(x, Braced):
-        return _GENERATED[Braced](_generated(x.atom), x.level)
+        return _GENERATED[Braced](x.atom, x.level)
     return _GENERATED[Empty]() if isinstance(x, Empty) else x
 
 
@@ -435,7 +456,11 @@ def _raw_tree(rng: random.Random, depth: int):
     if depth <= 0 or roll < 0.2:
         return rng.choice([EMPTY, Braced(rng.choice(ATOM_POOL), rng.randint(-3, 3))])
     if roll < 0.3:
-        return Braced(_raw_tree(rng, depth - 1), rng.choice([0, 1, 2, True, 2.0, -1]))
+        # a Braced over a braced atom, folded when it is built; a level
+        # that is no int is kept only by a Braced over a name
+        inner = Braced(rng.choice(ATOM_POOL), rng.randint(-3, 3))
+        level = rng.choice([0, 1, 2, True, 2.0, -1])
+        return Braced(inner if type(level) is int else inner.atom, level)
     if roll < 0.35:
         return rng.choice(["x1", 7, None, (1, "a"), 0.5])  # no node
     return SetOf(tuple(_raw_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))))

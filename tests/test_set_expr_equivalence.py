@@ -15,7 +15,6 @@ import pytest
 from fuzznest import (
     EMPTY,
     Braced,
-    InvariantError,
     LevelError,
     ParseError,
     SetOf,
@@ -29,10 +28,12 @@ import legacy_set_expr as legacy
 ATOMS = ("x1", "x2", "y", "z0")
 
 
-def _raw_tree(rng: random.Random, depth: int):
-    """A raw (not canonical) tree: duplicates, Braced over subexpressions,
-    singleton sets, nonpositive levels on sets and ∅, shuffled members and,
-    rarely, a value that is not a node at all."""
+def _raw_tree(rng: random.Random, depth: int, refused: list | None = None):
+    """A raw (not canonical) tree: duplicates, Braced over braced atoms,
+    singleton sets, shuffled members and, rarely, a value that is not a
+    node at all. A Braced drawn over a set, ∅ or such a value is refused
+    when it is built: its error class and message go to refused, if
+    given, and a Braced over a braced atom is drawn in its place."""
     roll = rng.random()
     if depth <= 0 or roll < 0.25:
         leaf = rng.random()
@@ -42,16 +43,17 @@ def _raw_tree(rng: random.Random, depth: int):
             return Braced(rng.choice(ATOMS), rng.randint(-3, 3))
         return rng.choice((7, "x1", None))
     if roll < 0.45:
-        # Braced over a subexpression; nonzero levels on sets and ∅ fail.
-        # The reference builds wraps for a positive one there, so that
-        # level is redrawn from the ones both sides agree on
-        inner = _raw_tree(rng, depth - 1)
+        # a Braced over a braced atom, folded when it is built
+        inner = _raw_tree(rng, depth - 1, refused)
         level = rng.randint(-3, 3)
-        if level > 0 and _set_or_empty(inner):
-            level = rng.randint(-3, 0)
+        if not isinstance(inner, (str, Braced)):
+            refusal = _outcome(lambda _: Braced(inner, level), None)[:2]
+            if refused is not None:
+                refused.append(refusal)
+            inner = Braced(rng.choice(ATOMS), rng.randint(-3, 3))
         return Braced(inner, level)
     n = rng.choice((0, 1, 1, 2, 3, 4, 5))
-    members = [_raw_tree(rng, depth - 1) for _ in range(n)]
+    members = [_raw_tree(rng, depth - 1, refused) for _ in range(n)]
     if members and rng.random() < 0.4:
         # a duplicate: the same object or a structurally equal copy
         twin = rng.choice(members)
@@ -60,19 +62,9 @@ def _raw_tree(rng: random.Random, depth: int):
     return SetOf(tuple(members))
 
 
-def _set_or_empty(tree) -> bool:
-    """Whether the reference canonicalizes the tree to a set or ∅."""
-    try:
-        return not isinstance(legacy.normalize(tree), Braced)
-    except (ValueError, TypeError):
-        return False
-
-
 def _copy(e):
     if isinstance(e, SetOf):
         return SetOf(tuple(_copy(x) for x in e.elements))
-    if isinstance(e, Braced) and not isinstance(e.atom, str):
-        return Braced(_copy(e.atom), e.level)
     if isinstance(e, Braced):
         return Braced(e.atom, e.level)
     return e
@@ -88,8 +80,9 @@ def _outcome(fn, arg):
 def test_normalize_matches_recursive_reference():
     rng = random.Random(20260301)
     kinds = {"ok": 0, LevelError: 0, TypeError: 0}
+    refused = []
     for _ in range(1000):
-        tree = _raw_tree(rng, rng.randint(1, 5))
+        tree = _raw_tree(rng, rng.randint(1, 5), refused)
         want = _outcome(legacy.normalize, tree)
         got = _outcome(normalize, tree)
         assert got[0] == want[0], tree
@@ -99,8 +92,17 @@ def test_normalize_matches_recursive_reference():
             assert print_expr(got[1]) == legacy.print_expr(want[1]), tree
         else:
             assert got[1:] == want[1:], tree
-    # the generator reaches every outcome often enough to mean something
-    assert kinds["ok"] >= 500 and kinds[LevelError] >= 50 and kinds[TypeError] >= 20
+    # the generator reaches every outcome often enough to mean something;
+    # a level over a set or ∅ is refused when its Braced is built, so no
+    # tree that can be built gives normalize a LevelError
+    assert kinds["ok"] >= 500 and kinds[LevelError] == 0 and kinds[TypeError] >= 20
+    assert set(refused) <= {
+        (LevelError, "a level belongs to an atom, not to a set"),
+        (LevelError, "a level belongs to an atom, not to the empty set"),
+        (TypeError, "not a set expression: 7"),
+        (TypeError, "not a set expression: None"),
+    }
+    assert sum(kind is LevelError for kind, _ in refused) >= 50
 
 
 def test_normalize_keeps_the_reference_element_order():
@@ -222,18 +224,11 @@ def test_parse_edge_cases_match_reference(text):
 _LEVELS = (0, 1, 2, -1, -3, 5)
 
 
-def _printed(printer, e):
-    try:
-        return "ok", printer(e)
-    except InvariantError as exc:
-        return InvariantError, str(exc)
-
-
 def _printer_cases(rng: random.Random):
-    """Sets of braced atoms (any mix of levels, ∅ among them or not),
-    such sets with one nested member first, in the middle or last, and
-    the same with a member no printer accepts (a braced subexpression).
-    Built as raw nodes, so the printer sees them exactly as given."""
+    """Sets of braced atoms (any mix of levels, ∅ among them or not), and
+    such sets with one nested member first, in the middle or last. Built
+    as raw nodes, so the printer sees them exactly as given; a Braced
+    over a Braced is folded when it is built."""
     for _ in range(400):
         members = [
             Braced(rng.choice(ATOMS), rng.choice(_LEVELS))
@@ -245,7 +240,6 @@ def _printer_cases(rng: random.Random):
         for odd in (
             SetOf((Braced("y", 2), SetOf((Braced("x1", -1), EMPTY)))),
             SetOf(()),
-            Braced(SetOf((Braced("x1", 0),)), 1),
             Braced(Braced("x2", 1), -2),
         ):
             for at in (0, len(members) // 2, len(members)):
@@ -254,10 +248,10 @@ def _printer_cases(rng: random.Random):
 
 def test_print_matches_recursive_reference():
     rng = random.Random(5150)
-    outcomes = {"ok": 0, InvariantError: 0}
     for e in _printer_cases(rng):
-        want = _printed(legacy.print_expr, e)
-        assert _printed(print_expr, e) == want, e
-        outcomes[want[0]] += 1
-    assert min(outcomes.values()) >= 500, outcomes
+        assert print_expr(e) == legacy.print_expr(e), e
+    # the member no printer accepted, a Braced over a set, is refused
+    # when it is built
+    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
+        Braced(SetOf((Braced("x1", 0),)), 1)
 
