@@ -31,13 +31,14 @@ package's one identity rule: a set deduplicates its members by it, and
 from the pass that canonicalizes it. No library call compares or hashes
 a node; ``==``, ``hash`` and ``repr`` keep the dataclass-generated
 meaning, but read one walk of each tree, as pickling and ``copy`` do, so
-they hold at any depth. A set's leaf that is not a node raises TypeError
-from every question but ``==`` and ``hash``; Braced refuses one with
-TypeError when it is built.
+they hold at any depth.
 
-A level is an ``int`` (not a bool); folding, printing or canonicalizing
-any other level raises LevelError, as does printing a level of more
-digits than ``sys.get_int_max_str_digits()`` lets an int be written in.
+Every node is well formed when it is built, so no walk checks one
+again: SetOf refuses a member that is not a node with TypeError, and
+Braced a level that is not an ``int`` (a bool included) with
+LevelError, before it looks at what it wraps. Printing a level of more
+digits than ``sys.get_int_max_str_digits()`` lets an int be written in
+raises LevelError.
 """
 
 from __future__ import annotations
@@ -100,23 +101,24 @@ class Empty(_Node):
 class Braced(_Node):
     """The atom wrapped in level braces: a level belongs to an atom.
 
-    Built over a Braced node, it folds into that node's atom, the levels
-    added (the inner level checked first, then the outer): so
+    The level is checked first: one that is not an int (a bool included)
+    raises LevelError, whatever is wrapped. Built over a Braced node, it
+    folds into that node's atom, the levels added: so
     Braced(Braced(a, m), n) is Braced(a, m + n), and every Braced holds
-    a str atom. Built over a set or ∅, at any level, it raises
-    LevelError (nest SetOf nodes to wrap a set); over anything else,
-    TypeError.
+    a str atom and an int level. Built over a set or ∅, at any level, it
+    raises LevelError (nest SetOf nodes to wrap a set); over anything
+    else, TypeError.
     """
 
     atom: str
     level: int
 
     def __post_init__(self):
+        if type(self.level) is not int:
+            raise LevelError(f"level must be an integer, got {self.level!r}")
         if isinstance(self.atom, str):
             return
         if isinstance(self.atom, Braced):
-            _check_level(self.atom.level)
-            _check_level(self.level)
             object.__setattr__(self, "level", self.atom.level + self.level)
             object.__setattr__(self, "atom", self.atom.atom)
         elif isinstance(self.atom, (SetOf, Empty)):
@@ -128,7 +130,19 @@ class Braced(_Node):
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class SetOf(_Node):
+    """A finite set of expressions.
+
+    ``elements`` may be given as any iterable of nodes and is stored as
+    a tuple; a member that is not a node raises TypeError.
+    """
+
     elements: tuple["SetExpr", ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "elements", tuple(self.elements))
+        for x in self.elements:
+            if not isinstance(x, _Node):
+                raise _not_a_node(x)
 
 
 SetExpr = Union[Empty, Braced, SetOf]
@@ -179,9 +193,12 @@ def _post_order(e: SetExpr) -> list:
     """Every node of e, children before their parent, left before right.
 
     Iterative, so nesting depth is bounded by memory, not by the
-    interpreter's recursion limit. A set's members are walked into;
-    anything that is not a node is returned as a leaf.
+    interpreter's recursion limit. Every walk starts here, so this is
+    where a root that is not a node raises TypeError; a node's members
+    were checked when it was built.
     """
+    if not isinstance(e, _Node):
+        raise _not_a_node(e)
     # visiting children right to left and reversing the visit order
     # gives left-to-right post-order
     order = []
@@ -201,7 +218,7 @@ def _not_a_node(x) -> TypeError:
 
 def _shape(e: SetExpr) -> tuple:
     """Each node of e in post-order as its kind and own fields, a set's
-    members as their count; a leaf that is no node is (None, leaf)."""
+    members as their count."""
     shape = []
     for x in _post_order(e):
         if isinstance(x, Braced):
@@ -209,7 +226,7 @@ def _shape(e: SetExpr) -> tuple:
         elif isinstance(x, SetOf):
             shape.append((SetOf, len(x.elements)))
         else:
-            shape.append((Empty,) if isinstance(x, Empty) else (None, x))
+            shape.append((Empty,))
     return tuple(shape)
 
 
@@ -224,7 +241,7 @@ def _from_shape(shape: tuple) -> SetExpr:
             n = len(stack) - fields[0]
             stack[n:] = [SetOf(tuple(stack[n:]))]
         else:
-            stack.append(EMPTY if kind is Empty else fields[0])
+            stack.append(EMPTY)
     return stack[0]
 
 
@@ -240,7 +257,7 @@ def _repr(e: SetExpr) -> str:
             members = ", ".join(texts[n:]) + ("," if len(x.elements) == 1 else "")
             texts[n:] = [f"SetOf(elements=({members}))"]
         else:
-            texts.append("Empty()" if isinstance(x, Empty) else repr(x))
+            texts.append("Empty()")
     return texts[0]
 
 
@@ -254,8 +271,6 @@ def structural_depth(e: SetExpr) -> int:
     for x in _post_order(e):
         if isinstance(x, Braced):
             depths.append(x.level)
-        elif isinstance(x, Empty):
-            depths.append(0)
         elif isinstance(x, SetOf):
             n = len(x.elements)
             deepest = 0
@@ -264,20 +279,14 @@ def structural_depth(e: SetExpr) -> int:
                 del depths[-n:]
             depths.append(deepest + 1)
         else:
-            raise _not_a_node(x)
+            depths.append(0)
     return depths[0]
 
 
 # ---------------------------------------------------------------- printing
 
 
-def _check_level(level) -> None:
-    if type(level) is not int:
-        raise LevelError(f"level must be an integer, got {level!r}")
-
-
 def _braced_text(atom: str, level: int) -> str:
-    _check_level(level)
     if level == 0:
         return atom
     if level == 1:
@@ -299,14 +308,12 @@ def print_expr(e: SetExpr) -> str:
     for x in _post_order(e):
         if isinstance(x, Braced):
             texts.append(_braced_text(x.atom, x.level))
-        elif isinstance(x, Empty):
-            texts.append("∅")
         elif isinstance(x, SetOf):
             # the set's text takes the place of its members' texts
             n = len(texts) - len(x.elements)
             texts[n:] = ["{%s}" % ",".join(texts[n:])]
         else:
-            raise _not_a_node(x)
+            texts.append("∅")
     return texts[0]
 
 
@@ -352,10 +359,10 @@ def normalize(e: SetExpr) -> SetExpr:
 
     Folds a singleton set of a Braced node into the level, deduplicates
     and sorts set elements; a Braced node is canonical as built (Braced
-    folds one over a Braced and refuses one over a set). Raises
-    LevelError for a level that is not an int. One iterative post-order
-    pass builds each subtree's depth and printed form once, from those
-    of its members.
+    folds one over a Braced and refuses one over a set). Every node was
+    checked when it was built, so only a root that is not a node raises
+    here (TypeError). One iterative post-order pass builds each
+    subtree's depth and printed form once, from those of its members.
     """
     return _canonical(e)[0]
 
@@ -375,10 +382,8 @@ def _canonical(e: SetExpr, made: Callable[[_Item], None] | None = None) -> _Item
             members = items[len(items) - n:]
             del items[len(items) - n:]
             item = _set_item(members)
-        elif isinstance(x, Empty):
-            item = _EMPTY_ITEM
         else:
-            raise _not_a_node(x)
+            item = _EMPTY_ITEM
         items.append(item)
         if made is not None:
             made(item)
@@ -546,13 +551,7 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
 def atoms_of(e: SetExpr) -> Iterator[str]:
     """Every atom name occurring in the expression, left to right, with
     repeats: the braced atoms of its post-order walk."""
-    atoms = []
-    for x in _post_order(e):
-        if isinstance(x, Braced):
-            atoms.append(x.atom)
-        elif not isinstance(x, (SetOf, Empty)):
-            raise _not_a_node(x)
-    return iter(atoms)
+    return iter([x.atom for x in _post_order(e) if isinstance(x, Braced)])
 
 
 def in_superstructure(e: SetExpr, universe: AtomUniverse) -> bool:

@@ -169,10 +169,8 @@ def test_cli_parse_json_at_depth_400(chain, capsys):
 
 # --------------------------------------------------------- node == and hash
 
-# 1, 1.0 and True are one level to ==, and hash alike
-_LEVELS = (0, 1, 2, -1, -3, 1.0, True)
-# the levels a Braced over a braced atom adds when it is built
-_INT_LEVELS = (0, 1, 2, -1, -3)
+# a level is an int: Braced refuses 1.0 and True when it is built
+_LEVELS = (0, 1, 2, -1, -3)
 
 
 def _raw(rng: random.Random, depth: int):
@@ -182,8 +180,8 @@ def _raw(rng: random.Random, depth: int):
     if depth == 0 or roll < 0.3:
         return EMPTY if roll < 0.05 else Braced(rng.choice("xy"), rng.choice(_LEVELS))
     if roll < 0.45:
-        inner = Braced(rng.choice("xy"), rng.choice(_INT_LEVELS))
-        return Braced(inner, rng.choice(_INT_LEVELS))
+        inner = Braced(rng.choice("xy"), rng.choice(_LEVELS))
+        return Braced(inner, rng.choice(_LEVELS))
     return SetOf(tuple(_raw(rng, depth - 1) for _ in range(rng.randint(0, 3))))
 
 
@@ -244,7 +242,10 @@ def test_eq_keeps_the_generated_meaning_across_kinds():
     # another kind is NotImplemented, so == falls back to identity
     assert Braced("x", 1).__eq__(SetOf((Braced("x", 0),))) is NotImplemented
     assert EMPTY != SetOf(()) and Braced("x", 0) != "x"
-    assert hash(Braced("x", 1)) == hash(Braced("x", 1.0)) == hash(Braced("x", True))
+    # 1.0 and True are no level to hash alike with 1: Braced refuses them
+    for level in (1.0, True):
+        with pytest.raises(LevelError, match=f"^level must be an integer, got {level}$"):
+            Braced("x", level)
     # a Braced over a braced atom is the folded node; over ∅ it is refused
     assert Braced(Braced("x", 0), 2) == Braced("x", 2)
     for empty in (EMPTY, Empty()):

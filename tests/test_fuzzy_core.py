@@ -1072,35 +1072,22 @@ def test_no_library_call_compares_or_hashes_a_node(nodes_refuse_eq_and_hash):
 
 @pytest.mark.parametrize("level", [2.5, 2.0, 0.5, True, False, "2", None])
 def test_a_level_that_is_not_an_int_raises_level_error(level):
-    # a Braced over a Braced checks its level, and one over a set is
-    # refused at any level, when it is built: each tree is built by the
-    # call that meets its fault
-    base = FuzzySet.flat([("x", 0.5), ("y", 0.25)])
-    braced = Braced("x", level)
+    # every Braced checks its level first, when it is built, whatever it
+    # wraps: no tree that holds such a level exists for normalize,
+    # FuzzySet.build, construct_fuzzy_set, propagate_membership or
+    # print_expr to meet
     exprs = [
-        lambda: braced,
+        lambda: Braced("x", level),
         lambda: Braced(Braced("x", 1), level),
         lambda: Braced(SetOf((Braced("x", 0), Braced("y", 0))), level),
-        lambda: SetOf((braced, Braced("x", 2))),
-        lambda: SetOf((SetOf((braced, EMPTY)), Braced("y", 0))),
+        lambda: Braced(7, level),
+        lambda: SetOf((Braced("x", level), Braced("x", 2))),
+        lambda: SetOf((SetOf((Braced("x", level), EMPTY)), Braced("y", 0))),
     ]
     for make in exprs:
-        with pytest.raises(LevelError):
-            normalize(make())
-        with pytest.raises(LevelError):
-            FuzzySet.build(base.universe, [(make(), 0.5)])
-        with pytest.raises(LevelError):
-            construct_fuzzy_set(base, [make()])
-        with pytest.raises(LevelError):
-            propagate_membership(base, make())
-        with pytest.raises(LevelError):
-            print_expr(make())
-    with pytest.raises(LevelError) as info:
-        exprs[1]()
-    assert str(info.value) == f"level must be an integer, got {level!r}"
-    with pytest.raises(LevelError) as info:
-        exprs[2]()
-    assert str(info.value) == "a level belongs to an atom, not to a set"
+        with pytest.raises(LevelError) as info:
+            make()
+        assert str(info.value) == f"level must be an integer, got {level!r}"
 
 
 def test_a_level_past_the_int_digit_limit_raises_level_error():

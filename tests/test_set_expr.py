@@ -28,7 +28,7 @@ from fuzznest import (
     structural_depth,
 )
 from fuzznest import set_expr
-from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr
+from helpers import ATOM_POOL, HUGE_LEVEL, INT_DIGIT_LIMIT, random_expr, sites
 
 # ------------------------------------------------------------------ parse
 
@@ -168,15 +168,17 @@ def test_str_of_each_node_kind():
 
 
 def test_print_meets_a_fault_inside_a_braced_subexpression_first():
-    # a Braced over a Braced checks the inner level before the outer one
-    # when it is built; a Braced over a set is refused then, whatever its
-    # members hold; the printer reads a set's members left to right
-    with pytest.raises(LevelError, match="level must be an integer, got 2.5"):
-        print_expr(Braced(Braced("x", 2.5), 1.5))
-    with pytest.raises(LevelError, match="^a level belongs to an atom, not to a set$"):
-        print_expr(Braced(SetOf((Braced("x", 2.5),)), 1))
-    with pytest.raises(LevelError, match="level must be an integer, got 2.5"):
-        print_expr(SetOf((Braced(Braced("x", 1), 1), Braced("y", 2.5))))
+    # no faulty tree reaches the printer: each node is checked when it is
+    # built, so the innermost fault is met first; a Braced checks its
+    # level before what it wraps
+    with pytest.raises(LevelError, match="^level must be an integer, got 2.5$"):
+        Braced(Braced("x", 2.5), 1.5)
+    with pytest.raises(LevelError, match="^level must be an integer, got 2.5$"):
+        Braced(SetOf((Braced("x", 2.5),)), 1)
+    with pytest.raises(LevelError, match="^level must be an integer, got 2.5$"):
+        SetOf((Braced(Braced("x", 1), 1), Braced("y", 2.5)))
+    with pytest.raises(LevelError, match="^level must be an integer, got 1.5$"):
+        Braced(SetOf((Braced("x", 0), Braced("y", 0))), 1.5)
 
 
 # -------------------------------------------------------------- normalize
@@ -384,22 +386,23 @@ def test_each_question_about_a_tree_is_one_walk(monkeypatch):
 
 def test_only_post_order_reads_a_sets_members():
     # no other function can walk a tree: outside _post_order, a set's
-    # members are only ever counted
-    tree = ast.parse(Path(set_expr.__file__).read_text(encoding="utf-8"))
-    readers = set()
-    for func in ast.walk(tree):
-        if not isinstance(func, ast.FunctionDef):
-            continue
-        counted = {
-            id(call.args[0]) for call in ast.walk(func)
-            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
-        }
-        readers.update(
-            func.name for node in ast.walk(func)
-            if isinstance(node, ast.Attribute) and node.attr == "elements"
-            and id(node) not in counted
+    # members are only ever counted, but for SetOf.__post_init__, which
+    # checks each member of the one set it builds
+    source = Path(set_expr.__file__).read_text(encoding="utf-8")
+    counted = {
+        (call.args[0].lineno, call.args[0].col_offset)
+        for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+    }
+
+    def reads_members(node):
+        return (
+            isinstance(node, ast.Attribute) and node.attr == "elements"
+            and (node.lineno, node.col_offset) not in counted
         )
-    assert readers == {"_post_order"}
+
+    readers = {scope for scope, _ in sites(source, reads_members)}
+    assert readers == {"_post_order", "SetOf.__post_init__"}
 
 
 @pytest.mark.parametrize(
@@ -418,18 +421,36 @@ def test_only_post_order_reads_a_sets_members():
     ids=["print_expr", "structural_depth", "atoms_of", "normalize", "in_superstructure"],
 )
 def test_a_leaf_that_is_no_node_raises_one_type_error(make, leaf, question):
+    # a SetOf or Braced that would hold the leaf is refused when it is
+    # built; a root that is no node, by the walk every question starts
     with pytest.raises(TypeError) as exc:
-        question(make())  # atoms_of raises before its first atom is read
+        question(make())
     assert str(exc.value) == f"not a set expression: {leaf}"
 
 
 def test_eq_and_hash_still_take_leaves_that_are_no_nodes():
-    assert SetOf(("x1",)) == SetOf(("x1",)) and SetOf(("x1",)) != SetOf(("x2",))
-    # a Braced takes no such leaf: it is refused when built
-    with pytest.raises(TypeError, match="^not a set expression: 7$"):
-        Braced(7, 1)
-    # a leaf is never taken for a node that prints alike
-    assert SetOf(((Empty,),)) != SetOf((EMPTY,))
+    # no node holds a leaf that is no node, so == and hash never meet
+    # one: SetOf and Braced refuse it when they are built
+    for make, leaf in [
+        (lambda: SetOf(("x1",)), "'x1'"),
+        (lambda: Braced(7, 1), "7"),
+        (lambda: SetOf(((Empty,),)), repr((Empty,))),
+    ]:
+        with pytest.raises(TypeError) as exc:
+            make()
+        assert str(exc.value) == f"not a set expression: {leaf}"
+
+
+def test_a_set_keeps_the_members_it_was_built_with():
+    # the members are stored as a tuple: a list given to SetOf can change
+    # afterwards without changing the set, its text or its hash
+    members = [Braced("x", 0)]
+    s = SetOf(members)
+    before = hash(s)
+    members.append(Braced("y", 0))
+    assert type(s.elements) is tuple and s.elements == (Braced("x", 0),)
+    assert print_expr(s) == "{x}" and hash(s) == before
+    assert SetOf(iter([EMPTY, Braced("x", 1)])) == SetOf((EMPTY, Braced("x", 1)))
 
 
 # the dataclass-generated repr, from classes of the same names and fields
@@ -448,7 +469,7 @@ def _generated(x):
         return _GENERATED[SetOf](tuple(_generated(m) for m in x.elements))
     if isinstance(x, Braced):
         return _GENERATED[Braced](x.atom, x.level)
-    return _GENERATED[Empty]() if isinstance(x, Empty) else x
+    return _GENERATED[Empty]()
 
 
 def _raw_tree(rng: random.Random, depth: int):
@@ -456,13 +477,9 @@ def _raw_tree(rng: random.Random, depth: int):
     if depth <= 0 or roll < 0.2:
         return rng.choice([EMPTY, Braced(rng.choice(ATOM_POOL), rng.randint(-3, 3))])
     if roll < 0.3:
-        # a Braced over a braced atom, folded when it is built; a level
-        # that is no int is kept only by a Braced over a name
+        # a Braced over a braced atom, folded when it is built
         inner = Braced(rng.choice(ATOM_POOL), rng.randint(-3, 3))
-        level = rng.choice([0, 1, 2, True, 2.0, -1])
-        return Braced(inner if type(level) is int else inner.atom, level)
-    if roll < 0.35:
-        return rng.choice(["x1", 7, None, (1, "a"), 0.5])  # no node
+        return Braced(inner, rng.choice([0, 1, 2, -1]))
     return SetOf(tuple(_raw_tree(rng, depth - 1) for _ in range(rng.randint(0, 4))))
 
 
@@ -470,10 +487,12 @@ def test_repr_is_the_generated_repr_on_small_trees():
     rng = random.Random(1019)
     trees = [_raw_tree(rng, rng.randint(0, 5)) for _ in range(3000)]
     trees += [random_expr(rng) for _ in range(500)]
-    trees += [EMPTY, SetOf(()), SetOf((EMPTY,)), Braced("x", -(10**20)), Braced("x", "2")]
+    trees += [EMPTY, SetOf(()), SetOf((EMPTY,)), Braced("x", -(10**20))]
     for e in trees:
-        if isinstance(e, (Empty, Braced, SetOf)):
-            assert repr(e) == repr(_generated(e))
+        assert repr(e) == repr(_generated(e))
+    # a level that is no int has no repr: it is refused when built
+    with pytest.raises(LevelError, match="^level must be an integer, got '2'$"):
+        Braced("x", "2")
 
 
 def test_pickle_and_copy_rebuild_equal_trees():
@@ -487,10 +506,9 @@ def test_pickle_and_copy_rebuild_equal_trees():
             copy.copy(e),
         ):
             assert type(back) is SetOf and back == e and repr(back) == repr(e)
-    # a leaf that is no node is copied deeply too
-    leaf = ["a"]
-    back = copy.deepcopy(SetOf((leaf, EMPTY)))
-    assert back == SetOf((leaf, EMPTY)) and back.elements[0] is not leaf
+    # a leaf that is no node is never copied: it is refused when built
+    with pytest.raises(TypeError, match=r"^not a set expression: \['a'\]$"):
+        SetOf((["a"], EMPTY))
 
 
 # ------------------------------------------------------------- properties
@@ -528,6 +546,61 @@ def test_canonical_items_carry_the_printed_text(raw):
     e, depth, text = set_expr._canonical(raw)
     assert text == print_expr(e) and depth == structural_depth(e)
     assert set_expr._parse(text, {}) == (e, depth, text)
+
+
+# a recipe for a raw tree, built by _build: levels, atoms and members may
+# be anything, so some recipes build no node; int levels, braced atoms
+# and sets are drawn more often than the rest, so that about a quarter
+# of the recipes build
+_NO_NODES = st.sampled_from([7, None, "x1", 0.5, (1, "a"), Empty, ["a"]])
+_INT_LEVELS = st.integers(min_value=-5, max_value=5)
+_ANY_LEVELS = st.one_of(
+    _INT_LEVELS, _INT_LEVELS, _INT_LEVELS,
+    st.sampled_from([1.5, 2.0, float("nan"), True, False, "2", None]),
+)
+_BRACED_ATOMS = st.tuples(st.just("braced"), st.sampled_from(ATOM_POOL), _ANY_LEVELS)
+_recipes = st.recursive(
+    st.one_of(
+        st.just(("empty",)), _BRACED_ATOMS, _BRACED_ATOMS,
+        st.tuples(st.just("leaf"), _NO_NODES),
+    ),
+    lambda children: st.one_of(
+        st.tuples(st.just("set"), st.lists(children, max_size=4)),
+        st.tuples(st.just("set"), st.lists(children, max_size=4)),
+        st.tuples(st.just("braced"), children, _ANY_LEVELS),
+    ),
+    max_leaves=8,
+)
+
+
+def _build(recipe):
+    kind, *fields = recipe
+    if kind == "empty":
+        return EMPTY
+    if kind == "leaf":
+        return fields[0]
+    if kind == "set":
+        return SetOf(tuple(_build(r) for r in fields[0]))
+    atom, level = fields
+    return Braced(atom if isinstance(atom, str) else _build(atom), level)
+
+
+@given(_recipes)
+def test_a_node_that_builds_is_well_formed(recipe):
+    try:
+        e = _build(recipe)
+    except (TypeError, LevelError):
+        return
+    if not isinstance(e, (Empty, Braced, SetOf)):
+        with pytest.raises(TypeError, match="^not a set expression: "):
+            print_expr(e)
+        return
+    canonical = normalize(e)
+    assert parse_expr(print_expr(canonical)) == canonical
+    assert isinstance(print_expr(e), str) and type(structural_depth(e)) is int
+    assert all(a in ATOM_POOL for a in atoms_of(e))
+    for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and hash(twin) == hash(e)
 
 
 def test_roundtrip_random_generator_sanity():

@@ -15,6 +15,7 @@ import pytest
 from fuzznest import (
     EMPTY,
     Braced,
+    Empty,
     LevelError,
     ParseError,
     SetOf,
@@ -26,14 +27,17 @@ from fuzznest import (
 import legacy_set_expr as legacy
 
 ATOMS = ("x1", "x2", "y", "z0")
+_NODES = (Empty, Braced, SetOf)
 
 
 def _raw_tree(rng: random.Random, depth: int, refused: list | None = None):
     """A raw (not canonical) tree: duplicates, Braced over braced atoms,
     singleton sets, shuffled members and, rarely, a value that is not a
-    node at all. A Braced drawn over a set, ∅ or such a value is refused
-    when it is built: its error class and message go to refused, if
-    given, and a Braced over a braced atom is drawn in its place."""
+    node at all. A Braced drawn over a set, ∅ or such a value, and a set
+    drawn with such a value, are refused when they are built: the error
+    class and message go to refused, if given, and a Braced over a
+    braced atom, or the set with a bare atom for each such value, is
+    drawn in its place."""
     roll = rng.random()
     if depth <= 0 or roll < 0.25:
         leaf = rng.random()
@@ -54,6 +58,14 @@ def _raw_tree(rng: random.Random, depth: int, refused: list | None = None):
         return Braced(inner, level)
     n = rng.choice((0, 1, 1, 2, 3, 4, 5))
     members = [_raw_tree(rng, depth - 1, refused) for _ in range(n)]
+    if not all(isinstance(m, _NODES) for m in members):
+        refusal = _outcome(lambda _: SetOf(tuple(members)), None)[:2]
+        if refused is not None:
+            refused.append(refusal)
+        members = [
+            m if isinstance(m, _NODES) else Braced(rng.choice(ATOMS), 0)
+            for m in members
+        ]
     if members and rng.random() < 0.4:
         # a duplicate: the same object or a structurally equal copy
         twin = rng.choice(members)
@@ -93,16 +105,19 @@ def test_normalize_matches_recursive_reference():
         else:
             assert got[1:] == want[1:], tree
     # the generator reaches every outcome often enough to mean something;
-    # a level over a set or ∅ is refused when its Braced is built, so no
-    # tree that can be built gives normalize a LevelError
-    assert kinds["ok"] >= 500 and kinds[LevelError] == 0 and kinds[TypeError] >= 20
+    # a level over a set or ∅, and a member that is no node, are refused
+    # when the Braced or set is built, so no tree that can be built gives
+    # normalize a LevelError, and only a root that is no node a TypeError
+    assert kinds["ok"] >= 500 and kinds[LevelError] == 0 and kinds[TypeError] >= 1
     assert set(refused) <= {
         (LevelError, "a level belongs to an atom, not to a set"),
         (LevelError, "a level belongs to an atom, not to the empty set"),
         (TypeError, "not a set expression: 7"),
         (TypeError, "not a set expression: None"),
+        (TypeError, "not a set expression: 'x1'"),
     }
     assert sum(kind is LevelError for kind, _ in refused) >= 50
+    assert sum(kind is TypeError for kind, _ in refused) >= 20
 
 
 def test_normalize_keeps_the_reference_element_order():
