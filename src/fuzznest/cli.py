@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .errors import FuzznestError, ParseError
 from .fuzzy_core import (
-    POWER_SET_CAP,
     FuzzySet,
     VerificationReport,
     _power_report,
@@ -193,7 +192,7 @@ def cmd_powerset(args) -> int:
     finite floats, which json prints with float.__repr__, and one %
     formats every row from the flat list text, product, text, ..."""
     base = _read_fuzzyset(args.fuzzyset)
-    listing = fuzzy_power_set(base, args.cap)
+    listing = fuzzy_power_set(base)
     texts, products = listing.texts, listing.memberships
     report = None
     if args.verify:
@@ -241,7 +240,7 @@ def cmd_decode(args) -> int:
     seq = _read_sequence(args.sequence)
     cfg = SolverConfig(tol_root=args.tol)
     value = decode(seq, cfg)
-    expansion = expand_to_fuzzy(seq, "x", cfg)
+    expansion = expand_to_fuzzy(seq, cfg)
     if args.json:
         return _emit_json(
             {
@@ -389,10 +388,6 @@ def _positive_int(text: str) -> int:
     return _int_between(text, 1)
 
 
-def _count(text: str) -> int:
-    return _int_between(text, 0)
-
-
 def _precision(text: str) -> int:
     # every binary64 value prints exactly within 1074 decimal places
     return _int_between(text, 0, 1074)
@@ -470,10 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--tol", type=_tolerance, default=1e-9, help="tolerance (default 1e-9)"
-    )
-    p.add_argument(
-        "--cap", type=_count, default=POWER_SET_CAP,
-        help="max atom count (default %(default)s)",
     )
     p.set_defaults(func=cmd_powerset)
 

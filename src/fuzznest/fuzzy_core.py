@@ -105,6 +105,7 @@ __all__ = [
     "POWER_SET_CAP",
 ]
 
+# the most atoms whose 2^n subsets the power-set functions enumerate
 POWER_SET_CAP = 20
 
 
@@ -367,15 +368,13 @@ def construct_fuzzy_set(
     )
 
 
-def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
+def _power_factors(base: FuzzySet) -> tuple[list[str], list[float]]:
     """Atom names in sorted order and their factors 2^mu - 1.
 
-    Raises ConfigError unless cap is an integer at least 0, then
-    DomainError for a base that is not flat, then CapExceededError for
-    more than cap atoms.
+    Raises DomainError for a base that is not flat, then
+    CapExceededError for more than POWER_SET_CAP atoms, before anything
+    is enumerated.
     """
-    if not (_is_number(cap, int) and cap >= 0):
-        raise ConfigError(f"cap must be an integer at least 0, got {cap!r}")
     names = sorted(base.universe.atoms)
     # a level-0 atom's text is its name
     mu = dict(zip(base.texts, base.memberships))
@@ -385,14 +384,14 @@ def _power_factors(base: FuzzySet, cap: int) -> tuple[list[str], list[float]]:
             "at level 0, nothing else"
         )
     n = len(names)
-    if n > cap:
+    if n > POWER_SET_CAP:
         raise CapExceededError(
-            f"{n} atoms would enumerate 2^{n} subsets (cap is {cap})"
+            f"{n} atoms would enumerate 2^{n} subsets (cap is {POWER_SET_CAP})"
         )
     return names, [_up(mu[name]) for name in names]
 
 
-def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
+def fuzzy_power_set(base: FuzzySet) -> FuzzySet:
     """Fuzzy set over all 2^n subsets of a flat base's universe.
 
     Each subset's membership is the product of (2^mu - 1) over its
@@ -400,13 +399,13 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     gets 1. Elements are ordered by subset size, then lexicographically
     by atom names, the order itertools.combinations gives over the
     sorted names. CapExceededError guards the exponential blowup for
-    n > cap; raises as _power_factors does.
+    n > POWER_SET_CAP; raises as _power_factors does.
 
     The listing is the printed texts ("∅", "{a}", "{a,b,...}", as
     set_expr prints them) and products of one enumeration: no node is
     built until its elements are read.
     """
-    names, factors = _power_factors(base, cap)
+    names, factors = _power_factors(base)
     texts = ["∅"]
     products = [1.0]
     for size in range(1, len(names) + 1):
@@ -415,9 +414,7 @@ def fuzzy_power_set(base: FuzzySet, cap: int = POWER_SET_CAP) -> FuzzySet:
     return FuzzySet(base.universe, tuple(texts), tuple(products))
 
 
-def verify_power_cardinality(
-    base: FuzzySet, tol: float = 1e-9, cap: int = POWER_SET_CAP
-) -> VerificationReport:
+def verify_power_cardinality(base: FuzzySet, tol: float = 1e-9) -> VerificationReport:
     """Check card(power set) against 2^card(base).
 
     The power set's cardinality is the correctly rounded sum of the 2^n
@@ -425,9 +422,9 @@ def verify_power_cardinality(
     factor; the listing itself is never built. Each product is the
     left-to-right product fuzzy_power_set gives its subset, and fsum
     does not depend on the order of its terms, so the result equals the
-    sum over the listing bit for bit.
+    sum over the listing bit for bit. Raises as _power_factors does.
     """
-    _, factors = _power_factors(base, cap)
+    _, factors = _power_factors(base)
     products = [1.0]
     for f in factors:
         products += [p * f for p in products]

@@ -168,6 +168,8 @@ class SolverConfig:
 
 DEFAULT_CONFIG = SolverConfig()
 
+_X = AtomUniverse(("x",))  # the codec's one-atom universe
+
 
 def iterate_level(t: float, k: int) -> float:
     """u_k(t): k-fold 2^v - 1 for k > 0, |k|-fold log2(v + 1) for k < 0.
@@ -190,10 +192,9 @@ def iterate_level(t: float, k: int) -> float:
     return level_value(float(t), level)
 
 
-def sequence_to_universe(a: BinarySequence, atom: str = "x") -> list[SetExpr]:
-    """The classical universe the sequence selects: {atom}^(k) per 1-bit."""
-    AtomUniverse((atom,))  # validates the name
-    return [Braced(atom, k) for k in a.nonzero_indices]
+def sequence_to_universe(a: BinarySequence) -> list[SetExpr]:
+    """The classical universe the sequence selects: {x}^(k) per 1-bit."""
+    return [Braced("x", k) for k in a.nonzero_indices]
 
 
 def series_cardinality(a: BinarySequence, t: float) -> float:
@@ -238,17 +239,15 @@ def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
     return BinarySequence(m_star, bits, truncated)
 
 
-def expand_to_fuzzy(
-    a: BinarySequence, atom: str = "x", cfg: SolverConfig = DEFAULT_CONFIG
-) -> FuzzySet:
-    """The fuzzy set the sequence encodes: u_k(decode(a)) at {atom}^(k).
+def expand_to_fuzzy(a: BinarySequence, cfg: SolverConfig = DEFAULT_CONFIG) -> FuzzySet:
+    """The fuzzy set the sequence encodes: u_k(decode(a)) at {x}^(k),
+    over the universe {x}.
 
     Its scalar cardinality is 1 up to the solver tolerances (exactly the
     defining property of the decoded membership value). w comes from
     decode(a, cfg), so decoding and then expanding one sequence object
     solves once.
     """
-    universe = AtomUniverse((atom,))  # validates the name before solving
     w = decode(a, cfg)
     ks = a.nonzero_indices
     # w's two ladders, each walked once: down to the lowest 1-bit (m_star)
@@ -260,8 +259,8 @@ def expand_to_fuzzy(
     down += [down[-1]] * (1 - ks[0] - len(down))
     up += [up[-1]] * (1 + ks[-1] - len(up))
     levels = compress(down[:0:-1] + up, a.bits)  # u_k(w) for k = m_star ..
-    texts = tuple(map(_braced_text, repeat(atom), ks))
-    return FuzzySet(universe, texts, tuple(levels))
+    texts = tuple(map(_braced_text, repeat("x"), ks))
+    return FuzzySet(_X, texts, tuple(levels))
 
 
 # ------------------------------------------------------------------ text

@@ -36,7 +36,9 @@ they hold at any depth.
 Every node is well formed when it is built, so no walk checks one
 again: SetOf refuses a member that is not a node with TypeError, and
 Braced a level that is not an ``int`` (a bool included) with
-LevelError, before it looks at what it wraps. Printing a level of more
+LevelError, before it looks at what it wraps, and a str that is not an
+atom name with InvariantError, as AtomUniverse does. So every node
+prints as text that parses back to it. Printing a level of more
 digits than ``sys.get_int_max_str_digits()`` lets an int be written in
 raises LevelError.
 """
@@ -102,7 +104,8 @@ class Braced(_Node):
     """The atom wrapped in level braces: a level belongs to an atom.
 
     The level is checked first: one that is not an int (a bool included)
-    raises LevelError, whatever is wrapped. Built over a Braced node, it
+    raises LevelError, whatever is wrapped. A str atom must be an atom
+    name (see _is_name), else InvariantError. Built over a Braced node, it
     folds into that node's atom, the levels added: so
     Braced(Braced(a, m), n) is Braced(a, m + n), and every Braced holds
     a str atom and an int level. Built over a set or ∅, at any level, it
@@ -117,6 +120,8 @@ class Braced(_Node):
         if type(self.level) is not int:
             raise LevelError(f"level must be an integer, got {self.level!r}")
         if isinstance(self.atom, str):
+            if not _is_name(self.atom):
+                raise InvariantError(f"invalid atom name {self.atom!r}")
             return
         if isinstance(self.atom, Braced):
             object.__setattr__(self, "level", self.atom.level + self.level)
@@ -149,10 +154,16 @@ SetExpr = Union[Empty, Braced, SetOf]
 
 EMPTY = Empty()
 
-# an atom name, as AtomUniverse checks it and the tokenizer reads it
+# an identifier, as the tokenizer reads it
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_is_identifier = re.compile(_IDENT).fullmatch
+
+
+def _is_name(s: str) -> bool:
+    """s is an atom name, as Braced and AtomUniverse check it: an
+    identifier the tokenizer reads (on a str, isascii and isidentifier
+    are exactly _IDENT), and not ``empty``, which the parser reads as ∅."""
+    return s.isascii() and s.isidentifier() and s != "empty"
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,7 +186,7 @@ class AtomUniverse:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         seen = set()
         for name in self.atoms:
-            if not (isinstance(name, str) and _is_identifier(name)) or name == "empty":
+            if not (isinstance(name, str) and _is_name(name)):
                 raise InvariantError(f"invalid atom name {name!r}")
             if name in seen:
                 raise InvariantError(f"duplicate atom name {name!r}")

@@ -27,6 +27,11 @@ from fuzznest import cli, fuzzy_core, seq_codec
 from fuzznest.cli import main
 from helpers import HUGE_LEVEL, INT_DIGIT_LIMIT
 
+try:
+    import resource
+except ImportError:  # not a POSIX system
+    resource = None
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -189,14 +194,49 @@ def test_powerset_enumerates_once(as_json, capsys, monkeypatch, base3_path):
     assert (code, err) == (0, "") and len(calls) == 1
 
 
-def test_powerset_cap_error(capsys, base3_path):
-    code, _, err = run(capsys, "powerset", base3_path, "--cap", "2")
-    assert code == 2 and "cap" in err
+def _wide_base_path(tmp_path, n: int) -> str:
+    """A flat base of n atoms, written out."""
+    base = FuzzySet.flat([(f"a{i}", 0.5) for i in range(n)])
+    p = tmp_path / f"base{n}.json"
+    p.write_text(fuzzyset_to_json(base), encoding="utf-8")
+    return str(p)
+
+
+def test_powerset_cap_error(capsys, tmp_path):
+    for n in (21, 24):
+        code, out, err = run(capsys, "powerset", _wide_base_path(tmp_path, n))
+        assert (code, out) == (2, "")
+        assert err == f"error: {n} atoms would enumerate 2^{n} subsets (cap is 20)\n"
+
+
+def _limit_memory():
+    # about 1 GiB of address space, set in the child before it starts
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_powerset_over_the_cap_exits_2_in_bounded_memory(tmp_path):
+    # "--cap 24" once lifted the guard, and 2^24 subsets ended in a
+    # MemoryError traceback and exit 1
+    path = _wide_base_path(tmp_path, 24)
+    for extra, said in (
+        (["--cap", "24"], "unrecognized arguments: --cap 24"),
+        ([], "error: 24 atoms would enumerate 2^24 subsets (cap is 20)"),
+    ):
+        out = subprocess.run(
+            [sys.executable, "-m", "fuzznest", "powerset", path, *extra],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            preexec_fn=_limit_memory,
+        )
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert "Traceback" not in out.stderr and said in out.stderr
 
 
 @pytest.mark.parametrize("cap", ["-1", "2.5", "x"])
 def test_powerset_cap_usage_error(cap, capsys, base3_path):
-    # -1 once passed the parser and ended in "error: ... (cap is -1)"
+    # --cap is no option: the cap is POWER_SET_CAP
     with pytest.raises(SystemExit) as exc:
         main(["powerset", base3_path, "--cap", cap])
     assert exc.value.code == 2
@@ -243,7 +283,10 @@ _EXPR = st.one_of(
 def _base_docs(draw):
     """Base fuzzy-set JSON: mostly flat and well typed, else off in one
     or more ways (wrong types, extra or missing rows, duplicates)."""
-    atoms = draw(st.lists(st.sampled_from(_NAMES), max_size=8))
+    if draw(st.integers(0, 9)) == 0:  # over the power-set cap
+        atoms = [f"a{i}" for i in range(draw(st.integers(21, 24)))]
+    else:
+        atoms = draw(st.lists(st.sampled_from(_NAMES), max_size=8))
     rows = [{"expr": a, "mu": draw(st.floats(0.0, 1.0))} for a in atoms]
     for _ in range(draw(st.integers(0, 2))):
         row = {"expr": draw(_EXPR), "mu": draw(_MU)}
@@ -257,13 +300,13 @@ def _base_docs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=_base_docs(), cap=st.integers(0, 8))
-def test_powerset_and_card_exit_cleanly_on_any_base(tmp_path_factory, doc, cap):
+@given(doc=_base_docs())
+def test_powerset_and_card_exit_cleanly_on_any_base(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("base") / "base.json"
     text = json.dumps(doc)
     path.write_text(text, encoding="utf-8")
     for argv in (
-        ["powerset", str(path), "--verify", "--json", "--cap", str(cap)],
+        ["powerset", str(path), "--verify", "--json"],
         ["card", str(path)],
     ):
         out, err = io.StringIO(), io.StringIO()
@@ -274,7 +317,7 @@ def test_powerset_and_card_exit_cleanly_on_any_base(tmp_path_factory, doc, cap):
         if code == 2:
             assert err.getvalue().startswith("error: ")
         if argv[0] == "powerset" and code != 2:
-            report = verify_power_cardinality(fuzzyset_from_json(text), 1e-9, cap=cap)
+            report = verify_power_cardinality(fuzzyset_from_json(text), 1e-9)
             assert json.loads(out.getvalue())["report"] == {
                 "label": report.label,
                 "computed": report.computed,

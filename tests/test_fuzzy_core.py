@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from fuzznest import (
     EMPTY,
+    POWER_SET_CAP,
     AtomUniverse,
     Braced,
     CapExceededError,
@@ -455,22 +456,19 @@ def test_power_set_single_atom():
 
 
 def test_power_set_cap():
-    base = random_flat_set(random.Random(3), 5)
-    with pytest.raises(CapExceededError):
-        fuzzy_power_set(base, cap=4)
-    fuzzy_power_set(base, cap=5)
-    with pytest.raises(CapExceededError, match=r"5 atoms .* \(cap is 4\)"):
-        verify_power_cardinality(base, cap=4)
-    assert verify_power_cardinality(base, cap=5).passed
-
-
-@pytest.mark.parametrize("cap", ["20", None, 2.5, True, -1])
-def test_power_set_cap_must_be_an_integer(cap):
-    base = example_base_3()
-    with pytest.raises(ConfigError):
-        fuzzy_power_set(base, cap=cap)
-    with pytest.raises(ConfigError):
-        verify_power_cardinality(base, cap=cap)
+    assert POWER_SET_CAP == 20
+    for n in (21, 24):
+        base = random_flat_set(random.Random(n), n)
+        message = rf"^{n} atoms would enumerate 2\^{n} subsets \(cap is 20\)$"
+        with pytest.raises(CapExceededError, match=message):
+            fuzzy_power_set(base)
+        with pytest.raises(CapExceededError, match=message):
+            verify_power_cardinality(base)
+    assert verify_power_cardinality(random_flat_set(random.Random(3), 20)).passed
+    # the cap is no option
+    for fn in (fuzzy_power_set, verify_power_cardinality):
+        with pytest.raises(TypeError):
+            fn(example_base_3(), cap=3)
 
 
 def test_power_set_requires_flat_base():
@@ -481,10 +479,12 @@ def test_power_set_requires_flat_base():
     partial = FuzzySet.build(AtomUniverse(("x1", "x2")), [(Braced("x1", 0), 0.5)])
     with pytest.raises(DomainError):
         fuzzy_power_set(partial)
-    for base in (deep, partial):
-        # the flat check comes first, whatever the cap
+    wide = AtomUniverse(tuple(f"a{i}" for i in range(24)))
+    over = FuzzySet.build(wide, [(Braced("a0", 0), 0.5)])
+    for base in (deep, partial, over):
+        # the flat check comes first, over the cap too
         with pytest.raises(DomainError):
-            verify_power_cardinality(base, cap=0)
+            verify_power_cardinality(base)
 
 
 def test_power_set_matches_bitmask_enumeration():

@@ -22,6 +22,7 @@ import random
 import pytest
 
 from fuzznest import (
+    POWER_SET_CAP,
     AtomUniverse,
     Braced,
     CapExceededError,
@@ -84,18 +85,19 @@ def _not_flat(rng: random.Random, n: int) -> FuzzySet:
 
 
 def _bases(seed: int, count: int):
-    """(base, cap, tol): flat bases within the cap, over it, and not flat."""
+    """(base, tol): flat bases within the cap, over it (21 to 24 atoms,
+    refused before anything is enumerated), and not flat."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(0, 12)
         roll = rng.random()
         if n and roll < 0.1:
-            base, cap = _not_flat(rng, n), rng.randint(0, 12)
+            base = _not_flat(rng, n)
         elif n and roll < 0.2:
-            base, cap = _flat_base(rng, n), rng.randint(0, n - 1)
+            base = _flat_base(rng, rng.randint(POWER_SET_CAP + 1, 24))
         else:
-            base, cap = _flat_base(rng, n), rng.choice((n, 12, 20))
-        yield base, cap, rng.choice((1e-9, 1e-15, 0.0))
+            base = _flat_base(rng, n)
+        yield base, rng.choice((1e-9, 1e-15, 0.0))
 
 
 def _outcome(fn, *args):
@@ -107,14 +109,14 @@ def _outcome(fn, *args):
 
 def test_listing_and_check_match_reference_bit_for_bit():
     outcomes = {"ok": 0, DomainError: 0, CapExceededError: 0}
-    for base, cap, tol in _bases(20261018, 300):
-        want = _outcome(legacy.fuzzy_power_set, base, cap)
-        got = _outcome(fuzzy_power_set, base, cap)
+    for base, tol in _bases(20261018, 300):
+        want = _outcome(legacy.fuzzy_power_set, base, POWER_SET_CAP)
+        got = _outcome(fuzzy_power_set, base)
         assert got[0] == want[0]
         outcomes[want[0]] += 1
         if want[0] != "ok":
             assert got == want
-            assert _outcome(verify_power_cardinality, base, tol, cap) == want
+            assert _outcome(verify_power_cardinality, base, tol) == want
             continue
         assert got[1].universe == want[1].universe
         assert [e for e, _ in got[1].elements] == [e for e, _ in want[1].elements]
@@ -125,8 +127,8 @@ def test_listing_and_check_match_reference_bit_for_bit():
         assert got[1].elements == want[1].elements
         assert fuzzyset_to_json(got[1]) == fuzzyset_to_json(want[1])
 
-        new = verify_power_cardinality(base, tol, cap)
-        old = legacy.verify_power_cardinality(base, tol, cap)
+        new = verify_power_cardinality(base, tol)
+        old = legacy.verify_power_cardinality(base, tol, POWER_SET_CAP)
         for field in REPORT_FIELDS:
             assert getattr(new, field) == getattr(old, field), field
         assert new.computed.hex() == old.computed.hex()
@@ -135,26 +137,27 @@ def test_listing_and_check_match_reference_bit_for_bit():
 
 
 def _cli_cases():
-    """The seeded bases of up to 10 atoms, then flat bases of 12 and 14."""
-    for base, cap, tol in _bases(4711, 60):
-        if len(base.universe) <= 10:
-            yield base, cap, tol
+    """The seeded bases of up to 10 atoms or over the cap, then flat bases
+    of 12 and 14."""
+    for base, tol in _bases(4711, 60):
+        if not 10 < len(base.universe) <= POWER_SET_CAP:
+            yield base, tol
     rng = random.Random(4712)
     for n in (12, 14):
-        yield _flat_base(rng, n), 20, 1e-9
+        yield _flat_base(rng, n), 1e-9
 
 
 @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
 def test_powerset_cli_output_is_byte_identical(as_json, tmp_path, capsys):
     checked = 0
-    for i, (base, cap, tol) in enumerate(_cli_cases()):
+    for i, (base, tol) in enumerate(_cli_cases()):
         path = tmp_path / f"base{i}.json"
         path.write_text(fuzzyset_to_json(base), encoding="utf-8")
-        argv = ["powerset", str(path), "--verify", "--cap", str(cap)]
+        argv = ["powerset", str(path), "--verify"]
         argv += ["--tol", repr(tol)] + (["--json"] if as_json else [])
         code = main(argv)
         out, err = capsys.readouterr()
-        want = _outcome(legacy.powerset_output, base, tol, cap, as_json)
+        want = _outcome(legacy.powerset_output, base, tol, POWER_SET_CAP, as_json)
         if want[0] == "ok":
             assert (out, code, err) == (want[1][0], want[1][1], "")
         else:
@@ -171,9 +174,9 @@ def test_empty_universe_matches_reference():
 
 def test_listed_sets_carry_their_printed_text():
     checked = 0
-    for base, cap, _ in _bases(20261019, 120):
+    for base, _ in _bases(20261019, 120):
         try:
-            power = fuzzy_power_set(base, cap)
+            power = fuzzy_power_set(base)
         except (DomainError, CapExceededError):
             continue
         for (e, _), text in zip(power.elements, power.texts):
@@ -205,10 +208,10 @@ def _mixed_sets(seed: int, count: int):
 
 def test_json_writer_matches_reference():
     powers = 0
-    for base, cap, _ in _bases(20261020, 120):
+    for base, _ in _bases(20261020, 120):
         assert fuzzyset_to_json(base) == legacy_fuzzy_json.fuzzyset_to_json(base)
         try:
-            power = fuzzy_power_set(base, cap)
+            power = fuzzy_power_set(base)
         except (DomainError, CapExceededError):
             continue
         assert fuzzyset_to_json(power) == legacy_fuzzy_json.fuzzyset_to_json(power)
@@ -271,9 +274,9 @@ def _documents(seed: int):
     variants of those with up to 256 rows."""
     rng = random.Random(seed)
     docs = []
-    for base, cap, _ in _bases(seed, 60):
+    for base, _ in _bases(seed, 60):
         try:
-            docs.append(json.loads(fuzzyset_to_json(fuzzy_power_set(base, cap))))
+            docs.append(json.loads(fuzzyset_to_json(fuzzy_power_set(base))))
         except (DomainError, CapExceededError):
             continue
     docs += [json.loads(fuzzyset_to_json(fs)) for fs in _mixed_sets(seed + 1, 150)]

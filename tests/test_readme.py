@@ -4,9 +4,12 @@ The tour is the first ``python`` block after the "## Library tour"
 heading. Its statements run in order in one namespace, and the value of
 each expression statement is kept under its source text. The session is
 the first ``text`` block after "A session:": each ``$ fuzznest`` line
-runs through ``cli.main`` and must print the lines below it.
+runs through ``cli.main`` and must print the lines below it. The command
+table is the first ``text`` block after "## CLI": each option it names
+in parentheses must be an option of that command's parser.
 """
 
+import argparse
 import ast
 import re
 import shlex
@@ -65,3 +68,29 @@ def test_the_cli_session_prints_what_it_shows(capsys):
         capsys.readouterr()
         assert cli.main(shlex.split(command)) == 0, command
         assert capsys.readouterr().out == shown, command
+
+
+def _command_table() -> dict[str, str]:
+    """Each command of the README's CLI table and its description, with
+    the lines that continue it."""
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    return dict(re.findall(r"^(\S+) +(.*(?:\n .*)*)", block, re.M))
+
+
+def test_the_cli_table_names_only_options_of_its_commands():
+    parsers = next(
+        action.choices
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    table = _command_table()
+    assert set(table) == set(parsers)
+    named = 0
+    for command, text in table.items():
+        options = {o for a in parsers[command]._actions for o in a.option_strings}
+        for group in re.findall(r"\(([^)]*)\)", text):
+            for option in re.findall(r"--[a-z-]+", group):
+                assert option in options, (command, option)
+                named += 1
+    assert named > 0

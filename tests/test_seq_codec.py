@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fuzznest import (
     DEFAULT_CONFIG,
+    AtomUniverse,
     BinarySequence,
     Braced,
     ConfigError,
@@ -222,14 +223,6 @@ def test_sequence_to_universe():
         "{x}^(3)",
         "{x}^(4)",
     ]
-    named = sequence_to_universe(parse_sequence("|1"), atom="y")
-    assert named == [Braced("y", 0), Braced("y", 1)]
-    with pytest.raises(InvariantError):
-        sequence_to_universe(BAR, atom="not a name")
-    with pytest.raises(InvariantError):
-        sequence_to_universe(BAR, atom=5)
-    with pytest.raises(InvariantError):
-        expand_to_fuzzy(BAR, 5)
 
 
 # ------------------------------------------------------------- level maps
@@ -551,9 +544,14 @@ def test_expand_bar_is_classical_singleton():
     assert fs.elements == ((Braced("x", 0), 1.0),)
 
 
-def test_expand_custom_atom():
-    fs = expand_to_fuzzy(parse_sequence("10|01"), atom="y")
-    assert [print_expr(e) for e, _ in fs.elements] == ["{y}^(-2)", "y", "{y}^(2)"]
+def test_the_codec_universe_is_always_x():
+    fs = expand_to_fuzzy(parse_sequence("10|01"))
+    assert fs.universe == AtomUniverse(("x",))
+    assert [print_expr(e) for e, _ in fs.elements] == ["{x}^(-2)", "x", "{x}^(2)"]
+    # the atom is no option
+    for fn in (expand_to_fuzzy, sequence_to_universe):
+        with pytest.raises(TypeError):
+            fn(BAR, atom="y")
 
 
 def _expansion_inputs() -> list[BinarySequence]:
@@ -636,14 +634,6 @@ def test_expand_reads_levels_past_both_stalls(low, high, truncated, monkeypatch)
         assert level_value(w, 299) == level_value(w, 300)
         assert level_value(w, -299) == level_value(w, -300)
         assert len(steps) < 400
-
-
-def test_expand_checks_the_atom_before_solving(monkeypatch):
-    calls = []
-    monkeypatch.setattr(seq_codec, "series_root", lambda *args: calls.append(args))
-    with pytest.raises(InvariantError):
-        expand_to_fuzzy(parse_sequence("10|01"), "1bad")
-    assert calls == []
 
 
 def test_cardinality_conservation_random():

@@ -295,20 +295,27 @@ def test_atom_universe_needs_names(atoms):
 
 @pytest.mark.parametrize(
     "name",
-    ["x", "_", "X_9", "x1y", "empty", "1x", "x-y", "x\n", " x", "é", "x²", "٣", ""],
+    [
+        "x", "_", "X_9", "x1y", "empty", "1x", "x-y", "x\n", " x", "é", "x²", "٣", "",
+        "{x}", "x,y", "x y",
+    ],
 )
 def test_atom_names_are_what_the_parser_reads_as_atoms(name):
-    # one grammar: a universe accepts a name iff it parses as a bare atom
+    # one grammar: a universe accepts a name, and Braced takes it as its
+    # atom, iff it parses as that bare atom
     try:
-        parsed = parse_expr(name) == Braced(name, 0)
+        e = parse_expr(name)
+        parsed = isinstance(e, Braced) and (e.atom, e.level) == (name, 0)
     except ParseError:
         parsed = False
-    try:
-        AtomUniverse((name,))
-        accepted = True
-    except InvariantError:
-        accepted = False
-    assert accepted == parsed
+    for make in (lambda: AtomUniverse((name,)), lambda: Braced(name, 0)):
+        try:
+            make()
+            accepted = True
+        except InvariantError as exc:
+            assert str(exc) == f"invalid atom name {name!r}"
+            accepted = False
+        assert accepted == parsed
 
 
 def test_atom_universe_stores_a_tuple():
@@ -549,16 +556,22 @@ def test_canonical_items_carry_the_printed_text(raw):
 
 
 # a recipe for a raw tree, built by _build: levels, atoms and members may
-# be anything, so some recipes build no node; int levels, braced atoms
-# and sets are drawn more often than the rest, so that about a quarter
-# of the recipes build
+# be anything, so some recipes build no node; int levels, atom names,
+# braced atoms and sets are drawn more often than the rest, so that about
+# a fifth of the recipes build
 _NO_NODES = st.sampled_from([7, None, "x1", 0.5, (1, "a"), Empty, ["a"]])
+# strings that are no atom name: each prints as no text, or as the text
+# of another node
+_NO_NAMES = ("", "x y", "1bad", "{x}", "empty", "é")
 _INT_LEVELS = st.integers(min_value=-5, max_value=5)
 _ANY_LEVELS = st.one_of(
     _INT_LEVELS, _INT_LEVELS, _INT_LEVELS,
     st.sampled_from([1.5, 2.0, float("nan"), True, False, "2", None]),
 )
-_BRACED_ATOMS = st.tuples(st.just("braced"), st.sampled_from(ATOM_POOL), _ANY_LEVELS)
+_ATOMS = st.one_of(
+    st.sampled_from(ATOM_POOL), st.sampled_from(ATOM_POOL), st.sampled_from(_NO_NAMES)
+)
+_BRACED_ATOMS = st.tuples(st.just("braced"), _ATOMS, _ANY_LEVELS)
 _recipes = st.recursive(
     st.one_of(
         st.just(("empty",)), _BRACED_ATOMS, _BRACED_ATOMS,
@@ -589,7 +602,7 @@ def _build(recipe):
 def test_a_node_that_builds_is_well_formed(recipe):
     try:
         e = _build(recipe)
-    except (TypeError, LevelError):
+    except (TypeError, LevelError, InvariantError):
         return
     if not isinstance(e, (Empty, Braced, SetOf)):
         with pytest.raises(TypeError, match="^not a set expression: "):
@@ -601,6 +614,28 @@ def test_a_node_that_builds_is_well_formed(recipe):
     assert all(a in ATOM_POOL for a in atoms_of(e))
     for twin in (copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert twin == e and hash(twin) == hash(e)
+
+
+# raw trees of braced atoms at int levels, over atom names and over any
+# short strings of characters that the grammar reads as tokens, or not
+_TEXT_ATOM_RECIPES = st.recursive(
+    st.tuples(
+        st.just("braced"),
+        st.one_of(st.sampled_from(ATOM_POOL), st.text("x1{},^() é", max_size=4)),
+        _INT_LEVELS,
+    ),
+    lambda children: st.tuples(st.just("set"), st.lists(children, max_size=4)),
+    max_leaves=8,
+)
+
+
+@given(_TEXT_ATOM_RECIPES)
+def test_every_node_that_builds_prints_text_that_parses_back(recipe):
+    try:
+        e = normalize(_build(recipe))
+    except InvariantError:
+        return
+    assert parse_expr(print_expr(e)) == e
 
 
 def test_roundtrip_random_generator_sanity():
