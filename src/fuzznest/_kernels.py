@@ -3,7 +3,10 @@ and the greedy encoder.
 
 The level map u_k(t) is k up steps _up(v) = 2^v - 1 for k > 0, |k| down
 steps _down(v) = log2(v + 1) for k < 0. The pair is the one place the
-map is written out but for _series, and _climb the one walk of it.
+map is written out but for _series, and _climb the one ladder of it:
+the walk that keeps its rungs. The encoder's searches, _initial_index
+and greedy_encode's upward search, step _up and _down themselves,
+because each step there also tests the residual.
 Consecutive levels satisfy u_{k+1} = 2^(u_k) - 1 for every integer k,
 which lets series and scans advance incrementally instead of
 recomputing each level from scratch. Differentiating that recurrence

@@ -23,7 +23,10 @@ Canonical form rules:
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
 equal sets compare equal with ``==``. Both canonicalize in one pass that
 carries each subtree's depth and printed form up to its parent. Every
-tree walk here is ``_post_order``'s explicit stack, not recursion.
+tree walk here is ``_post_order``'s explicit stack, not recursion, and
+every value carried up a tree is ``_fold``'s: the one pass from which
+the canonical pass, ``print_expr``, ``repr`` and ``structural_depth``
+each take their value, given what an atom, a set and ∅ are worth.
 
 Distinct canonical trees print differently, so the printed form is the
 package's one identity rule: a set deduplicates its members by it, and
@@ -256,42 +259,50 @@ def _from_shape(shape: tuple) -> SetExpr:
     return stack[0]
 
 
-def _repr(e: SetExpr) -> str:
-    """The dataclass-generated repr of e, a set's members written as a
-    tuple, carried up one post-order walk as print_expr carries text."""
-    texts: list[str] = []
+def _fold(e: SetExpr, atom, members, empty, made=None):
+    """The value of e, carried up one post-order walk: a Braced node x
+    has atom(x), ∅ has empty, and a set has members(values), its
+    members' values in order, which then take their place. made(value),
+    if given, sees each value made, members before their set."""
+    values: list = []
     for x in _post_order(e):
         if isinstance(x, Braced):
-            texts.append(f"Braced(atom={x.atom!r}, level={x.level!r})")
+            value = atom(x)
         elif isinstance(x, SetOf):
-            n = len(texts) - len(x.elements)
-            members = ", ".join(texts[n:]) + ("," if len(x.elements) == 1 else "")
-            texts[n:] = [f"SetOf(elements=({members}))"]
+            n = len(values) - len(x.elements)
+            value = members(values[n:])
+            del values[n:]
         else:
-            texts.append("Empty()")
-    return texts[0]
+            value = empty
+        values.append(value)
+        if made is not None:
+            made(value)
+    return values[0]
+
+
+def _repr(e: SetExpr) -> str:
+    """The dataclass-generated repr of e, a set's members written as a
+    tuple (a one-member tuple with its trailing comma)."""
+    return _fold(
+        e,
+        lambda x: f"Braced(atom={x.atom!r}, level={x.level!r})",
+        lambda texts: "SetOf(elements=(%s%s))"
+        % (", ".join(texts), "," if len(texts) == 1 else ""),
+        "Empty()",
+    )
 
 
 def structural_depth(e: SetExpr) -> int:
-    """Nesting depth used for canonical ordering.
+    """Nesting depth of the tree as given: a braced atom's depth is its
+    signed level, ∅'s is 0, and a set's is one more than its deepest
+    member's (1 with no members).
 
-    The depth of a level-annotated atom is its signed level, so formally
-    unbraced atoms sort before bare atoms, which sort before braced ones.
+    For a canonical tree this is the depth the canonical pass sorts a
+    set's members by, so formally unbraced atoms sort before bare atoms,
+    which sort before braced ones. A raw tree is not normalized first:
+    SetOf(()) has depth 1, though it normalizes to ∅ at depth 0.
     """
-    depths: list[int] = []
-    for x in _post_order(e):
-        if isinstance(x, Braced):
-            depths.append(x.level)
-        elif isinstance(x, SetOf):
-            n = len(x.elements)
-            deepest = 0
-            if n:
-                deepest = max(depths[-n:])
-                del depths[-n:]
-            depths.append(deepest + 1)
-        else:
-            depths.append(0)
-    return depths[0]
+    return _fold(e, lambda x: x.level, lambda depths: max(depths, default=0) + 1, 0)
 
 
 # ---------------------------------------------------------------- printing
@@ -308,24 +319,18 @@ def _braced_text(atom: str, level: int) -> str:
         raise LevelError(f"level of {atom!r} has too many digits to print") from None
 
 
+def _atom_text(x: Braced) -> str:
+    return _braced_text(x.atom, x.level)
+
+
 def print_expr(e: SetExpr) -> str:
     """Render a canonical expression, a set's members in the order given.
 
     Levels 0 and 1 use the bare name and literal braces; every other
     level (including negatives) uses the ^(n) notation. Like the
-    canonical pass, one post-order walk carries each subtree's text up.
+    canonical pass, one _fold carries each subtree's text up.
     """
-    texts: list[str] = []
-    for x in _post_order(e):
-        if isinstance(x, Braced):
-            texts.append(_braced_text(x.atom, x.level))
-        elif isinstance(x, SetOf):
-            # the set's text takes the place of its members' texts
-            n = len(texts) - len(x.elements)
-            texts[n:] = ["{%s}" % ",".join(texts[n:])]
-        else:
-            texts.append("∅")
-    return texts[0]
+    return _fold(e, _atom_text, lambda texts: "{%s}" % ",".join(texts), "∅")
 
 
 # ------------------------------------------------------------- normalizing
@@ -344,6 +349,11 @@ _depth_and_text = itemgetter(1, 2)
 
 def _braced_item(atom: str, level: int) -> _Item:
     return (Braced(atom, level), level, _braced_text(atom, level))
+
+
+def _atom_item(x: Braced) -> _Item:
+    """A Braced node is its own canonical node, and its level its depth."""
+    return (x, x.level, _braced_text(x.atom, x.level))
 
 
 def _set_item(items: list[_Item]) -> _Item:
@@ -381,24 +391,9 @@ def normalize(e: SetExpr) -> SetExpr:
 def _canonical(e: SetExpr, made: Callable[[_Item], None] | None = None) -> _Item:
     """The item of normalize(e): the canonical node, its depth and text.
 
-    A Braced node is its own canonical node, and its level its depth.
     made(item), if given, sees each item made, members before their set.
     """
-    items: list[_Item] = []
-    for x in _post_order(e):
-        if isinstance(x, Braced):
-            item = (x, x.level, _braced_text(x.atom, x.level))
-        elif isinstance(x, SetOf):
-            n = len(x.elements)
-            members = items[len(items) - n:]
-            del items[len(items) - n:]
-            item = _set_item(members)
-        else:
-            item = _EMPTY_ITEM
-        items.append(item)
-        if made is not None:
-            made(item)
-    return items[0]
+    return _fold(e, _atom_item, _set_item, _EMPTY_ITEM, made)
 
 
 # ----------------------------------------------------------------- parsing

@@ -109,6 +109,41 @@ def test_propagate_missing_file(capsys, tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+_LATER_PARSE_ERROR = ("{x", "error: expected '}' (byte offset 2)")
+_LATER_LEVEL_ERROR = (
+    "{x,y}^(2)",
+    "error: level annotation ^(n) is only valid on a braced atom "
+    "(at byte offset 5)",
+)
+
+
+@pytest.mark.parametrize(
+    "later, later_error", [_LATER_PARSE_ERROR, _LATER_LEVEL_ERROR], ids=["parse", "level"]
+)
+@pytest.mark.parametrize(
+    "earlier, earlier_error",
+    [
+        (["z"], "error: z uses atoms outside the universe"),
+        (["{y}"], "error: atom 'y' has no base membership"),
+        (["x", "x"], "error: duplicate element x"),
+    ],
+    ids=["universe", "missing", "duplicate"],
+)
+def test_propagate_parses_every_text_before_it_values_any(
+    earlier, earlier_error, later, later_error, capsys, tmp_path
+):
+    # y is in the universe but unlisted, z is foreign
+    path = tmp_path / "base.json"
+    path.write_text(
+        '{"atoms":["x","y"],"elements":[{"expr":"x","mu":0.5}]}', encoding="utf-8"
+    )
+    code, out, err = run(capsys, "propagate", str(path), *earlier)
+    assert (code, out, err) == (2, "", earlier_error + "\n")
+    # a text that does not parse, after the faulty ones, is the error
+    code, out, err = run(capsys, "propagate", str(path), *earlier, later)
+    assert (code, out, err) == (2, "", later_error + "\n")
+
+
 @pytest.mark.parametrize(
     "content, error",
     [
@@ -209,9 +244,10 @@ def test_powerset_cap_error(capsys, tmp_path):
         assert err == f"error: {n} atoms would enumerate 2^{n} subsets (cap is 20)\n"
 
 
-def _limit_memory():
-    # about 1 GiB of address space, set in the child before it starts
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_memory(size: int = 1 << 30):
+    # about 1 GiB of address space by default, set in the child before it
+    # starts
+    resource.setrlimit(resource.RLIMIT_AS, (size, size))
 
 
 @pytest.mark.skipif(resource is None, reason="needs the resource module")
@@ -732,6 +768,35 @@ def test_roundtrip_deterministic_seed(capsys):
     _, out1, _ = run(capsys, "roundtrip", "--count", "10", "--seed", "3", "--json")
     _, out2, _ = run(capsys, "roundtrip", "--count", "10", "--seed", "3", "--json")
     assert out1 == out2
+
+
+# the child refuses its first trial, so only a list of all --count values
+# drawn before that trial could run it out of memory
+_REFUSE_FIRST_TRIAL = """
+import sys
+from fuzznest import cli
+from fuzznest.errors import RangeError
+
+def refuse(w, cfg):
+    raise RangeError("refused")
+
+cli.encode = refuse
+sys.exit(cli.main(["roundtrip", "--count", "100000000"]))
+"""
+
+
+@pytest.mark.skipif(resource is None, reason="needs the resource module")
+def test_roundtrip_draws_its_values_as_the_trials_run():
+    # 10^8 values drawn up front once ended in a MemoryError traceback
+    # and exit 1
+    out = subprocess.run(
+        [sys.executable, "-c", _REFUSE_FIRST_TRIAL],
+        capture_output=True,
+        text=True,
+        encoding="utf-8",
+        preexec_fn=lambda: _limit_memory(512 << 20),
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", "error: refused\n")
 
 
 # --------------------------------------------------------- verify-theorem

@@ -257,6 +257,9 @@ def test_structural_depth():
     assert structural_depth(Braced("x", -3)) == -3
     assert structural_depth(parse_expr("{x1,{x2,{x3,{x4}}}}")) == 4
     assert structural_depth(SetOf((EMPTY,))) == 1
+    # the depth of the tree as given: a raw SetOf(()) is not ∅ here
+    assert structural_depth(SetOf(())) == 1
+    assert structural_depth(SetOf((SetOf(()),))) == 2
 
 
 def test_structural_depth_of_a_braced_subexpression():
