@@ -158,7 +158,7 @@ def _encode_rows(seq: BinarySequence, w: float) -> list[tuple[str, str]]:
 
 
 def cmd_parse(args) -> int:
-    _, depth, text = _parse(args.expr, {})
+    depth, text, _ = _parse(args.expr, {})
     if args.json:
         return _emit_json({"input": args.expr, "canonical": text, "depth": depth})
     print(text)

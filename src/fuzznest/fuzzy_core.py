@@ -151,7 +151,7 @@ class FuzzySet:
                 f"{type(self).__name__!r} object has no attribute {name!r}"
             )
         leaves: dict[str, _Item] = {}  # one node per distinct atom token
-        nodes = [_parse(text, leaves)[0] for text in self.texts]
+        nodes = [_parse(text, leaves)[2] for text in self.texts]
         value = tuple(zip(nodes, self.memberships))
         object.__setattr__(self, "elements", value)
         return value
@@ -195,7 +195,7 @@ class FuzzySet:
         foreign: bool = True,
     ) -> "FuzzySet":
         """The one validated maker: the fuzzy set of the canonical items
-        (node, depth, text) the canonicalizer gives, with their
+        (depth, text, node) the canonicalizer gives, with their
         memberships. build, fuzzyset_from_json and construct_fuzzy_set
         build through it, in the order their pairs come. It keeps each
         item's text, not its node.
@@ -208,7 +208,7 @@ class FuzzySet:
         seen: dict[str, None] = {}  # the texts, in element order
         mus: list[float] = []
         for item, mu in pairs:
-            e, _, text = item
+            _, text, e = item
             if not _is_number(mu, (int, float)):
                 raise InvariantError(f"membership {mu!r} for {text} is not a number")
             if not (0 <= mu <= 1):  # exact for an int beyond the float range
@@ -311,15 +311,16 @@ class _Propagation:
         # so a freed member's id is rewritten before a live node reads it
         self.values: dict[int, float | str] = {}
         item = _canonical(expr, self.made)
-        value = self.values[id(item[0])]
+        _, text, node = item
+        value = self.values[id(node)]
         if type(value) is str:
-            if not in_superstructure(item[0], self.universe):
-                raise UniverseError(f"{item[2]} uses atoms outside the universe")
+            if not in_superstructure(node, self.universe):
+                raise UniverseError(f"{text} uses atoms outside the universe")
             raise MissingMembershipError(f"atom {value!r} has no base membership")
         return item, value
 
     def made(self, item: _Item) -> None:
-        node, _, text = item
+        _, text, node = item
         if isinstance(node, Empty):
             value = 1.0
         elif text in self.table:
@@ -461,7 +462,7 @@ def verify_classical_degeneracy(
     worst = 0.0
     for probe in probe_exprs:
         item, value = memberships.element(probe)
-        expected = 0.0 if any(a in zero_atoms for a in atoms_of(item[0])) else 1.0
+        expected = 0.0 if any(a in zero_atoms for a in atoms_of(item[2])) else 1.0
         worst = max(worst, abs(value - expected))
     return VerificationReport("classical degeneracy", worst, 0.0, 0.0)
 
@@ -534,5 +535,5 @@ def fuzzyset_from_json(text: str) -> FuzzySet:
     # every atom of every row is the atom of a leaf: one check per leaf
     # says whether any element needs the walk that finds the first
     # foreign one; parsing canonicalizes, so no second normalize pass
-    foreign = not all(e.atom in universe for e, _, _ in leaves.values())
+    foreign = not all(e.atom in universe for _, _, e in leaves.values())
     return FuzzySet._from_canonical(universe, pairs, foreign)

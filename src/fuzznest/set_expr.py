@@ -22,11 +22,15 @@ Canonical form rules:
 
 ``parse_expr`` and ``normalize`` always return canonical expressions, so
 equal sets compare equal with ``==``. Both canonicalize in one pass that
-carries each subtree's depth and printed form up to its parent. Every
-tree walk here is ``_post_order``'s explicit stack, not recursion, and
-every value carried up a tree is ``_fold``'s: the one pass from which
-the canonical pass, ``print_expr``, ``repr`` and ``structural_depth``
-each take their value, given what an atom, a set and ∅ are worth.
+carries each subtree up to its parent as an item ``(depth, text,
+node)``. A set drops the items whose text it has seen, then sorts the
+rest as they are: with every text distinct, comparing two items decides
+on depth and text and never reaches a node, so deduplication must come
+first. Every tree walk here is ``_post_order``'s explicit stack, not
+recursion, and every value carried up a tree is ``_fold``'s: the one
+pass from which the canonical pass, ``print_expr``, ``repr`` and
+``structural_depth`` each take their value, given what an atom, a set
+and ∅ are worth.
 
 Distinct canonical trees print differently, so the printed form is the
 package's one identity rule: a set deduplicates its members by it, and
@@ -37,13 +41,15 @@ meaning, but read one walk of each tree, as pickling and ``copy`` do, so
 they hold at any depth.
 
 Every node is well formed when it is built, so no walk checks one
-again: SetOf refuses a member that is not a node with TypeError, and
-Braced a level that is not an ``int`` (a bool included) with
-LevelError, before it looks at what it wraps, and a str that is not an
-atom name with InvariantError, as AtomUniverse does. So every node
-prints as text that parses back to it. Printing a level of more
-digits than ``sys.get_int_max_str_digits()`` lets an int be written in
-raises LevelError.
+again. Braced and SetOf check in their own ``__init__``, which has the
+dataclass signature and stores each field once, after its checks:
+SetOf refuses a member that is not a node with TypeError, and Braced a
+level that is not an ``int`` (a bool included) with LevelError, before
+it looks at what it wraps, and a str that is not an atom name with
+InvariantError, as AtomUniverse does. So every node prints as text that
+parses back to it. Printing a level of more digits than
+``sys.get_int_max_str_digits()`` lets an int be written in raises
+LevelError.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Union
 
 from .errors import InvariantError, LevelError, ParseError
@@ -102,7 +107,7 @@ class Empty(_Node):
     """The empty set."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class Braced(_Node):
     """The atom wrapped in level braces: a level belongs to an atom.
 
@@ -119,24 +124,25 @@ class Braced(_Node):
     atom: str
     level: int
 
-    def __post_init__(self):
-        if type(self.level) is not int:
-            raise LevelError(f"level must be an integer, got {self.level!r}")
-        if isinstance(self.atom, str):
-            if not _is_name(self.atom):
-                raise InvariantError(f"invalid atom name {self.atom!r}")
-            return
-        if isinstance(self.atom, Braced):
-            object.__setattr__(self, "level", self.atom.level + self.level)
-            object.__setattr__(self, "atom", self.atom.atom)
-        elif isinstance(self.atom, (SetOf, Empty)):
-            kind = "the empty set" if isinstance(self.atom, Empty) else "a set"
+    def __init__(self, atom: str, level: int) -> None:
+        if type(level) is not int:
+            raise LevelError(f"level must be an integer, got {level!r}")
+        if isinstance(atom, str):
+            if not _is_name(atom):
+                raise InvariantError(f"invalid atom name {atom!r}")
+        elif isinstance(atom, Braced):
+            level = atom.level + level
+            atom = atom.atom
+        elif isinstance(atom, (SetOf, Empty)):
+            kind = "the empty set" if isinstance(atom, Empty) else "a set"
             raise LevelError(f"a level belongs to an atom, not to {kind}")
         else:
-            raise _not_a_node(self.atom)
+            raise _not_a_node(atom)
+        _set_atom(self, atom)
+        _set_level(self, level)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@dataclass(frozen=True, slots=True, eq=False, repr=False, init=False)
 class SetOf(_Node):
     """A finite set of expressions.
 
@@ -146,11 +152,19 @@ class SetOf(_Node):
 
     elements: tuple["SetExpr", ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for x in self.elements:
+    def __init__(self, elements: tuple["SetExpr", ...]) -> None:
+        elements = tuple(elements)
+        for x in elements:
             if not isinstance(x, _Node):
                 raise _not_a_node(x)
+        _set_elements(self, elements)
+
+
+# the slots' setters, by which each __init__ above stores a checked
+# field once (the frozen nodes' own setattr refuses)
+_set_atom = Braced.atom.__set__
+_set_level = Braced.level.__set__
+_set_elements = SetOf.elements.__set__
 
 
 SetExpr = Union[Empty, Braced, SetOf]
@@ -336,43 +350,42 @@ def print_expr(e: SetExpr) -> str:
 # ------------------------------------------------------------- normalizing
 
 # The canonicalizer carries each canonical subtree as an item
-# (node, structural depth, printed form), computed once from the items of
+# (structural depth, printed form, node), computed once from the items of
 # its children. Distinct canonical trees print differently, so a set
-# deduplicates its members by text and sorts them by (depth, text)
-# without walking, printing or comparing any subtree again.
+# deduplicates its members by text and then sorts the items as they are:
+# with no two texts alike, comparing two items decides on (depth, text)
+# and never reaches a node. Deduplication must come first, or two items
+# of equal text would be compared by their nodes. No subtree is walked,
+# printed or compared again.
 
-_Item = tuple[SetExpr, int, str]
+_Item = tuple[int, str, SetExpr]
 
-_EMPTY_ITEM: _Item = (EMPTY, 0, "∅")
-_depth_and_text = itemgetter(1, 2)
+_EMPTY_ITEM: _Item = (0, "∅", EMPTY)
 
 
 def _braced_item(atom: str, level: int) -> _Item:
-    return (Braced(atom, level), level, _braced_text(atom, level))
+    return (level, _braced_text(atom, level), Braced(atom, level))
 
 
 def _atom_item(x: Braced) -> _Item:
     """A Braced node is its own canonical node, and its level its depth."""
-    return (x, x.level, _braced_text(x.atom, x.level))
+    return (x.level, _braced_text(x.atom, x.level), x)
 
 
 def _set_item(items: list[_Item]) -> _Item:
     """The canonical set of canonical items: dedup, fold, sort."""
     if len(items) > 1:
-        items = list({item[2]: item for item in items}.values())
+        items = list({item[1]: item for item in items}.values())
     if not items:
         return _EMPTY_ITEM
     if len(items) == 1:
-        node, depth, text = items[0]
+        depth, text, node = items[0]
         if isinstance(node, Braced):
             return _braced_item(node.atom, node.level + 1)
-        return (SetOf((node,)), depth + 1, "{%s}" % text)
-    items.sort(key=_depth_and_text)
-    return (
-        SetOf(tuple([item[0] for item in items])),
-        items[-1][1] + 1,
-        "{%s}" % ",".join([item[2] for item in items]),
-    )
+        return (depth + 1, "{%s}" % text, SetOf((node,)))
+    items.sort()  # texts are distinct now, so no node is compared
+    depths, texts, nodes = zip(*items)
+    return (depths[-1] + 1, "{%s}" % ",".join(texts), SetOf(nodes))
 
 
 def normalize(e: SetExpr) -> SetExpr:
@@ -385,7 +398,7 @@ def normalize(e: SetExpr) -> SetExpr:
     here (TypeError). One iterative post-order pass builds each
     subtree's depth and printed form once, from those of its members.
     """
-    return _canonical(e)[0]
+    return _canonical(e)[2]
 
 
 def _canonical(e: SetExpr, made: Callable[[_Item], None] | None = None) -> _Item:
@@ -471,7 +484,7 @@ def parse_expr(text: str) -> SetExpr:
     a single token and becomes its item in one step; a unit at level 0
     is read as the bare atom it denotes, so "{{a}^(0)}^(3)" is "{a}^(3)".
     """
-    return _parse(text, {})[0]
+    return _parse(text, {})[2]
 
 
 def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
@@ -509,7 +522,7 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
                 raise _level_misuse(text, i)
             item = leaves.get(tok)
             if item is None:
-                item = leaves[tok] = (Braced(tok, 0), 0, tok)
+                item = leaves[tok] = (0, tok, Braced(tok, 0))
             atom = True
         elif tok[:1] == "{":
             # a braced atom: "{" NAME "}", then "^(" INT ")" or nothing
@@ -520,7 +533,7 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
                 digits = level.partition("(")[2][:-1]
                 level = _int_level(text, i - 1, tok, digits) if digits else 1
                 item = leaves[tok] = _braced_item(name.strip(), level)
-            atom = item[1] == 0  # a braced atom's depth is its level
+            atom = item[0] == 0  # a braced atom's depth is its level
         elif tok:
             raise _fail(text, i - 1, f"unexpected character {tok[0]!r}")
         else:
@@ -542,7 +555,7 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
                 if not single_atom:
                     raise _level_misuse(text, i)
                 level, i = _level(text, tokens, i + 1)
-                item, atom = _braced_item(items[0][0].atom, level), level == 0
+                item, atom = _braced_item(items[0][2].atom, level), level == 0
             else:
                 item, atom = _set_item(items), False
         else:

@@ -1,11 +1,11 @@
 """What a Braced wraps is decided in one place.
 
-``Braced.__post_init__`` folds a Braced over a braced atom and refuses
+``Braced.__init__`` folds a Braced over a braced atom and refuses
 one over anything but an atom name, so every Braced holds a str atom and
 no tree walk asks what it wraps. Each of ``set_expr.py`` and
 ``fuzzy_core.py`` is parsed with ``ast``: a call of ``isinstance`` or
-``type`` whose first argument is an ``.atom`` attribute may lie only in
-ALLOWED.
+``type`` whose first argument is an ``.atom`` attribute, or a name
+``atom`` (the constructor's argument), may lie only in ALLOWED.
 """
 
 import ast
@@ -17,7 +17,7 @@ from helpers import sites
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzznest"
 MODULES = [SRC / "set_expr.py", SRC / "fuzzy_core.py"]
-ALLOWED = {"Braced.__post_init__"}
+ALLOWED = {"Braced.__init__"}
 
 
 def _is_atom_kind_site(node: ast.AST) -> bool:
@@ -26,8 +26,10 @@ def _is_atom_kind_site(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id in ("isinstance", "type")
         and bool(node.args)
-        and isinstance(node.args[0], ast.Attribute)
-        and node.args[0].attr == "atom"
+        and (
+            isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "atom"
+            or isinstance(node.args[0], ast.Name) and node.args[0].id == "atom"
+        )
     )
 
 
@@ -41,7 +43,7 @@ def _stray_atom_kind_sites(source: str) -> list[tuple[str, int]]:
 def test_the_scan_finds_a_planted_use():
     source = (
         "class Braced:\n"
-        "    def __post_init__(self):\n"
+        "    def __init__(self, atom, level):\n"
         "        if isinstance(self.atom, str):\n"
         "            return\n"
         "def _post_order(e):\n"
@@ -54,9 +56,11 @@ def test_the_scan_finds_a_planted_use():
         "def _shape(x):\n"
         "    return isinstance(x, Braced), x.atom\n"
         "KIND = type(EMPTY.atom)\n"
+        "def _fold(atom):\n"
+        "    return isinstance(atom, Braced)\n"
     )
     assert _stray_atom_kind_sites(source) == [
-        ("_post_order", 7), ("atoms_of", 11), ("<module>", 14),
+        ("_post_order", 7), ("atoms_of", 11), ("<module>", 14), ("_fold", 16),
     ]
 
 

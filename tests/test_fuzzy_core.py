@@ -1068,6 +1068,17 @@ def test_no_library_call_compares_or_hashes_a_node(nodes_refuse_eq_and_hash):
         )
     with pytest.raises(DomainError):
         verify_power_cardinality(leveled)
+    # members that print alike, as distinct nodes: a set drops the twins
+    # by text before it sorts, so the sort never reaches a node
+    x1, x3 = Braced("x1", 0), Braced("x3", 0)
+    twins = SetOf((SetOf((x1, x3)), SetOf((Braced("x3", 0), Braced("x1", 0)))))
+    alike = [parse_expr("{x1,x1}"), parse_expr("{{x1,x2},{x2,x1}}"), twins]
+    assert [print_expr(normalize(e)) for e in alike] == ["{x1}", "{{x1,x2}}", "{{x1,x3}}"]
+    assert print_expr(normalize(SetOf((x1, Braced("x1", 0), x3)))) == "{x1,x3}"
+    fs = construct_fuzzy_set(flat, alike)
+    assert fs.texts == ("{x1}", "{{x1,x2}}", "{{x1,x3}}")
+    assert fs.memberships == tuple(propagate_membership(flat, e) for e in alike)
+    assert fuzzyset_from_json(fuzzyset_to_json(fs)) == fs
 
 
 @pytest.mark.parametrize("level", [2.5, 2.0, 0.5, True, False, "2", None])

@@ -1,7 +1,7 @@
 """Every node is checked once, when it is built.
 
-``SetOf.__post_init__`` refuses a member that is not a node, and
-``Braced.__post_init__`` a level that is not an int and anything it
+``SetOf.__init__`` refuses a member that is not a node, and
+``Braced.__init__`` a level that is not an int and anything it
 cannot wrap, so no walk, printer or fold checks a node again.
 ``_post_order``, where every walk starts, checks only the root it is
 given. Each module of the package is parsed with ``ast``: a call of
@@ -17,7 +17,7 @@ from helpers import sites
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fuzznest"
 MODULES = sorted(SRC.glob("*.py"))
-ALLOWED = {"Braced.__post_init__", "SetOf.__post_init__", "_post_order"}
+ALLOWED = {"Braced.__init__", "SetOf.__init__", "_post_order"}
 
 
 def _is_node_check(node: ast.AST) -> bool:
@@ -36,7 +36,7 @@ def _stray_node_checks(source: str) -> list[tuple[str, int]]:
 def test_the_scan_finds_a_planted_use():
     source = (
         "class SetOf:\n"
-        "    def __post_init__(self):\n"
+        "    def __init__(self, elements):\n"
         "        raise _not_a_node(self.elements[0])\n"
         "def _post_order(e):\n"
         "    raise _not_a_node(e)\n"
