@@ -32,6 +32,11 @@ pass from which the canonical pass, ``print_expr``, ``repr`` and
 ``structural_depth`` each take their value, given what an atom, a set
 and ∅ are worth.
 
+The parser reads a flat set of two or more atom tokens written with no
+whitespace, "+" or leading zero (a power-set listing's ``{x1,x3,x7}``)
+in one match and one split; every other text goes through its loop over
+the tokens.
+
 Distinct canonical trees print differently, so the printed form is the
 package's one identity rule: a set deduplicates its members by it, and
 ``fuzzy_core`` tells elements apart by it, taking each element's text
@@ -173,7 +178,6 @@ EMPTY = Empty()
 
 # an identifier, as the tokenizer reads it
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 
 
 def _is_name(s: str) -> bool:
@@ -422,6 +426,18 @@ _TOKEN = re.compile(
     r"|%s|[+-]?\d+|\S)" % (_IDENT, _IDENT)
 )
 _INTEGER = re.compile(r"[+-]?\d+")
+# A flat set of two or more atom tokens, each a name, "empty" or a braced
+# atom "{" NAME "}" with "^(" INT ")" or nothing, written with no
+# whitespace, "+" or leading zero, and no level past 18 digits, so none
+# is past int()'s digit limit. _parse reads such a text in one match and
+# one split; every other text goes through the token loop.
+_FLAT_MEMBER = (
+    r"(?:%s|\{(?!empty\})%s\}(?:\^\(-?[1-9][0-9]{0,17}\))?)" % (_IDENT, _IDENT)
+)
+_FLAT = re.compile(r"\{%s(?:,%s)+\}" % (_FLAT_MEMBER, _FLAT_MEMBER))
+# the first character of a token that _leaf reads: a name's, "{" of a
+# braced atom (the token "{" alone is read before), or "∅"
+_LEAF_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_{∅")
 
 
 def _byte_offset(pattern: re.Pattern, text: str, token: int, shift: int = 0) -> int:
@@ -467,6 +483,27 @@ def _level(text: str, tokens: list[str], i: int) -> tuple[int, int]:
     return _int_level(text, i + 1, tok, tok), i + 3
 
 
+def _leaf(tok: str, leaves: dict[str, _Item], text: str, token: int) -> _Item:
+    """The item of an atom token not in leaves, the token-th of text: "∅"
+    or "empty", a name, or a braced atom "{" NAME "}" followed by "^("
+    INT ")" or nothing, with any whitespace the grammar allows. The item
+    of a name or a braced atom is stored in leaves, so a reader that
+    looks a token up there first builds one node per distinct token; ∅
+    is never stored."""
+    if tok == "∅" or tok == "empty":
+        return _EMPTY_ITEM
+    if tok[0] == "{":
+        name, _, level = tok[1:].partition("}")
+        # int() skips the whitespace around the integer
+        digits = level.partition("(")[2][:-1]
+        level = _int_level(text, token, tok, digits) if digits else 1
+        item = _braced_item(name.strip(), level)
+    else:
+        item = (0, tok, Braced(tok, 0))
+    leaves[tok] = item
+    return item
+
+
 def parse_expr(text: str) -> SetExpr:
     """Parse expression text to its canonical SetExpr.
 
@@ -483,6 +520,11 @@ def parse_expr(text: str) -> SetExpr:
     atom, "{a}" or "{a}^(n)" with any whitespace the grammar allows, is
     a single token and becomes its item in one step; a unit at level 0
     is read as the bare atom it denotes, so "{{a}^(0)}^(3)" is "{a}^(3)".
+    A flat set of two or more atom tokens written with no whitespace, "+"
+    or leading zero, as "{x1,{x3},{x7}^(-2)}", is read in one match and
+    one split, with no token loop; every other text, malformed ones
+    included, goes through the loop, so each error keeps its message and
+    offset.
     """
     return _parse(text, {})[2]
 
@@ -497,43 +539,30 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
     tree that holds it, and the atoms of all the trees are the atoms of
     the dict's items.
     """
+    if "," in text and _FLAT.fullmatch(text):
+        # a flat set: each member is an atom token, and no level of one
+        # has digits enough to fail
+        members = text[1:-1].split(",")
+        return _set_item([leaves.get(m) or _leaf(m, leaves, text, 0) for m in members])
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
     frames: list[list[_Item]] = []  # the items read so far, per open brace
-    # per open brace: its last item was a bare atom or {a}^(0), the only
-    # single member a level annotation may follow
-    atom_last: list[bool] = []
     i = 0
     while True:
         tok = tokens[i]
         i += 1
         if tok == "{":
             frames.append([])
-            atom_last.append(False)
             if tokens[i] != "}":
                 continue
-            item = None
-        elif tok == "∅" or tok == "empty":
-            if tokens[i] == "^":
+            item, atom = None, False
+        elif tok[:1] in _LEAF_START:
+            if tokens[i] == "^":  # never after a braced atom token
                 raise _level_misuse(text, i)
-            item, atom = _EMPTY_ITEM, False
-        elif tok and tok[0] in _IDENT_START:
-            if tokens[i] == "^":
-                raise _level_misuse(text, i)
-            item = leaves.get(tok)
-            if item is None:
-                item = leaves[tok] = (0, tok, Braced(tok, 0))
-            atom = True
-        elif tok[:1] == "{":
-            # a braced atom: "{" NAME "}", then "^(" INT ")" or nothing
-            item = leaves.get(tok)
-            if item is None:
-                name, _, level = tok[1:].partition("}")
-                # int() skips the whitespace around the integer
-                digits = level.partition("(")[2][:-1]
-                level = _int_level(text, i - 1, tok, digits) if digits else 1
-                item = leaves[tok] = _braced_item(name.strip(), level)
-            atom = item[0] == 0  # a braced atom's depth is its level
+            item = leaves.get(tok) or _leaf(tok, leaves, text, i - 1)
+            # a bare atom or {a}^(0): the only single member a level
+            # annotation may follow (a braced atom's depth is its level)
+            atom = item[0] == 0 and item is not _EMPTY_ITEM
         elif tok:
             raise _fail(text, i - 1, f"unexpected character {tok[0]!r}")
         else:
@@ -542,7 +571,6 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
             items = frames[-1]
             if item is not None:
                 items.append(item)
-                atom_last[-1] = atom
                 if tokens[i] == ",":
                     i += 1
                     break
@@ -550,9 +578,10 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
                     raise _fail(text, i, "expected '}'")
             i += 1
             frames.pop()
-            single_atom = atom_last.pop() and len(items) == 1
+            # atom still tells whether the set's last item was a bare
+            # atom or {a}^(0) (False after "{}")
             if tokens[i] == "^":
-                if not single_atom:
+                if not (atom and len(items) == 1):
                     raise _level_misuse(text, i)
                 level, i = _level(text, tokens, i + 1)
                 item, atom = _braced_item(items[0][2].atom, level), level == 0

@@ -782,6 +782,37 @@ def test_json_reader_builds_one_leaf_per_distinct_atom(monkeypatch):
     assert sorted(level0) == sorted(base.universe.atoms)
 
 
+class _CountedTokens:
+    """A stand-in for set_expr._TOKEN that counts its findall calls."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.calls = 0
+
+    def findall(self, text):
+        self.calls += 1
+        return self.pattern.findall(text)
+
+    def finditer(self, text):
+        return self.pattern.finditer(text)
+
+
+@pytest.mark.parametrize("read", ["json", "elements"])
+def test_a_listing_tokenizes_only_its_empty_set_and_singletons(read, monkeypatch):
+    # every other subset is a flat set of names, read in one match
+    n = 10
+    base = FuzzySet.flat([(f"x{i}", i / (n + 1)) for i in range(1, n + 1)])
+    listing = fuzzy_power_set(base)
+    text = fuzzyset_to_json(listing)
+    tokens = _CountedTokens(set_expr._TOKEN)
+    monkeypatch.setattr(set_expr, "_TOKEN", tokens)
+    if read == "json":
+        assert len(fuzzyset_from_json(text).texts) == 2**n
+    else:
+        assert len(listing.elements) == 2**n
+    assert tokens.calls == n + 1
+
+
 @pytest.mark.parametrize("k", [0, 1, 7, 15])
 def test_json_reader_raises_at_the_first_foreign_row(k, monkeypatch):
     doc = json.loads(fuzzyset_to_json(fuzzy_power_set(example_base_4())))

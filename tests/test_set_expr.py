@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -558,6 +559,47 @@ def test_canonical_items_carry_the_printed_text(raw):
     depth, text, e = set_expr._canonical(raw)
     assert text == print_expr(e) and depth == structural_depth(e)
     assert set_expr._parse(text, {}) == (depth, text, e)
+
+
+# flat sets of atom tokens, which parse_expr reads in one match: names,
+# "empty", and braced atoms at levels of 1 to 18 digits, either sign;
+# at 19 digits the token loop reads them
+_FLAT_LEVELS = st.tuples(
+    st.one_of(
+        st.integers(min_value=1, max_value=10**17),
+        st.integers(min_value=10**17, max_value=10**18 - 1),
+        st.integers(min_value=10**18, max_value=10**19 - 1),
+    ),
+    st.sampled_from([1, -1]),
+).map(lambda pair: pair[0] * pair[1])
+_FLAT_MEMBERS = st.one_of(
+    st.sampled_from(ATOM_POOL + ("empty",)),
+    st.sampled_from(ATOM_POOL).map("{%s}".__mod__),
+    st.builds("{%s}^(%d)".__mod__, st.tuples(st.sampled_from(ATOM_POOL), _FLAT_LEVELS)),
+)
+_FLAT_TEXTS = st.lists(_FLAT_MEMBERS, min_size=2, max_size=12).map(
+    lambda members: "{%s}" % ",".join(members)
+)
+
+
+@given(_FLAT_TEXTS)
+def test_a_flat_set_reads_as_the_token_loop_reads_it(text):
+    # the text is read in one match unless a level has 19 digits; a space
+    # after its first comma sends it through the token loop
+    assert bool(set_expr._FLAT.fullmatch(text)) != bool(re.search(r"\d{19}", text))
+    spaced = text.replace(",", ", ", 1)
+    assert not set_expr._FLAT.fullmatch(spaced)
+    read, looped = {}, {}
+    got, want = set_expr._parse(text, read), set_expr._parse(spaced, looped)
+    assert got[:2] == want[:2] and got[2] == want[2]
+    assert read.keys() == looped.keys()
+    assert all(read[key] == looped[key] for key in read)
+    for leaves, (_, _, e) in ((read, got), (looped, want)):
+        # each atom of the set is the one node of its key
+        nodes = {id(node) for _, _, node in leaves.values()}
+        assert len(nodes) == len(leaves)
+        if isinstance(e, SetOf):
+            assert all(id(x) in nodes for x in e.elements if isinstance(x, Braced))
 
 
 # a recipe for a raw tree, built by _build: levels, atoms and members may

@@ -13,12 +13,15 @@ and 200 mixed nested expressions. For each input it times
 * ``construct_fuzzy_set`` over the parsed node(s), from a flat base,
 * ``fuzzyset_from_json`` of that fuzzy set's JSON,
 
-and, per call, ``Braced(...)``, a two-member ``SetOf`` and ``normalize``
-of a two-member set. Every timing is repeated, the rows interleaved in
+then, over seeded flat bases, ``fuzzyset_from_json`` of a 12-atom
+power-set listing's JSON and the first read of ``elements`` of a fresh
+14-atom listing (a new ``FuzzySet`` over the same texts each time), and,
+per call, ``Braced(...)``, a two-member ``SetOf`` and ``normalize`` of a
+two-member set. Every timing is repeated, the rows interleaved in
 each repetition so a slow spell of the host touches them all alike, and
 the median is printed: one ``name value unit`` line per row. As timeit
 does, the cyclic garbage collector is off while a row is timed. Stdlib
-only; it finishes in a few seconds.
+only; it finishes in about ten seconds.
 """
 
 import gc
@@ -86,6 +89,20 @@ def _rows(fz):
             (f"{name}.fuzzyset_from_json", "ms", 1e3,
              lambda doc=doc: fz.fuzzyset_from_json(doc)),
         ]
+
+    def listing(n):
+        base = fz.FuzzySet.flat([(f"x{i}", rng.random()) for i in range(1, n + 1)])
+        return fz.fuzzy_power_set(base)
+
+    listing_doc = fz.fuzzyset_to_json(listing(12))
+    fs = listing(14)
+    rows += [
+        ("listing12.fuzzyset_from_json", "ms", 1e3,
+         lambda: fz.fuzzyset_from_json(listing_doc)),
+        # a new fuzzy set each time, so elements are parsed, not reused
+        ("listing14.elements", "ms", 1e3,
+         lambda: fz.FuzzySet(fs.universe, fs.texts, fs.memberships).elements),
+    ]
     x1, x2 = fz.Braced("x1", 0), fz.Braced("x2", 3)
     pair = fz.SetOf((x2, x1))
     Braced, SetOf, normalize = fz.Braced, fz.SetOf, fz.normalize
