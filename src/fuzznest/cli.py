@@ -14,7 +14,6 @@ import json
 import math
 import random
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
@@ -22,6 +21,7 @@ from .errors import FuzznestError, ParseError
 from .fuzzy_core import (
     FuzzySet,
     VerificationReport,
+    _element_array,
     _power_report,
     construct_fuzzy_set,
     fuzzy_power_set,
@@ -121,8 +121,11 @@ def _element_rows(fs: FuzzySet, precision: int) -> list[tuple[str, str]]:
     return [(t, _fmt(mu, precision)) for t, mu in zip(fs.texts, fs.memberships)]
 
 
-def _element_json(fs: FuzzySet) -> list[dict]:
-    return [{"expr": t, "mu": mu} for t, mu in zip(fs.texts, fs.memberships)]
+def _element_json(fs: FuzzySet) -> str:
+    """fs's elements as json.dumps writes [{"expr": ..., "mu": ...}, ...]:
+    the memberships are finite floats, which json prints with
+    float.__repr__, as %r does."""
+    return _element_array(fs, '{"expr": %s, "mu": %r}', ", ")
 
 
 def _base_row(base: FuzzySet, precision: int) -> tuple[str, str]:
@@ -170,7 +173,8 @@ def cmd_propagate(args) -> int:
     exprs = [parse_expr(text) for text in args.expr]
     result = construct_fuzzy_set(base, exprs)
     if args.json:
-        return _emit_json({"elements": _element_json(result)})
+        print('{"elements": %s}' % _element_json(result))
+        return 0
     print(_table(_element_rows(result, args.precision)))
     return 0
 
@@ -188,9 +192,9 @@ def cmd_powerset(args) -> int:
     """Lists the power set from fuzzy_power_set's texts and products,
     building no node and no per-row dict, and checks the law on those
     products. The JSON is what json.dumps writes for
-    {"elements": [{"expr": ..., "mu": ...}, ...]}: the products are
-    finite floats, which json prints with float.__repr__, and one %
-    formats every row from the flat list text, product, text, ..."""
+    {"elements": [{"expr": ..., "mu": ...}, ...]} (and "report"), its
+    rows written by fuzzy_core's one element writer, as every --json
+    element array is."""
     base = _read_fuzzyset(args.fuzzyset)
     listing = fuzzy_power_set(base)
     texts, products = listing.texts, listing.memberships
@@ -198,14 +202,10 @@ def cmd_powerset(args) -> int:
     if args.verify:
         report = _power_report(base, products, args.tol)
     if args.json:
-        flat = [None] * (2 * len(texts))
-        flat[::2] = map(encode_basestring_ascii, texts)
-        flat[1::2] = products
-        template = ", ".join(['{"expr": %s, "mu": %r}'] * len(texts))
-        out = '{"elements": [' + template % tuple(flat) + "]"
+        tail = ""
         if report is not None:
-            out += ', "report": ' + json.dumps(_report_json(report))
-        print(out + "}")
+            tail = ', "report": ' + json.dumps(_report_json(report))
+        print('{"elements": %s%s}' % (_element_json(listing), tail))
     else:
         spec = f".{args.precision}f"
         print(_column_table(texts, [format(mu, spec) for mu in products]))
@@ -242,15 +242,15 @@ def cmd_decode(args) -> int:
     value = decode(seq, cfg)
     expansion = expand_to_fuzzy(seq, cfg)
     if args.json:
-        return _emit_json(
-            {
-                "value": value,
-                "m_star": seq.m_star,
-                "truncated": seq.truncated,
-                "expansion": _element_json(expansion),
-                "cardinality": scalar_cardinality(expansion),
-            }
+        # value and cardinality are finite floats, so %r writes json's bytes
+        truncated = "true" if seq.truncated else "false"
+        card = scalar_cardinality(expansion)
+        fields = (value, seq.m_star, truncated, _element_json(expansion), card)
+        print(
+            '{"value": %r, "m_star": %d, "truncated": %s, "expansion": %s, '
+            '"cardinality": %r}' % fields
         )
+        return 0
     print(_table(_decode_rows(value, expansion, args.precision)))
     return 0
 
@@ -422,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="decimal places in text output (default 6)",
     )
+    # --precision only where a command prints a fixed-point number
     common = [json_option, precision]
 
     parser = argparse.ArgumentParser(
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     p = sub.add_parser(
-        "parse", parents=common, help="canonicalize a set expression"
+        "parse", parents=[json_option], help="canonicalize a set expression"
     )
     p.add_argument("expr", help="expression text, e.g. '{x1,{x2}}'")
     p.set_defaults(func=cmd_parse)
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "encode",
-        parents=common,
+        parents=[json_option],
         help="greedy binary-sequence expansion of a membership value",
     )
     p.add_argument("value", type=float, help="membership value in (0,1]")
@@ -508,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "roundtrip",
-        parents=common,
+        parents=[json_option],
         help="check decode(encode(w)) = w for one or many values",
     )
     group = p.add_mutually_exclusive_group(required=True)
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-theorem",
-        parents=common,
+        parents=[json_option],
         help="randomized check: 1 = power-set cardinality law, "
         "2 = level composition law",
     )

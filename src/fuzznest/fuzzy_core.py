@@ -48,8 +48,10 @@ the law on the products: neither builds a node. The listing's elements
 are parsed from its texts only if they are read; comparing, hashing,
 copying or pickling a listing parses nothing.
 
-fuzzyset_to_json writes the whole document with one % over a flat list
-of arguments (escaped text, membership, escaped text, ...), so no
+One writer, _element_array, writes every JSON array of elements, for
+fuzzyset_to_json and for the CLI's --json output alike: one % over a
+flat list of arguments (escaped text, membership, escaped text, ...),
+with the row template and the separator as its parameters, so no
 formatting call runs per row. fuzzyset_from_json parses every row with
 one table of atom tokens: each distinct token becomes one node, shared
 by all the rows that hold it. The atoms of those nodes are all the
@@ -470,22 +472,31 @@ def verify_classical_degeneracy(
 # ------------------------------------------------------------------- JSON
 
 
+def _element_array(fs: FuzzySet, row: str, sep: str) -> str:
+    """The JSON array of fs's elements, the one writer of element rows.
+
+    row is the template of one element, with a slot for its escaped text
+    and one for its membership; sep goes between rows. Each text is
+    escaped as json.dumps escapes a str with its default arguments
+    (encode_basestring_ascii). One % formats every row from the flat
+    list text, membership, text, ...
+    """
+    flat = [None] * (2 * len(fs.texts))
+    flat[::2] = map(encode_basestring_ascii, fs.texts)
+    flat[1::2] = fs.memberships
+    return ("[" + sep.join([row] * len(fs.texts)) + "]") % tuple(flat)
+
+
 def fuzzyset_to_json(fs: FuzzySet) -> str:
     """Serialize with 17 significant digits so values survive round trips.
 
-    Each text is escaped as json.dumps escapes a str with its default
-    arguments (encode_basestring_ascii). One % formats the whole
-    document from a flat argument list (the atoms, then text, membership,
-    text, ...), writing each membership by %.17g, the bytes of
-    format(mu, ".17g").
+    The elements are written by _element_array, the writer the CLI's
+    --json output uses too, with each membership formatted by %.17g,
+    the bytes of format(mu, ".17g").
     """
-    n = len(fs.memberships)
-    # the atoms, then text, membership, text, ... over 2n more slots
-    args = [",".join(map(encode_basestring_ascii, fs.universe.atoms))] * (2 * n + 1)
-    args[1::2] = map(encode_basestring_ascii, fs.texts)
-    args[2::2] = fs.memberships
-    row = '{"expr":%s,"mu":%.17g}'
-    return ('{"atoms":[%s],"elements":[' + ",".join([row] * n) + "]}") % tuple(args)
+    atoms = ",".join(map(encode_basestring_ascii, fs.universe.atoms))
+    rows = _element_array(fs, '{"expr":%s,"mu":%.17g}', ",")
+    return '{"atoms":[%s],"elements":%s}' % (atoms, rows)
 
 
 def _is_number(value, kinds) -> bool:

@@ -13,12 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fuzznest import (
+    FuzznestError,
     FuzzySet,
     SolverConfig,
+    construct_fuzzy_set,
     decode,
+    expand_to_fuzzy,
+    fuzzy_power_set,
     fuzzyset_from_json,
     fuzzyset_to_json,
+    parse_expr,
     parse_sequence,
+    scalar_cardinality,
     sequence_from_json,
     sequence_to_json,
     verify_power_cardinality,
@@ -717,7 +723,8 @@ def _other_commands(draw):
     else:
         ids = st.sampled_from(("0", "5", "x"))
         argv = [name, _mostly(draw, st.sampled_from("1234"), ids)]
-    if draw(st.booleans()):
+    # parse and verify-theorem refuse --precision outright
+    if name in ("propagate", "examples") and draw(st.booleans()):
         precision = st.integers(0, 20).map(str)
         bad = st.sampled_from(("-1", "x", "1.5"))
         argv += ["--precision", _mostly(draw, precision, bad)]
@@ -886,6 +893,46 @@ def test_precision_edges_are_accepted(precision, capsys):
         assert value == f"{w:.2000f}".rstrip("0").ljust(len(value), "0")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "{x1}"],
+        ["encode", "0.3"],
+        ["roundtrip", "--value", "0.3"],
+        ["verify-theorem", "1", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_precision_is_refused_where_no_fixed_point_number_is_printed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--precision", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("precision", ["0", "1074"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["card", None],
+        ["propagate", None, "{x1,x2}"],
+        ["powerset", None, "--verify"],
+        ["decode", "10|01"],
+        ["examples", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_precision_is_taken_where_a_fixed_point_number_is_printed(
+    argv, precision, base3_path, capsys
+):
+    argv = [base3_path if a is None else a for a in argv]
+    code, out, err = run(capsys, *argv, "--precision", precision)
+    assert code == 0 and err == "" and out
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "1e400", "-1", "-1e-9", "x"])
 @pytest.mark.parametrize(
     "argv",
@@ -954,6 +1001,104 @@ def test_parse_level_past_the_int_digit_limit_exits_2(template):
     offset = template.index("%")
     assert out.returncode == 2 and out.stdout == ""
     assert out.stderr == f"error: level has too many digits (byte offset {offset})\n"
+
+
+# ------------------------------------------------- JSON element arrays
+
+# each at least once in a base: the least subnormal, a tiny normal, a
+# value with no short binary form, and 1
+_BYTE_MU = st.one_of(st.sampled_from((5e-324, 1e-300, 0.1, 1.0)), st.floats(0.0, 1.0))
+
+
+def _elements_doc(fs: FuzzySet) -> list[dict]:
+    return [{"expr": t, "mu": mu} for t, mu in zip(fs.texts, fs.memberships)]
+
+
+def _json_doc(argv: list, base: FuzzySet | None) -> tuple[dict, int]:
+    """The dict document propagate, powerset or decode --json prints for
+    argv, built from the library, and the exit status; FuzznestError
+    where the command must refuse its input."""
+    name = argv[0]
+    if name == "propagate":
+        exprs = [parse_expr(text) for text in argv[2:-1]]
+        return {"elements": _elements_doc(construct_fuzzy_set(base, exprs))}, 0
+    if name == "powerset":
+        doc = {"elements": _elements_doc(fuzzy_power_set(base))}
+        if "--verify" not in argv:
+            return doc, 0
+        report = verify_power_cardinality(base, float(argv[argv.index("--tol") + 1]))
+        doc["report"] = {
+            "label": report.label,
+            "computed": report.computed,
+            "expected": report.expected,
+            "abs_diff": report.abs_diff,
+            "tolerance": report.tolerance,
+            "pass": report.passed,
+        }
+        return doc, 0 if report.passed else 1
+    text = argv[1]
+    if text.lstrip().startswith("{"):
+        seq = sequence_from_json(text)
+    else:
+        seq = parse_sequence(text)
+    expansion = expand_to_fuzzy(seq)
+    doc = {
+        "value": decode(seq),
+        "m_star": seq.m_star,
+        "truncated": seq.truncated,
+        "expansion": _elements_doc(expansion),
+        "cardinality": scalar_cardinality(expansion),
+    }
+    return doc, 0
+
+
+@st.composite
+def _json_commands(draw):
+    """argv of propagate, powerset (with or without --verify) or decode
+    with --json, and the flat base the fuzzy-set file must hold (None for
+    decode); the file's path is left as None in argv."""
+    name = draw(st.sampled_from(("propagate", "powerset", "decode")))
+    if name == "decode":
+        text = draw(st.one_of(_sequence_texts(), _sequence_jsons()))
+        return [name, text, "--json"], None
+    names = draw(st.lists(st.sampled_from(_NAMES), max_size=6, unique=True))
+    base = FuzzySet.flat([(a, draw(_BYTE_MU)) for a in names])
+    if name == "powerset":
+        argv = [name, None]
+        if draw(st.booleans()):
+            argv += ["--verify", "--tol", draw(st.sampled_from(("1e-9", "0")))]
+        return argv + ["--json"], base
+    leaf = st.sampled_from(("∅", *names))
+    if names:
+        braced = st.tuples(st.sampled_from(names), _LEVEL)
+        leaf |= braced.map(lambda t: "{%s}^(%s)" % t)
+    valid = st.recursive(
+        leaf,
+        lambda inner: st.lists(inner, max_size=3).map(lambda xs: "{%s}" % ",".join(xs)),
+        max_leaves=8,
+    )
+    texts = _expr_texts(tuple(names) + ("∅",))
+    exprs = [_mostly(draw, valid, texts) for _ in range(draw(st.integers(1, 3)))]
+    return [name, None, *exprs, "--json"], base
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=_json_commands())
+def test_json_element_arrays_are_json_dumps_bytes(tmp_path_factory, command):
+    # the element rows of these three commands are written by a template,
+    # not by json.dumps: their bytes must be json.dumps's all the same
+    argv, base = command
+    if base is not None:
+        path = tmp_path_factory.mktemp("base") / "base.json"
+        path.write_text(fuzzyset_to_json(base), encoding="utf-8")
+        argv[1] = str(path)
+    code, out, err = _run_quietly(argv)
+    try:
+        doc, expected_code = _json_doc(argv, base)
+    except FuzznestError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n"), argv
+        return
+    assert (code, out, err) == (expected_code, json.dumps(doc) + "\n", ""), argv
 
 
 # ------------------------------------------------------------ golden files

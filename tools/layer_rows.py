@@ -13,14 +13,15 @@ and 200 mixed nested expressions. For each input it times
 * ``construct_fuzzy_set`` over the parsed node(s), from a flat base,
 * ``fuzzyset_from_json`` of that fuzzy set's JSON,
 
-then, over seeded flat bases, ``fuzzyset_from_json`` of a 12-atom
-power-set listing's JSON and the first read of ``elements`` of a fresh
-14-atom listing (a new ``FuzzySet`` over the same texts each time), and,
-per call, ``Braced(...)``, a two-member ``SetOf`` and ``normalize`` of a
-two-member set. Every timing is repeated, the rows interleaved in
-each repetition so a slow spell of the host touches them all alike, and
-the median is printed: one ``name value unit`` line per row. As timeit
-does, the cyclic garbage collector is off while a row is timed. Stdlib
+then, over seeded flat bases, ``fuzzyset_to_json`` of a 12-atom
+power-set listing, ``fuzzyset_from_json`` of that JSON and the first
+read of ``elements`` of a fresh 14-atom listing (a new ``FuzzySet`` over
+the same texts each time), and, per call, ``Braced(...)``, a two-member
+``SetOf`` and ``normalize`` of a two-member set. Every timing is
+repeated, the rows interleaved in each repetition so a slow spell of the
+host touches them all alike, and the median is printed: one ``name
+value unit`` line per row. As timeit does, the cyclic garbage collector
+is off while a row is timed. Stdlib
 only; it finishes in about ten seconds.
 """
 
@@ -94,9 +95,12 @@ def _rows(fz):
         base = fz.FuzzySet.flat([(f"x{i}", rng.random()) for i in range(1, n + 1)])
         return fz.fuzzy_power_set(base)
 
-    listing_doc = fz.fuzzyset_to_json(listing(12))
+    listing12 = listing(12)
+    listing_doc = fz.fuzzyset_to_json(listing12)
     fs = listing(14)
     rows += [
+        ("listing12.fuzzyset_to_json", "ms", 1e3,
+         lambda: fz.fuzzyset_to_json(listing12)),
         ("listing12.fuzzyset_from_json", "ms", 1e3,
          lambda: fz.fuzzyset_from_json(listing_doc)),
         # a new fuzzy set each time, so elements are parsed, not reused
