@@ -21,9 +21,9 @@ from .errors import FuzznestError, ParseError
 from .fuzzy_core import (
     FuzzySet,
     VerificationReport,
+    _construct_from_texts,
     _element_array,
     _power_report,
-    construct_fuzzy_set,
     fuzzy_power_set,
     fuzzyset_from_json,
     scalar_cardinality,
@@ -42,7 +42,7 @@ from .seq_codec import (
     sequence_from_json,
     series_cardinality,
 )
-from .set_expr import _parse, parse_expr
+from .set_expr import _parse
 
 # ------------------------------------------------------------ formatting
 
@@ -169,9 +169,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_propagate(args) -> int:
-    base = _read_fuzzyset(args.fuzzyset)
-    exprs = [parse_expr(text) for text in args.expr]
-    result = construct_fuzzy_set(base, exprs)
+    result = _construct_from_texts(_read_fuzzyset(args.fuzzyset), args.expr)
     if args.json:
         print('{"elements": %s}' % _element_json(result))
         return 0
@@ -323,7 +321,7 @@ def cmd_verify_theorem(args) -> int:
 def _example_membership_construction(precision: int) -> tuple[str, bool]:
     base = FuzzySet.flat([("x1", 0.2), ("x2", 0.3), ("x3", 0.5), ("x4", 1.0)])
     texts = ["{∅,x1}", "{{x2},{x3}}", "{x1,{x2,{x3,{x4}}}}"]
-    result = construct_fuzzy_set(base, [parse_expr(t) for t in texts])
+    result = _construct_from_texts(base, texts)
     rows = [_base_row(base, precision)] + _element_rows(result, precision)
     return _table(rows), True
 

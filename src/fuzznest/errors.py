@@ -3,6 +3,9 @@
 Everything derives from FuzznestError so callers can catch the package's
 failures in one clause; each class also subclasses the builtin that best
 matches its meaning (ValueError for bad values, LookupError for lookups).
+
+A message that shows a caller's value writes it with _shown, so an int
+too long for repr does not turn the error into another one.
 """
 
 from __future__ import annotations
@@ -84,3 +87,13 @@ class ConfigError(FuzznestError, ValueError):
 
 class InvariantError(FuzznestError, ValueError):
     """A value violates its type's structural invariants."""
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, or, when repr raises because an
+    int in it has more digits than sys.get_int_max_str_digits() lets it
+    write, a stand-in that names value's type."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"

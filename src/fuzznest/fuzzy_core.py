@@ -14,15 +14,19 @@ elements by three rules applied in order:
 
 Each call of construct_fuzzy_set, propagate_membership or
 verify_classical_degeneracy applies the rules in the one pass that
-canonicalizes an element. The pass's hook (_Propagation.made) applies
-rules 1–3 and nothing else: rule 2 looks up the text the pass has just
-made, and a braced atom reads its level from two ladders of its atom's
-base membership (_kernels._climb), kept for the call, so every level of
-an atom is computed once per call, with the bits level_value gives. A
-set's factor 2^mu - 1 is the up step u_1(mu). Only an element whose
-value is still a stand-in at the root (it needs an atom the base does
-not list) is walked once more, to tell a foreign atom from an unlisted
-one.
+canonicalizes an element. Text takes the same path in one pass less:
+_construct_from_texts, which ``fuzznest propagate`` and ``fuzznest
+examples 1`` call, hands the hook to the parser, which canonicalizes as
+it reads, so each text is read and valued in one walk. The hook
+(_Propagation.made) applies rules 1–3 and nothing else: rule 2 looks up
+the text the pass has just made, and a braced atom reads its level from
+two ladders of its atom's base membership (_kernels._climb), kept for
+the call, so every level of an atom is computed once per call, with the
+bits level_value gives. A set's factor 2^mu - 1 is the up step u_1(mu).
+One decision, _Propagation.decided, ends both paths: only an element
+whose value is still a stand-in at the root (it needs an atom the base
+does not list) is walked once more, to tell a foreign atom from an
+unlisted one.
 
 One validated maker, FuzzySet._from_canonical, turns canonical items and
 memberships into a fuzzy set: build, fuzzyset_from_json and
@@ -80,6 +84,7 @@ from .errors import (
     MissingMembershipError,
     ParseError,
     UniverseError,
+    _shown,
 )
 from .set_expr import (
     AtomUniverse,
@@ -212,9 +217,13 @@ class FuzzySet:
         for item, mu in pairs:
             _, text, e = item
             if not _is_number(mu, (int, float)):
-                raise InvariantError(f"membership {mu!r} for {text} is not a number")
+                raise InvariantError(
+                    f"membership {_shown(mu)} for {text} is not a number"
+                )
             if not (0 <= mu <= 1):  # exact for an int beyond the float range
-                raise InvariantError(f"membership {mu!r} for {text} is outside [0,1]")
+                raise InvariantError(
+                    f"membership {_shown(mu)} for {text} is outside [0,1]"
+                )
             mu = float(mu)
             if isinstance(e, Empty) and mu != 1.0:
                 raise InvariantError("the empty set must have membership 1")
@@ -234,7 +243,9 @@ class FuzzySet:
         except (TypeError, ValueError):
             raise InvariantError("flat() takes (name, membership) pairs") from None
         universe = AtomUniverse(tuple(name for name, _ in items))
-        return cls.build(universe, [(Braced(name, 0), mu) for name, mu in items])
+        # a name is its own canonical text, and an atom of the universe
+        pairs = [((0, name, Braced(name, 0)), mu) for name, mu in items]
+        return cls._from_canonical(universe, pairs, foreign=False)
 
     def membership_table(self) -> dict[SetExpr, float]:
         return dict(self.elements)
@@ -258,7 +269,7 @@ class VerificationReport:
         for name in ("computed", "expected", "tolerance"):
             value = getattr(self, name)
             if not _is_number(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
+                raise ConfigError(f"{name} must be a number, got {_shown(value)}")
         if not (0.0 <= self.tolerance < math.inf):
             raise ConfigError("tolerance must be finite and at least 0")
 
@@ -279,17 +290,19 @@ def scalar_cardinality(fs: FuzzySet) -> float:
 class _Propagation:
     """Membership propagation from one base for the span of one call.
 
-    made, the canonical pass's hook, applies rules 1–3 to each item as it
-    is made, and does nothing else: ∅ is 1, a text the table (the base's
-    texts) holds keeps its value, a braced atom reads its atom's up
-    ladder (levels from 0) or down ladder, each from the base membership
-    stored under the atom's name, and a set takes _product over its
-    members. The pass makes no other item: every Braced holds an atom
-    name, as Braced refuses one over a set or ∅. An atom with no base
-    membership stands in by its name, and a set with such a member by
-    the first one's, until a listed set or the root decides. Only a root
-    that stays a stand-in is walked again, by element, to tell a foreign
-    atom from an unlisted one.
+    made, the hook of the canonical pass and of the parser, applies rules
+    1–3 to each item as it is made, and does nothing else: ∅ is 1, a
+    text the table (the base's texts) holds keeps its value, a braced
+    atom reads its atom's up ladder (levels from 0) or down ladder, each
+    from the base membership stored under the atom's name, and a set
+    takes _product over its members. The pass makes no other item:
+    every Braced holds an atom name, as Braced refuses one over a set or
+    ∅. An atom with no base membership stands in by its name, and a set
+    with such a member by the first one's, until a listed set or the
+    root decides. Only a root that stays a stand-in is walked again, by
+    decided, to tell a foreign atom from an unlisted one: element
+    decides a node's canonical item, and _construct_from_texts each
+    parsed text's.
 
     The base is taken as build makes it: it lists only texts over its
     universe, with memberships in [0,1]. So a foreign atom has no listed
@@ -303,16 +316,20 @@ class _Propagation:
         self.table = dict(zip(base.texts, base.memberships))
         self.up: dict[str, list[float]] = {}
         self.down: dict[str, list[float]] = {}
+        # id(node) -> value or stand-in, for the span of the call; each
+        # node is valued as it is made, so a freed node's id is rewritten
+        # before a live node reads it
+        self.values: dict[int, float | str] = {}
 
     def element(self, expr: SetExpr) -> tuple[_Item, float]:
         """expr's canonical item and membership. Raises what normalize
-        raises, then UniverseError if the value needs an atom outside the
-        universe, else MissingMembershipError if it needs an unlisted
-        one."""
-        # id(node) -> value or stand-in; each node is valued as it is made,
-        # so a freed member's id is rewritten before a live node reads it
-        self.values: dict[int, float | str] = {}
-        item = _canonical(expr, self.made)
+        raises, then what decided raises."""
+        return self.decided(_canonical(expr, self.made))
+
+    def decided(self, item: _Item) -> tuple[_Item, float]:
+        """item and the value made gave its node, or, for a stand-in,
+        UniverseError if the value needs an atom outside the universe,
+        else MissingMembershipError if it needs an unlisted one."""
         _, text, node = item
         value = self.values[id(node)]
         if type(value) is str:
@@ -369,6 +386,19 @@ def construct_fuzzy_set(
     return FuzzySet._from_canonical(
         base.universe, map(_Propagation(base).element, universe_exprs), foreign=False
     )
+
+
+def _construct_from_texts(base: FuzzySet, texts: Iterable[str]) -> FuzzySet:
+    """construct_fuzzy_set(base, [parse_expr(t) for t in texts]), with the
+    same elements, memberships and errors, in one walk of each text:
+    _parse hands each item it makes to _Propagation.made. Every text is
+    read before any is decided, so a text that does not parse is the
+    error even after one whose value needs a missing atom."""
+    memberships = _Propagation(base)
+    leaves: dict[str, _Item] = {}  # one node per distinct atom token
+    items = [_parse(text, leaves, memberships.made) for text in texts]
+    pairs = map(memberships.decided, items)
+    return FuzzySet._from_canonical(base.universe, pairs, foreign=False)
 
 
 def _power_factors(base: FuzzySet) -> tuple[list[str], list[float]]:
@@ -457,7 +487,7 @@ def verify_classical_degeneracy(
     pairs = list(zip(base.texts, base.memberships))
     for text, mu in pairs:
         if mu != 0.0 and mu != 1.0:
-            raise DomainError(f"base is not classical: mu({text}) = {mu!r}")
+            raise DomainError(f"base is not classical: mu({text}) = {_shown(mu)}")
     # a level-0 atom's text is its name, and no other text is a name
     zero_atoms = {text for text, mu in pairs if mu == 0.0}
     memberships = _Propagation(base)
@@ -505,7 +535,8 @@ def _is_number(value, kinds) -> bool:
 
 
 def _load_object(text: str, what: str) -> dict:
-    """The object text holds, or ParseError: malformed, too deep, or no object."""
+    """The object text holds, or ParseError: malformed, too deep, an
+    integer of more digits than int() reads, or no object."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as ex:
@@ -513,6 +544,8 @@ def _load_object(text: str, what: str) -> dict:
         raise ParseError(f"invalid JSON: {ex.msg}", offset) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", 0) from None
+    except ValueError:  # an int past the interpreter's text-to-int digit limit
+        raise ParseError("invalid JSON: an integer has too many digits", 0) from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what} JSON must be an object", 0)
     return doc

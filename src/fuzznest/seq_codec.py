@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 
 from ._kernels import _climb, _series, greedy_encode, level_value, series_root
-from .errors import ConfigError, InvariantError, ParseError, RangeError
+from .errors import ConfigError, InvariantError, ParseError, RangeError, _shown
 from .fuzzy_core import FuzzySet, _is_number, _load_object
 from .set_expr import AtomUniverse, Braced, SetExpr, _braced_text, _byte_offset
 
@@ -182,13 +182,13 @@ def iterate_level(t: float, k: int) -> float:
     and an integral float k such as 2.0 is an integer.
     """
     if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
-        raise RangeError(f"t must be in [0,1], got {t!r}")
+        raise RangeError(f"t must be in [0,1], got {_shown(t)}")
     try:
         level = int(k) if _is_number(k, (int, float)) else None
     except (ValueError, OverflowError):
         level = None
     if level is None or level != k:
-        raise RangeError(f"k must be an integer, got {k!r}")
+        raise RangeError(f"k must be an integer, got {_shown(k)}")
     return level_value(float(t), level)
 
 
@@ -200,7 +200,7 @@ def sequence_to_universe(a: BinarySequence) -> list[SetExpr]:
 def series_cardinality(a: BinarySequence, t: float) -> float:
     """G(t): the sum of u_k(t) over the stored 1-bits; t a number in [0,1]."""
     if not (_is_number(t, (int, float)) and 0.0 <= t <= 1.0):
-        raise RangeError(f"t must be in [0,1], got {t!r}")
+        raise RangeError(f"t must be in [0,1], got {_shown(t)}")
     return _series(a.m_star, a.bits, float(t))[0]
 
 
@@ -232,7 +232,7 @@ def encode(w: float, cfg: SolverConfig = DEFAULT_CONFIG) -> BinarySequence:
     cfg.max_index (w pathologically near 0).
     """
     if not (_is_number(w, (int, float)) and 0.0 < w <= 1.0):
-        raise RangeError(f"w must be in (0,1], got {w!r}")
+        raise RangeError(f"w must be in (0,1], got {_shown(w)}")
     m_star, bits, truncated, _ = greedy_encode(
         float(w), cfg.tol_residual, cfg.max_terms, cfg.max_index
     )

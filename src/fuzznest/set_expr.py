@@ -64,7 +64,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Iterator, Union
 
-from .errors import InvariantError, LevelError, ParseError
+from .errors import InvariantError, LevelError, ParseError, _shown
 
 __all__ = [
     "Empty",
@@ -131,7 +131,7 @@ class Braced(_Node):
 
     def __init__(self, atom: str, level: int) -> None:
         if type(level) is not int:
-            raise LevelError(f"level must be an integer, got {level!r}")
+            raise LevelError(f"level must be an integer, got {_shown(level)}")
         if isinstance(atom, str):
             if not _is_name(atom):
                 raise InvariantError(f"invalid atom name {atom!r}")
@@ -202,13 +202,13 @@ class AtomUniverse:
     def __post_init__(self):
         if isinstance(self.atoms, str) or not isinstance(self.atoms, Iterable):
             raise InvariantError(
-                f"atoms must be a collection of names, not {self.atoms!r}"
+                f"atoms must be a collection of names, not {_shown(self.atoms)}"
             )
         object.__setattr__(self, "atoms", tuple(self.atoms))
         seen = set()
         for name in self.atoms:
             if not (isinstance(name, str) and _is_name(name)):
-                raise InvariantError(f"invalid atom name {name!r}")
+                raise InvariantError(f"invalid atom name {_shown(name)}")
             if name in seen:
                 raise InvariantError(f"duplicate atom name {name!r}")
             seen.add(name)
@@ -245,7 +245,7 @@ def _post_order(e: SetExpr) -> list:
 
 
 def _not_a_node(x) -> TypeError:
-    return TypeError(f"not a set expression: {x!r}")
+    return TypeError(f"not a set expression: {_shown(x)}")
 
 
 def _shape(e: SetExpr) -> tuple:
@@ -524,12 +524,14 @@ def parse_expr(text: str) -> SetExpr:
     or leading zero, as "{x1,{x3},{x7}^(-2)}", is read in one match and
     one split, with no token loop; every other text, malformed ones
     included, goes through the loop, so each error keeps its message and
-    offset.
+    offset. This is the one walk of the text: _parse's made hook, which
+    the canonical pass takes too, lets a caller value each item as the
+    parser makes it.
     """
     return _parse(text, {})[2]
 
 
-def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
+def _parse(text: str, leaves: dict[str, _Item], made=None) -> _Item:
     """The item of parse_expr(text): the canonical node, its depth and text.
 
     leaves maps the text of each atom token read so far, a bare or a
@@ -538,12 +540,24 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
     them, so every distinct atom token becomes one node, shared by every
     tree that holds it, and the atoms of all the trees are the atoms of
     the dict's items.
+
+    made(item), if given, sees every item _parse makes or takes from
+    leaves, as _canonical's hook does: members before their set, the
+    root last, on the flat path as in the token loop. An item taken from
+    leaves again, or dropped as a duplicate or by a level annotation
+    (the "a" of "{{a}^(0)}^(3)"), is seen too, each time. A text that
+    raises may have shown made some of its items.
     """
     if "," in text and _FLAT.fullmatch(text):
         # a flat set: each member is an atom token, and no level of one
         # has digits enough to fail
         members = text[1:-1].split(",")
-        return _set_item([leaves.get(m) or _leaf(m, leaves, text, 0) for m in members])
+        items = [leaves.get(m) or _leaf(m, leaves, text, 0) for m in members]
+        item = _set_item(items)
+        if made is not None:
+            for made_item in (*items, item):
+                made(made_item)
+        return item
     tokens = _TOKEN.findall(text)
     tokens.append("")  # end of input
     frames: list[list[_Item]] = []  # the items read so far, per open brace
@@ -570,6 +584,8 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
         while frames:
             items = frames[-1]
             if item is not None:
+                if made is not None:
+                    made(item)
                 items.append(item)
                 if tokens[i] == ",":
                     i += 1
@@ -590,6 +606,8 @@ def _parse(text: str, leaves: dict[str, _Item]) -> _Item:
         else:
             if tokens[i]:
                 raise _fail(text, i, "unexpected trailing input")
+            if made is not None:
+                made(item)
             return item
 
 

@@ -6,8 +6,9 @@ lie in the functions ALLOWED names for them:
 
 - a use of ``in_superstructure`` (a call, or the name passed on): the
   validated maker ``FuzzySet._from_canonical``, and
-  ``_Propagation.element``, which walks an element whose value stayed a
-  stand-in, to tell a foreign atom from an unlisted one;
+  ``_Propagation.decided``, the one decision of the node and the text
+  paths, which walks an element whose value stayed a stand-in, to tell a
+  foreign atom from an unlisted one;
 - a call of the constructor, ``cls(...)`` or ``FuzzySet(...)``:
   ``FuzzySet._from_canonical``, so every other maker of the module
   checks its elements there, and ``fuzzy_power_set``, the one maker that
@@ -57,7 +58,7 @@ def _is_bare_new(node: ast.AST) -> bool:
 RULES = {
     "in_superstructure": (
         _is_universe_check,
-        {"FuzzySet._from_canonical", "_Propagation.element"},
+        {"FuzzySet._from_canonical", "_Propagation.decided"},
     ),
     "a FuzzySet constructor call": (
         _is_fuzzy_set_call,
@@ -93,8 +94,8 @@ def test_the_scan_finds_a_planted_use():
         "class _Propagation:\n"
         "    def made(self, item):\n"
         "        return set_expr.in_superstructure(item[0], self.universe)\n"
-        "    def element(self, expr):\n"
-        "        return in_superstructure(expr, self.universe)\n"
+        "    def decided(self, item):\n"
+        "        return in_superstructure(item[2], self.universe)\n"
         "def construct_fuzzy_set(base, exprs):\n"
         "    check = in_superstructure\n"
         "    return FuzzySet(base.universe, tuple(exprs))\n"

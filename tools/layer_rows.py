@@ -12,6 +12,10 @@ and 200 mixed nested expressions. For each input it times
 * ``normalize`` of the raw tree,
 * ``construct_fuzzy_set`` over the parsed node(s), from a flat base,
 * ``fuzzyset_from_json`` of that fuzzy set's JSON,
+* ``fuzznest.cli.main(["propagate", BASE, *texts, "--json"])``, its
+  output captured, where BASE is the flat base's JSON file in a
+  temporary directory that is removed at the end (the ``propagate``
+  row),
 
 then, over seeded flat bases, ``fuzzyset_to_json`` of a 12-atom
 power-set listing, ``fuzzyset_from_json`` of that JSON and the first
@@ -25,10 +29,13 @@ is off while a row is timed. Stdlib
 only; it finishes in about ten seconds.
 """
 
+import contextlib
 import gc
+import io
 import random
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -67,11 +74,25 @@ def _inputs(fz):
     ]
 
 
-def _rows(fz):
+def _propagate(cli_main, argv):
+    """A call that runs cli_main(argv) with its output captured."""
+
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise RuntimeError(f"fuzznest {argv[0]} failed")
+
+    return call
+
+
+def _rows(fz, cli_main, tmp):
     """(name, unit, scale, call) of every row: the median time of call(),
-    times scale, is the row's value in unit."""
+    times scale, is the row's value in unit. The base's JSON file is
+    written into the directory tmp."""
     rng = random.Random(29)
     base = fz.FuzzySet.flat([(a, rng.random()) for a in ATOMS])
+    base_path = Path(tmp) / "base.json"
+    base_path.write_text(fz.fuzzyset_to_json(base), encoding="utf-8")
     rows = []
     for name, raws in _inputs(fz):
         # distinct canonical forms, so the raw trees make one fuzzy set
@@ -89,6 +110,8 @@ def _rows(fz):
              lambda nodes=nodes: fz.construct_fuzzy_set(base, nodes)),
             (f"{name}.fuzzyset_from_json", "ms", 1e3,
              lambda doc=doc: fz.fuzzyset_from_json(doc)),
+            (f"{name}.propagate", "ms", 1e3,
+             _propagate(cli_main, ["propagate", str(base_path), *texts, "--json"])),
         ]
 
     def listing(n):
@@ -140,22 +163,24 @@ def main(argv: list[str]) -> int:
     src = Path(argv[0] if argv else "src").resolve()
     sys.path.insert(0, str(src))
     import fuzznest as fz
+    from fuzznest.cli import main as cli_main
 
     if src not in Path(fz.__file__).resolve().parents:
         print(f"fuzznest was imported from {fz.__file__}, not {src}", file=sys.stderr)
         return 2
-    rows = _rows(fz)
-    times = [[] for _ in rows]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(REPEATS):
-            for (_, _, _, call), spent in zip(rows, times):
-                start = time.perf_counter()
-                call()
-                spent.append(time.perf_counter() - start)
-    finally:
-        gc.enable()
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = _rows(fz, cli_main, tmp)
+        times = [[] for _ in rows]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(REPEATS):
+                for (_, _, _, call), spent in zip(rows, times):
+                    start = time.perf_counter()
+                    call()
+                    spent.append(time.perf_counter() - start)
+        finally:
+            gc.enable()
     for (name, unit, scale, _), spent in zip(rows, times):
         print(f"{name} {statistics.median(spent) * scale:.4g} {unit}")
     return 0
